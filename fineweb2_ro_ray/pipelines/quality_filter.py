@@ -172,6 +172,9 @@ def annotate(
         # pool that reserves every CPU starves them and the pipeline
         # crawls (observed at num_cpus=2).
         pool = max(1, cpus - 2) if cpus >= 4 else max(1, cpus - 1)
+        # read tasks ask for a whole CPU, so at 1 CPU the one actor
+        # reserves none and shares it with them (reserving it hung)
+        actor_cpus = 1 if cpus > 1 else 0
         return ds.map_batches(
             Annotator,
             # failpoint read driver-side at wiring time and shipped as a
@@ -185,6 +188,7 @@ def annotate(
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=pool,
+            num_cpus=actor_cpus,
         )
     lid_actors = lid_actors or _default_pool()
     ppl_actors = ppl_actors or _default_pool()
@@ -637,6 +641,30 @@ def filter_kept(ds: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
+def derive_ppl_threshold(
+    input_path: str | list[str],
+    percentile: float = 92.0,
+    cfg: FilterConfig | None = None,
+    batch_size: int = 4096,
+) -> FilterConfig:
+    """The cheap first pass of the reference's two-phase production flow
+    (G3 →M3, ``run.sh:1-26``: quantiles_fetcher → filter at the 92nd
+    percentile): ``cfg`` with ``max_ppl`` set to the corpus's own ppl
+    percentile (mergeable rounded-histogram percentile). Perplexity
+    needs only the text, so the scorer runs statelessly over the raw
+    turns."""
+    import dataclasses
+
+    from ..functions.perplexity import perplexity_batch
+    from ..stages.analysis import approx_percentiles
+
+    pre = read_transcripts(input_path).map_batches(
+        perplexity_batch, batch_format="pyarrow", batch_size=batch_size
+    )
+    thr = approx_percentiles(pre, "ppl", [percentile]).iloc[0]["value"]
+    return dataclasses.replace(cfg or FilterConfig(), max_ppl=float(thr))
+
+
 def annotate_with_derived_ppl_threshold(
     input_path: str | list[str],
     *,
@@ -644,28 +672,10 @@ def annotate_with_derived_ppl_threshold(
     cfg: FilterConfig | None = None,
     batch_size: int = 4096,
 ) -> ray.data.Dataset:
-    """The reference's two-phase production flow (G3 →M3,
-    ``run.sh:1-26``: quantiles_fetcher → filter at the 92nd percentile):
-    a cheap first pass derives the ppl threshold from the corpus's own
-    distribution (mergeable rounded-histogram percentile), then the full
-    pipeline runs with that threshold captured in the decide closure —
+    """The full pipeline with ``max_ppl`` derived from the corpus
+    (``derive_ppl_threshold``) and captured in the decide closure —
     'aggregate → driver scalar → downstream closure', no shuffle."""
-    import dataclasses
-
-    from ..stages.analysis import approx_percentiles
-
-    base = cfg or FilterConfig()
-    pre = read_transcripts(input_path).map_batches(
-        partial(compute_text_stats, share_tokens=False),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    # perplexity only needs text; run the scorer statelessly for the pre-pass
-    from ..functions.perplexity import perplexity_batch
-
-    pre = pre.map_batches(perplexity_batch, batch_format="pyarrow", batch_size=batch_size)
-    thr = approx_percentiles(pre, "ppl", [percentile]).iloc[0]["value"]
-    cfg2 = dataclasses.replace(base, max_ppl=float(thr))
+    cfg2 = derive_ppl_threshold(input_path, percentile, cfg, batch_size)
     return annotate(read_transcripts(input_path), cfg2, batch_size=batch_size)
 
 

@@ -47,22 +47,12 @@ def main(argv: list[str] | None = None) -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from fineweb2_ro_ray.functions.decide import FilterConfig
-    from fineweb2_ro_ray.pipelines.quality_filter import annotate
+    from fineweb2_ro_ray.pipelines.quality_filter import annotate, derive_ppl_threshold
     from fineweb2_ro_ray.state.checkpoint import run_resumable
 
     cfg = FilterConfig()
     if args.ppl_percentile is not None:
-        import dataclasses
-
-        from fineweb2_ro_ray.functions.perplexity import perplexity_batch
-        from fineweb2_ro_ray.pipelines.quality_filter import read_transcripts
-        from fineweb2_ro_ray.stages.analysis import approx_percentiles
-
-        pre = read_transcripts(args.input).map_batches(
-            perplexity_batch, batch_format="pyarrow", batch_size=args.batch_size
-        )
-        thr = approx_percentiles(pre, "ppl", [args.ppl_percentile]).iloc[0]["value"]
-        cfg = dataclasses.replace(cfg, max_ppl=float(thr))
+        cfg = derive_ppl_threshold(args.input, args.ppl_percentile, cfg, args.batch_size)
 
     t0 = time.time()
     summary = run_resumable(

@@ -359,7 +359,7 @@ def ingest_jsonl_quarantine(
     applied AT THE SOURCE (round-5, VERDICT r4 #6): malformed JSONL
     records — broken JSON, non-object rows, rows missing ``required``
     keys — are routed to a quarantine shard set with full lineage
-    (source file, line number, truncated raw payload, error) instead of
+    (source file, 1-based line number, truncated raw payload, error) instead of
     failing the job, mirroring how the LLM-output parser downgrades
     unparseable generations to an ``"ERROR"`` row rather than crashing
     (``small_model_inference/small_model_inference.py`` parse loop).
@@ -411,7 +411,7 @@ def ingest_jsonl_quarantine(
     def good_records():
         for p in plist:
             with _opener(p) as fh:
-                for i, line in enumerate(fh):
+                for i, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
                     try:

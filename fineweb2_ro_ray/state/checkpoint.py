@@ -6,25 +6,28 @@ file-existence idempotency (skip a shard when its output exists:
 fineweb2_jql.py:61-64``, ``small_model_inference/shard_manager.py:19-26``)
 at the granularity of *hash partitions of the conversation key*:
 
-- the conversation key is hashed (crc32, engine-pinned) into
-  ``n_partitions`` buckets; a *partition group* is the unit of one
-  streaming sub-job, written to ``out/part={g}/`` via temp-dir +
-  atomic rename, then recorded in ``manifest.jsonl`` with lineage
-  (input fingerprint, row/keep counts, drop-reason histogram, wall
-  seconds);
-- on restart, a group is skipped only when its manifest record is
-  committed, its recorded ``input_fingerprint`` matches the CURRENT
-  input, and its output directory still exists — changed input or a
-  deleted partition directory forces recomputation (lineage check);
-- the input is scanned ONCE per run: a staging pass writes the raw
-  rows hive-partitioned by group (``.staging-<fp>/part=g/``), and each
-  group's sub-job reads only its own staging partition.  (Round 1
-  filtered the full input per group — n_groups full scans; at 100 TB
-  with 256 groups that is 256 scans of the corpus. Now it is 1 + 1.)
+- the key is hashed (crc32, engine-pinned) into ``n_groups`` groups; a
+  group is the resume unit: ``out/part={g}/`` plus a ``manifest.jsonl``
+  record with lineage (input fingerprint, rows, kept, drop-reason
+  histogram, PII/toxicity hits, wall seconds);
+- on restart, a group is skipped only when its record is committed, its
+  ``input_fingerprint`` matches the CURRENT input, and its directory
+  still exists; anything else is pending (lineage check);
+- a run is ONE Ray Data execution over the pending groups: one scan of
+  the input drops committed groups' rows before ``build``, and a
+  ``Datasink`` writes each output block's group-g rows to
+  ``.tmp-part-g/{task}-{block}.parquet``. The names are deterministic,
+  so a retried write task overwrites its files and never duplicates
+  them. Write tasks return thin per-group counts; lineage is their sum
+  and never reads the output back;
+- commit is at the end of the execution: pending groups are renamed
+  into place in ascending order, each followed by its manifest line.
+  Sink and commit errors fail the run.
 
-At 100 TB this is the resume story: partition count is chosen so one
-group is minutes of work, and a failed run loses at most one group
-(or, at worst, the staging pass, which carries no model compute).
+Crash-loss bound: every block holds rows of every group, so no group is
+complete before the last block is written. A crash during the execution
+loses the run's whole pending set; a crash during the commit loses the
+groups not yet renamed. Committed groups are never redone.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
+from ray.data.block import BlockAccessor
 
 
 def partition_of(conv_id: str, n_partitions: int) -> int:
@@ -53,8 +59,6 @@ def add_partition_column(
     """Vectorized-ish partition assignment: crc32 per *unique* key in the
     batch, broadcast back via dictionary encoding (cheap because unique
     keys per batch << rows for multi-turn conversations)."""
-    import pyarrow.compute as pc
-
     col = batch[key]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -129,22 +133,81 @@ def _list_parquet(input_path: str | list[str]) -> list[str]:
 
 
 def _stage_input(
-    files: list[str], staging: str, n_groups: int, key: str
-) -> None:
-    """ONE pass over the input: hash each row's ``key`` into its group
-    and write hive-partitioned staging (``part=g/``). Idempotent via a
-    ``.complete`` marker; a died staging pass is simply redone."""
-    marker = os.path.join(staging, ".complete")
-    if os.path.exists(marker):
-        return
-    shutil.rmtree(staging, ignore_errors=True)
+    files: list[str], n_groups: int, key: str, pending: list[int]
+) -> ray.data.Dataset:
+    """The run's ONE scan of the input, keeping the pending groups' rows.
+    ``enginebench/traced.py`` times it by this name."""
     ds = ray.data.read_parquet(files)
-    ds = ds.map_batches(
-        lambda b: add_partition_column(b, n_groups, key), batch_format="pyarrow"
+    if len(pending) == n_groups:
+        return ds
+    want = pa.array(pending, pa.int32())
+    return ds.map_batches(
+        lambda b: b.filter(pc.is_in(add_partition_column(b, n_groups, key)["part"], want)),
+        batch_format="pyarrow",
     )
-    ds.write_parquet(staging, partition_cols=["part"])
-    with open(marker, "w") as f:
-        f.write("ok")
+
+
+def _lineage(t: pa.Table) -> dict:
+    """Thin lineage counts of one written slice."""
+    m = {"rows": t.num_rows}
+    for col, name in (("keep", "kept"), ("pii_hits", "pii_hits"), ("tox_hits", "tox_hits")):
+        if col in t.schema.names:
+            m[name] = int(pc.sum(t[col]).as_py() or 0)
+    if "drop_reason" in t.schema.names:
+        vc = pc.value_counts(t["drop_reason"]).to_pylist()
+        m["drop_reasons"] = {v["values"]: v["counts"] for v in vc if v["values"]}
+    return m
+
+
+def _merge(into: dict, m: dict) -> None:
+    """Sum nested count dicts into ``into``."""
+    for k, v in m.items():
+        if isinstance(v, dict):
+            _merge(into.setdefault(k, {}), v)
+        else:
+            into[k] = into.get(k, 0) + v
+
+
+class _GroupSink(ray.data.Datasink):
+    """Splits every block by group into ``.tmp-part-g/``; commits the
+    pending groups once every block is written."""
+
+    def __init__(self, out: str, pending: list[int], n_groups: int, key: str, fp: str):
+        self.out, self.pending, self.n_groups, self.key, self.fp = out, pending, n_groups, key, fp
+        self.tmp = {g: os.path.join(out, f".tmp-part-{g}") for g in pending}
+        self.totals: dict[int, dict] = {g: {"rows": 0} for g in pending}
+        self.t0 = time.time()
+
+    def on_write_start(self) -> None:
+        for d in self.tmp.values():
+            os.makedirs(d)
+
+    def write(self, blocks, ctx) -> dict[int, dict]:
+        counts: dict[int, dict] = {}
+        for b, block in enumerate(blocks):
+            t = BlockAccessor.for_block(block).to_arrow()
+            part = add_partition_column(t, self.n_groups, self.key)["part"].to_numpy()
+            for g in np.unique(part).tolist():
+                sub = t.filter(pa.array(part == g))
+                pq.write_table(sub, f"{self.tmp[g]}/{ctx.task_idx:06d}-{b:06d}.parquet")
+                _merge(counts, {g: _lineage(sub)})
+        return counts
+
+    def on_write_complete(self, write_result) -> None:
+        for counts in write_result.write_returns:
+            _merge(self.totals, counts)
+        # one execution ran every pending group: its wall time is split
+        # by rows, so one run's records sum to the run's wall time
+        wall = time.time() - self.t0
+        rows = sum(m["rows"] for m in self.totals.values()) or 1
+        manifest = Manifest(self.out)
+        for g in self.pending:
+            final = os.path.join(self.out, f"part={g}")
+            shutil.rmtree(final, ignore_errors=True)
+            os.replace(self.tmp[g], final)
+            m = self.totals[g]
+            manifest.record({"group": g, "input_fingerprint": self.fp, "status": "committed",
+                             **m, "wall_sec": round(wall * m["rows"] / rows, 3)})
 
 
 def run_resumable(
@@ -154,93 +217,36 @@ def run_resumable(
     *,
     n_groups: int = 8,
     key: str = "conv_id",
-    metrics_cols: tuple[str, ...] = ("keep", "drop_reason", "pii_hits", "tox_hits"),
 ) -> dict:
-    """Run ``build(ds) -> ds`` over the input in ``n_groups`` resumable
-    partition groups.
+    """Run ``build(ds) -> ds`` over the input's pending partition groups
+    in one Ray Data execution and commit them at its end.
 
-    ``build`` receives the raw per-group Dataset and must return the
-    labeled per-turn Dataset (it may include the reassembly groupby —
-    hash-partitioning by ``key`` group means every conversation lives in
-    exactly one group, so the groupby stays correct under group-wise
-    execution).
+    ``build`` receives the pending groups' raw rows and must keep the
+    ``key`` column, from which the sink re-derives each output row's
+    group. It may include the reassembly groupby: hash-partitioning by
+    ``key`` puts every conversation in exactly one group.
 
-    Returns summary metrics merged over groups run *this* call.
+    Returns summary metrics summed over the groups run *this* call.
     """
     files = _list_parquet(input_path)
     fp = _input_fingerprint(files)
-    manifest = Manifest(output_dir)
-    done = manifest.completed_records()
-    summary = {"groups_run": 0, "groups_skipped": 0, "rows": 0, "kept": 0}
-    staging = os.path.join(output_dir, f".staging-{fp}")
-    staged = False
-
-    for g in range(n_groups):
-        final = os.path.join(output_dir, f"part={g}")
-        rec0 = done.get(g)
-        # lineage check: committed + same input + directory still there
-        if rec0 and rec0.get("input_fingerprint") == fp and os.path.isdir(final):
-            summary["groups_skipped"] += 1
-            continue
-        t0 = time.time()
-        if not staged:
-            # stale staging from a different input: reclaim the disk
-            for d in os.listdir(output_dir) if os.path.isdir(output_dir) else []:
-                if d.startswith(".staging-") and d != f".staging-{fp}":
-                    shutil.rmtree(os.path.join(output_dir, d), ignore_errors=True)
-            os.makedirs(output_dir, exist_ok=True)
-            _stage_input(files, staging, n_groups, key)
-            staged = True
-        part_dir = os.path.join(staging, f"part={g}")
-        if not os.path.isdir(part_dir):  # group hashed to zero rows
-            os.makedirs(final, exist_ok=True)
-            manifest.record(
-                {"group": g, "input_fingerprint": fp, "status": "committed",
-                 "rows": 0, "wall_sec": round(time.time() - t0, 3)}
-            )
-            summary["groups_run"] += 1
-            continue
-        out = build(ray.data.read_parquet(part_dir))
-
-        tmp = os.path.join(output_dir, f".tmp-part-{g}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        out.write_parquet(tmp)
-
-        # lineage metrics from the written partition (columnar re-read of
-        # the tiny metric columns only — reference pattern G1 partials,
-        # /root/reference/full_dataset_analysis/main.py:8-39)
-        rec: dict = {"group": g, "input_fingerprint": fp, "status": "committed"}
-        try:
-            import pyarrow.parquet as pq
-
-            frag_cols = [c for c in metrics_cols if c is not None]
-            tbls = []
-            for f in os.listdir(tmp):
-                if f.endswith(".parquet"):
-                    t = pq.read_table(os.path.join(tmp, f))
-                    avail = [c for c in frag_cols if c in t.schema.names]
-                    tbls.append(t.select(avail) if avail else t.select([]))
-            if tbls:
-                t = pa.concat_tables(tbls)
-                rec["rows"] = t.num_rows
-                if "keep" in t.schema.names:
-                    rec["kept"] = int(pa.compute.sum(t["keep"]).as_py() or 0)
-                if "drop_reason" in t.schema.names:
-                    vc = t["drop_reason"].to_pandas().value_counts()
-                    rec["drop_reasons"] = {k: int(v) for k, v in vc.items() if k}
-                for c in ("pii_hits", "tox_hits"):
-                    if c in t.schema.names:
-                        rec[c] = int(pa.compute.sum(t[c]).as_py() or 0)
-        except Exception as e:  # lineage must never fail the job
-            rec["metrics_error"] = repr(e)
-
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
-        rec["wall_sec"] = round(time.time() - t0, 3)
-        manifest.record(rec)
-        summary["groups_run"] += 1
-        summary["rows"] += rec.get("rows", 0)
-        summary["kept"] += rec.get("kept", 0)
-    if staged:  # all groups now committed for this fingerprint
-        shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(output_dir, exist_ok=True)
+    for d in os.listdir(output_dir):  # a crashed or older run's scratch
+        if d.startswith((".tmp-part-", ".staging-")):
+            shutil.rmtree(os.path.join(output_dir, d))
+    done = Manifest(output_dir).completed_records()
+    pending = [
+        g
+        for g in range(n_groups)
+        if not (
+            done.get(g, {}).get("input_fingerprint") == fp
+            and os.path.isdir(os.path.join(output_dir, f"part={g}"))
+        )
+    ]
+    summary = {"groups_run": len(pending), "groups_skipped": n_groups - len(pending)}
+    sink = _GroupSink(output_dir, pending, n_groups, key, fp)
+    if pending:
+        build(_stage_input(files, n_groups, key, pending)).write_datasink(sink)
+    summary["rows"] = sum(m["rows"] for m in sink.totals.values())
+    summary["kept"] = sum(m.get("kept", 0) for m in sink.totals.values())
     return summary

@@ -85,7 +85,6 @@ def test_resumable_conversation_output(corpus, tmp_path):
         out,
         lambda ds: reassemble(annotate(ds, batch_size=512), n_partitions=64),
         n_groups=3,
-        metrics_cols=("conv_keep",),
     )
     assert s["groups_run"] == 3
     import glob
@@ -99,10 +98,11 @@ def test_resumable_conversation_output(corpus, tmp_path):
     assert convs == 60  # one row per conversation, none lost across groups
 
 
-def test_input_read_once_per_run(corpus, tmp_path, monkeypatch):
-    """The 100-TB read-amplification guarantee: the ORIGINAL input files
-    are scanned exactly once per completed run (the staging pass);
-    per-group work reads only its own staging partition."""
+def test_input_scanned_once_per_run(corpus, tmp_path, monkeypatch):
+    """The read-amplification guarantee: every run, resumes included,
+    scans the ORIGINAL input exactly once and makes no other
+    read_parquet call; a resume hands ``build`` only the rows of the
+    pending groups."""
     import ray.data as rd
 
     from fineweb2_ro_ray.state import checkpoint as ck
@@ -110,23 +110,35 @@ def test_input_read_once_per_run(corpus, tmp_path, monkeypatch):
     inp, n = corpus
     out = str(tmp_path / "scan_out")
     input_files = set(ck._list_parquet(inp))
-    counts = {"input": 0, "other": 0}
+    reads = []
     real_read = rd.read_parquet
 
     def counting_read(paths, *a, **kw):
-        plist = paths if isinstance(paths, list) else [paths]
-        if input_files & set(plist):
-            counts["input"] += 1
-        else:
-            counts["other"] += 1
+        reads.append(set(paths if isinstance(paths, list) else [paths]) == input_files)
         return real_read(paths, *a, **kw)
 
+    built = []
+
+    def build(ds):
+        built.append(ds)
+        return annotate(ds, batch_size=512)
+
     monkeypatch.setattr(rd, "read_parquet", counting_read)
-    s = run_resumable(inp, out, lambda ds: annotate(ds, batch_size=512), n_groups=4)
-    assert s["groups_run"] == 4
-    assert counts["input"] == 1  # one staging scan, not n_groups scans
-    assert counts["other"] == 4  # one staging-partition read per group
+    s = run_resumable(inp, out, build, n_groups=4)
+    assert s["groups_run"] == 4 and reads == [True]
+
+    shutil.rmtree(os.path.join(out, "part=1"))
+    shutil.rmtree(os.path.join(out, "part=3"))
+    s = run_resumable(inp, out, build, n_groups=4)
+    assert s["groups_run"] == 2 and s["groups_skipped"] == 2
+    assert reads == [True, True]  # the resume scanned the input once too
     assert _total_rows(out) == n
+
+    got = built[-1].to_pandas()["conv_id"]
+    src = pq.read_table(inp, columns=["conv_id"]).to_pandas()["conv_id"]
+    pending = src[src.map(lambda c: partition_of(c, 4) in (1, 3))]
+    assert len(got) == len(pending) > 0
+    assert set(got) == set(pending)
 
 
 def test_resume_lineage_validation(corpus, tmp_path):
@@ -152,21 +164,154 @@ def test_resume_lineage_validation(corpus, tmp_path):
     assert _total_rows(out) == extra
 
 
-def test_interrupted_staging_is_redone(corpus, tmp_path):
-    """A staging pass that died before writing its .complete marker is
-    discarded and redone (no torn staging is ever trusted)."""
+def test_leftover_scratch_dirs_are_removed(corpus, tmp_path):
+    """Tmp and staging directories left by an older or crashed run are
+    removed before the run; none of their files leaks into the output."""
     inp, n = corpus
-    out = str(tmp_path / "stage_out")
-    from fineweb2_ro_ray.state.checkpoint import _input_fingerprint, _list_parquet
-
-    fp = _input_fingerprint(_list_parquet(inp))
-    staging = os.path.join(out, f".staging-{fp}")
-    # simulate a torn staging dir from a crashed run: partial garbage,
-    # no marker
-    os.makedirs(os.path.join(staging, "part=0"), exist_ok=True)
-    with open(os.path.join(staging, "part=0", "torn.parquet"), "w") as f:
-        f.write("not parquet")
+    out = str(tmp_path / "stale_out")
+    stale = pq.read_table(inp).slice(0, 5)
+    for d in (".staging-0badf00d/part=0", ".tmp-part-0", ".tmp-part-1", ".tmp-part-7"):
+        os.makedirs(os.path.join(out, d))
+        # a name no write task of this run produces, so only the clean-up
+        # can keep it out of a committed group
+        pq.write_table(stale, os.path.join(out, d, "999999-999999.parquet"))
     s = run_resumable(inp, out, lambda ds: annotate(ds, batch_size=512), n_groups=2)
     assert s["groups_run"] == 2 and s["rows"] == n
     assert _total_rows(out) == n
-    assert not os.path.isdir(staging)  # cleaned up after full commit
+    assert not glob.glob(os.path.join(out, "part=*", "999999-999999.parquet"))
+    assert sorted(d for d in os.listdir(out) if d.startswith(".")) == []
+
+
+def test_lineage_exact_under_annotator_retry(corpus, tmp_path):
+    """One Annotator actor is SIGKILLed mid-run and its batch retried:
+    each group's manifest lineage equals a DuckDB recount over that
+    group's committed files, and equals the lineage of a clean run."""
+    import duckdb
+
+    from fineweb2_ro_ray.pipelines import quality_filter as QF
+
+    inp, n = corpus
+
+    def build(ds):
+        return QF.annotate(ds, batch_size=512)
+
+    clean_out = str(tmp_path / "clean")
+    run_resumable(inp, clean_out, build, n_groups=3)
+    out = str(tmp_path / "faulted")
+    marker = str(tmp_path / "annotator_died")
+    QF._TEST_FAILPOINT = ("annotate", marker)
+    try:
+        s = run_resumable(inp, out, build, n_groups=3)
+    finally:
+        QF._TEST_FAILPOINT = None
+    assert os.path.exists(marker), "failpoint never fired"
+    assert s["rows"] == n
+
+    def lineage(d):
+        recs = Manifest(d).completed_records()
+        return {g: {k: v for k, v in r.items() if k != "wall_sec"} for g, r in recs.items()}
+
+    faulted = lineage(out)
+    assert sorted(faulted) == [0, 1, 2]
+    assert faulted == lineage(clean_out)
+    for g, rec in faulted.items():
+        files = os.path.join(out, f"part={g}", "*.parquet")
+        rows, kept, pii, tox = duckdb.sql(
+            "SELECT count(*), count(*) FILTER (WHERE keep), sum(pii_hits), sum(tox_hits)"
+            f" FROM read_parquet('{files}')"
+        ).fetchone()
+        reasons = dict(
+            duckdb.sql(
+                f"SELECT drop_reason, count(*) FROM read_parquet('{files}')"
+                " WHERE drop_reason <> '' GROUP BY 1"
+            ).fetchall()
+        )
+        assert (rec["rows"], rec["kept"], rec["pii_hits"], rec["tox_hits"]) == (
+            rows, kept, pii, tox
+        )
+        assert rec["drop_reasons"] == reasons
+
+
+def test_retried_write_task_overwrites_its_files(tmp_path):
+    """A retried write task (same task index, same blocks) rewrites its
+    own files instead of adding new ones, so each row is committed once
+    and each group's record counts it once."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+
+    from fineweb2_ro_ray.state.checkpoint import _GroupSink
+
+    n = 50
+    t = pa.table(
+        {
+            "conv_id": [f"c{i % 7}" for i in range(n)],
+            "keep": [i % 3 != 0 for i in range(n)],
+            "drop_reason": ["" if i % 3 else "ppl" for i in range(n)],
+        }
+    )
+    out = str(tmp_path)
+    sink = _GroupSink(out, [0, 1, 2], 3, "conv_id", "fp")
+    sink.on_write_start()
+    blocks = [t.slice(0, 20), t.slice(20)]
+    first = sink.write(iter(blocks), SimpleNamespace(task_idx=4))
+    retry = sink.write(iter(blocks), SimpleNamespace(task_idx=4))
+    assert retry == first
+    sink.on_write_complete(SimpleNamespace(write_returns=[retry]))
+    recs = Manifest(out).completed_records()
+    assert _total_rows(out) == sum(r["rows"] for r in recs.values()) == n
+    assert sum(r["kept"] for r in recs.values()) == sum(t["keep"].to_pylist())
+    for g, r in recs.items():
+        got = pq.read_table(os.path.join(out, f"part={g}")).to_pylist()
+        assert [partition_of(row["conv_id"], 3) for row in got] == [g] * r["rows"]
+        assert r["drop_reasons"].get("ppl", 0) == sum(row["drop_reason"] == "ppl" for row in got)
+
+
+_ONE_CPU_SCRIPT = r"""
+import json, sys
+sys.path.insert(0, {repo!r})
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from fineweb2_ro_ray.pipelines.quality_filter import annotate
+from fineweb2_ro_ray.state.checkpoint import run_resumable
+
+s = run_resumable(sys.argv[1], sys.argv[2], lambda ds: annotate(ds, batch_size=512), n_groups=2)
+print("SUMMARY:" + json.dumps(s))
+ray.shutdown()
+"""
+
+
+def test_run_resumable_finishes_at_one_cpu(corpus, tmp_path):
+    """At ``num_cpus=1`` the fused Annotator pool must leave the read
+    tasks a CPU; before, the pool took the only CPU and the run hung."""
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inp, n = corpus
+    script = str(tmp_path / "one_cpu.py")
+    with open(script, "w") as f:
+        f.write(_ONE_CPU_SCRIPT.format(repo=repo))
+    out = str(tmp_path / "out")
+    # own process group: a hung run is killed with every Ray process it
+    # started, not just its driver
+    p = subprocess.Popen(
+        [sys.executable, script, inp, out],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=repo,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = p.communicate(timeout=240)
+    finally:
+        if p.poll() is None:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait()
+    assert p.returncode == 0, stderr[-2000:]
+    summary = json.loads(
+        [l for l in stdout.splitlines() if l.startswith("SUMMARY:")][0][8:]
+    )
+    assert summary["groups_run"] == 2 and summary["rows"] == n
+    assert _total_rows(out) == n

@@ -319,6 +319,11 @@ def test_runner_cli_end_to_end(tmp_path, capsys):
     s1 = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert s1["groups_run"] == 3 and s1["rows"] > 0
     assert s1["max_ppl"] > 0  # derived, not the default
+    from fineweb2_ro_ray.functions.decide import FilterConfig
+    from fineweb2_ro_ray.pipelines.quality_filter import derive_ppl_threshold
+
+    # the runner's pre-pass IS the library's: same threshold
+    assert s1["max_ppl"] == derive_ppl_threshold(src, 95, FilterConfig()).max_ppl
     rc = runner_main(["--input", src, "--output", out, "--groups", "3"])
     assert rc == 0
     s2 = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -636,6 +641,17 @@ def test_ingest_jsonl_quarantine(tmp_path):
     # lineage points at the right files/lines
     assert str(src1) in set(qt["source_file"].to_pylist())
     assert str(src2) in set(qt["source_file"].to_pylist())
+    # line numbers are 1-based: each points at the bad line of its file
+    lines = {
+        str(src1): open(src1).read().splitlines(),
+        str(src2): gzip.open(src2, "rt").read().splitlines(),
+    }
+    got = sorted(zip(qt["source_file"].to_pylist(), qt["line_no"].to_pylist()))
+    assert got == [(str(src1), 12), (str(src1), 23), (str(src1), 34), (str(src2), 61)]
+    for f, no, raw in zip(
+        qt["source_file"].to_pylist(), qt["line_no"].to_pylist(), qt["raw"].to_pylist()
+    ):
+        assert lines[f][no - 1] == raw
 
     # resume: existing shards skipped, quarantine rebuilt identically,
     # and the good-row shard content is unchanged
