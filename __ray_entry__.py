@@ -434,8 +434,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "nchars_zscore_by_lang": P.q_nchars_zscore_by_lang,
         "lang_source_cube": P.q_lang_source_cube,
         "dedup_funnel": P.q_dedup_funnel,
-        "events_overlap_join": P.q_events_overlap_join,
-        "doc_tree_depths": P.q_doc_tree_depths,
         # round-4 continuation-5: readability quality signal
         "doc_readability": P.q_doc_readability,
         # round-4 continuation-5 rotation: demoted but still

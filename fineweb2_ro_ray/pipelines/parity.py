@@ -2321,14 +2321,14 @@ def _orders_semi_anti_exchange(sf_dir: str, how: str):
         return b.filter(pc.equal(b["c_mktsegment"], "BUILDING")).select(["c_custkey"])
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    out = hash_join(
+    return hash_join(
         orders,
         cust.map_batches(building, batch_format="pyarrow"),
         key="o_custkey",
         right_key="c_custkey",
         how=how,
+        post=lambda t: t.select(["o_orderkey"]),
     )
-    return out.map_batches(lambda t: t.select(["o_orderkey"]), batch_format="pyarrow")
 
 
 def q_orders_semi_exchange(sf_dir: str):

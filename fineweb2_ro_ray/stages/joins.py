@@ -19,6 +19,8 @@ one ``take`` per column instead of a frame conversion each way."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -356,6 +358,7 @@ def hash_join(
     right_key: str | list[str],
     how: str = "inner",
     n_partitions: int = 512,
+    post: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
     """Equality INNER / LEFT join on the raw hash exchange — the
     engine-native alternative to Ray's ``Dataset.join`` JoinOperator,
@@ -378,7 +381,14 @@ def hash_join(
     ``how="semi"`` / ``how="anti"`` project LEFT columns only: semi
     keeps left rows with at least one match (never duplicating them),
     anti keeps left rows with none — NOT-EXISTS semantics, so left
-    null-key rows (matching nothing) survive an anti join."""
+    null-key rows (matching nothing) survive an anti join.
+
+    ``post`` is applied to every output table inside the join's own
+    tasks. Use it instead of a
+    ``map_batches`` after the join: Ray Data never calls a batch
+    function on an empty block and emits a schema-less block in its
+    place, so a trailing map turns the join's empty partitions (and the
+    empty null-key passes) into schema-less blocks."""
     assert how in ("inner", "left", "right", "full", "semi", "anti"), how
     kl = [key] if isinstance(key, str) else list(key)
     rkl = [right_key] if isinstance(right_key, str) else list(right_key)
@@ -420,8 +430,13 @@ def hash_join(
 
     from .exchange import hash_exchange_map_groups
 
+    done = post or (lambda t: t)
     joined = hash_exchange_map_groups(
-        both, per_part, key="part", batch_format="pyarrow", out_schema=out_schema
+        both,
+        lambda g: done(per_part(g)),
+        key="part",
+        batch_format="pyarrow",
+        out_schema=done(out_schema.empty_table()).schema,
     )
     if how == "anti":
         # NOT EXISTS keeps null-key left rows; they were dropped
@@ -430,7 +445,7 @@ def hash_join(
             anynull = pc.is_null(b[kl[0]])
             for kc in kl[1:]:
                 anynull = pc.or_(anynull, pc.is_null(b[kc]))
-            return b.filter(anynull).select(l_cols).cast(out_schema)
+            return done(b.filter(anynull).select(l_cols).cast(out_schema))
 
         return joined.union(left.map_batches(left_null_keys, batch_format="pyarrow"))
     if how in ("inner", "semi"):
@@ -444,7 +459,7 @@ def hash_join(
             anynull = pc.is_null(b[src_keys[0]])
             for kc in src_keys[1:]:
                 anynull = pc.or_(anynull, pc.is_null(b[kc]))
-            return _null_padded(b.filter(anynull), own, out_schema)
+            return done(_null_padded(b.filter(anynull), own, out_schema))
 
         return fn
 

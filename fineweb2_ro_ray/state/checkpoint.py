@@ -11,8 +11,11 @@ at the granularity of *hash partitions of the conversation key*:
   record with lineage (input fingerprint, rows, kept, drop-reason
   histogram, PII/toxicity hits, wall seconds);
 - on restart, a group is skipped only when its record is committed, its
-  ``input_fingerprint`` matches the CURRENT input, and its directory
-  still exists; anything else is pending (lineage check);
+  ``input_fingerprint`` matches the CURRENT input, its ``n_groups``
+  matches the current run's, and its directory still exists; anything
+  else is pending (lineage check). A run with a different ``n_groups``
+  therefore re-runs every group, and its commit removes the groups
+  ``g >= n_groups`` left by the earlier run;
 - a run is ONE Ray Data execution over the pending groups: one scan of
   the input drops committed groups' rows before ``build``, and a
   ``Datasink`` writes each output block's group-g rows to
@@ -207,7 +210,14 @@ class _GroupSink(ray.data.Datasink):
             os.replace(self.tmp[g], final)
             m = self.totals[g]
             manifest.record({"group": g, "input_fingerprint": self.fp, "status": "committed",
+                             "n_groups": self.n_groups,
                              **m, "wall_sec": round(wall * m["rows"] / rows, 3)})
+        # groups of a run with more groups hold rows this run re-grouped
+        parts = {int(d[5:]) for d in os.listdir(self.out) if d.startswith("part=")}
+        for g in sorted(parts | set(manifest.completed_records())):
+            if g >= self.n_groups:
+                shutil.rmtree(os.path.join(self.out, f"part={g}"), ignore_errors=True)
+                manifest.record({"group": g, "status": "removed"})
 
 
 def run_resumable(
@@ -240,6 +250,7 @@ def run_resumable(
         for g in range(n_groups)
         if not (
             done.get(g, {}).get("input_fingerprint") == fp
+            and done[g].get("n_groups") == n_groups
             and os.path.isdir(os.path.join(output_dir, f"part={g}"))
         )
     ]

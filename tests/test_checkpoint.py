@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -56,6 +57,30 @@ def test_run_and_resume(corpus, tmp_path):
     s3 = run_resumable(inp, out, lambda ds: annotate(ds, batch_size=512), n_groups=3)
     assert s3["groups_run"] == 1 and s3["groups_skipped"] == 2
     assert _total_rows(out) == n
+
+
+def test_changed_group_count_reruns_every_group(corpus, tmp_path):
+    """Groups are hashed mod n_groups: a re-run with fewer groups must
+    not skip groups committed under the old count, and must not leave
+    the old count's extra groups behind."""
+    inp, n = corpus
+    out = str(tmp_path / "out")
+    build = lambda ds: annotate(ds, batch_size=512)  # noqa: E731
+    s1 = run_resumable(inp, out, build, n_groups=4)
+    assert s1["groups_run"] == 4 and _total_rows(out) == n
+    s2 = run_resumable(inp, out, build, n_groups=2)
+    assert (s2["groups_run"], s2["groups_skipped"], s2["rows"]) == (2, 0, n)
+    assert sorted(d for d in os.listdir(out) if d.startswith("part=")) == ["part=0", "part=1"]
+    got = pa.concat_tables(
+        pq.read_table(f, columns=["conv_id", "turn_idx"])
+        for f in glob.glob(os.path.join(out, "part=*", "*.parquet"))
+    ).to_pandas()
+    want = pq.read_table(inp, columns=["conv_id", "turn_idx"]).to_pandas()
+    assert len(got) == n and not got.duplicated().any()
+    assert set(map(tuple, got.values)) == set(map(tuple, want.values))
+    assert Manifest(out).completed_groups() == {0, 1}
+    s3 = run_resumable(inp, out, build, n_groups=2)
+    assert (s3["groups_run"], s3["groups_skipped"]) == (0, 2)
 
 
 def test_partitioning_is_stable_and_total(corpus):

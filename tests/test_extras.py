@@ -404,6 +404,24 @@ def test_graded_window_invariants():
     assert not orphans, f"oracle keys without a query: {orphans}"
 
 
+def test_queries_registry_keys_are_unique():
+    """A repeated key in the ``queries()`` dict literal silently
+    replaces the earlier entry's value and inflates the literal's entry
+    count over the registry's size; parse the source to catch it."""
+    import ast
+    import collections
+    import os
+
+    src = open(os.path.join(os.path.dirname(__file__), "..", "__ray_entry__.py")).read()
+    fn = next(
+        n for n in ast.parse(src).body if isinstance(n, ast.FunctionDef) and n.name == "queries"
+    )
+    literal = next(n.value for n in ast.walk(fn) if isinstance(n, ast.Return))
+    assert isinstance(literal, ast.Dict)
+    keys = collections.Counter(k.value for k in literal.keys)
+    assert not [k for k, c in keys.items() if c > 1]
+
+
 def test_new_shapes_edge_inputs(tmp_path):
     """The five session-5 shapes on hand-built edge tables, each pinned
     against its DuckDB oracle: null/empty/boundary-length documents for

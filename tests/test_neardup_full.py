@@ -3,14 +3,21 @@ window op (VERDICT r4 #5)."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
+import ray
 import ray.data
 
-from fineweb2_ro_ray.stages.dedup import minhash_dedup_full, near_dedup_full
+from fineweb2_ro_ray.stages.dedup import (
+    minhash_cluster_edges,
+    minhash_dedup_full,
+    near_dedup_full,
+)
 from fineweb2_ro_ray.stages.windows import lag_lead_delta
 
 
@@ -73,7 +80,7 @@ def test_minhash_dedup_full_end_to_end(ray_session):
     rows = [(i, base) for i in range(4)] + [(10 + i, other) for i in range(3)]
     rows += [(100, "unique text one for the corpus"), (101, "another standalone body")]
     docs = _docs(rows)
-    out = minhash_dedup_full(docs, threshold=0.9, keep_all=True).to_pandas()
+    out = minhash_dedup_full(docs, keep_all=True).to_pandas()
     out = out.sort_values("doc_id", ignore_index=True)
     by_id = dict(zip(out["doc_id"], out["cluster_size"]))
     assert [by_id[i] for i in range(4)] == [4, 4, 4, 4]
@@ -81,6 +88,33 @@ def test_minhash_dedup_full_end_to_end(ray_session):
     assert by_id[100] == by_id[101] == 1
     kept = set(out[out["kept"]]["doc_id"])
     assert kept == {0, 10, 100, 101}
+
+
+@pytest.mark.parametrize("corpus", ["duplicates", "singletons"])
+def test_minhash_dedup_full_blocks_keep_the_schema(ray_session, corpus):
+    """Every output block, empty ones included, carries the output
+    schema: a map after the join would turn its empty partitions into
+    schema-less blocks. The singletons corpus has an empty pair graph."""
+    if corpus == "duplicates":
+        rows = [(i, f"alpha beta gamma delta epsilon {i % 7}") for i in range(60)]
+    else:
+        rows = [(i, hashlib.sha256(str(i).encode()).hexdigest()) for i in range(40)]
+        assert minhash_cluster_edges(_docs(rows)).count() == 0
+    out = minhash_dedup_full(_docs(rows), keep_all=True).materialize()
+    want = ["doc_id", "text", "cluster_size", "kept"]
+    n = 0
+    for bundle in out.iter_internal_ref_bundles():
+        for ref in bundle.block_refs:
+            block = ray.get(ref)
+            assert block.schema.names == want, (block.num_rows, block.schema)
+            n += block.num_rows
+    assert n == len(rows)
+
+
+def test_minhash_dedup_full_warns_on_cluster_threshold(ray_session):
+    docs = _docs([(1, "some text body here"), (2, "some text body here")])
+    with pytest.warns(UserWarning, match="threshold=0.9 is ignored"):
+        minhash_dedup_full(docs, threshold=0.9)
 
 
 def test_lag_lead_delta_matches_pandas_oracle(ray_session):

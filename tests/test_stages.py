@@ -72,6 +72,9 @@ def test_minhash_signature_similarity_monotone():
     sim_ab = (mh.signature(a) == mh.signature(b)).mean()
     sim_ac = (mh.signature(a) == mh.signature(c)).mean()
     assert sim_ab > sim_ac
+    # signature() is the one-row case of the batch kernel
+    batch = mh(pa.table({"text": [a, b, c]}))["minhash"].to_pylist()
+    assert [list(mh.signature(t)) for t in (a, b, c)] == batch
 
 
 def test_simhash_pairs():
