@@ -59,13 +59,10 @@ def lang_id_batch(
 ) -> pa.Table:
     """Append ``lang`` (ro/en/und) and ``lang_score`` columns.
 
-    Fast paths: ``shared`` (the fused-actor route) carries the stats
+    Fast path: ``shared`` (the fused-actor route) carries the stats
     stage's dictionary-encoded tokenization — the lexicon lookups then
     run straight on the unique-token array, with no re-split and no
-    re-encode. Otherwise, when the upstream stats stage ran with
-    ``share_tokens=True``, the transient ``_toks`` column carries the
-    canonical tokenization and ``n_words`` the token count — both are
-    reused (and ``_toks`` dropped) instead of re-splitting the text."""
+    re-encode."""
     text = batch[text_col]
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
@@ -81,21 +78,12 @@ def lang_id_batch(
         en_hits = _segment_sums(en_u[tok_idx].astype(np.int64), raw_lens, "sum")
         return _lang_from_hits(batch, ro_hits, en_hits, shared["n_dia"], shared["n_words"])
 
-    if "_toks" in batch.schema.names and "n_words" in batch.schema.names:
-        toks_list = batch["_toks"]
-        if isinstance(toks_list, pa.ChunkedArray):
-            toks_list = toks_list.combine_chunks()
-        raw_lens = pc.list_value_length(toks_list).to_numpy(zero_copy_only=False).astype(np.int64)
-        toks = pc.list_flatten(toks_list)
-        n_words = batch["n_words"].to_numpy(zero_copy_only=False)
-        batch = batch.drop_columns(["_toks"])
-    else:
-        words = pc.utf8_split_whitespace(text)
-        raw_lens = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = pc.list_flatten(words)
-        flat_len = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
-        toks = pc.utf8_trim(pc.utf8_lower(flat), PUNCT)
-        n_words = _segment_sums((flat_len > 0).astype(np.int64), raw_lens, "sum")
+    words = pc.utf8_split_whitespace(text)
+    raw_lens = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = pc.list_flatten(words)
+    flat_len = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
+    toks = pc.utf8_trim(pc.utf8_lower(flat), PUNCT)
+    n_words = _segment_sums((flat_len > 0).astype(np.int64), raw_lens, "sum")
 
     # both lexicon lookups run on UNIQUE tokens (dictionary encode),
     # results gathered back per instance — one hash pass replaces two
@@ -144,9 +132,7 @@ class LangIdScorer:
     ``/root/reference/ro_vs_eng/fineweb2_jql.py:29-45``)."""
 
     def __init__(self) -> None:
-        # Pre-build Arrow value sets once per actor.
-        self._ro_set = pa.array(sorted(RO_LEXICON))
-        self._en_set = pa.array(sorted(EN_LEXICON))
+        _lexicons()  # build the Arrow value sets once per actor
 
     def __call__(self, batch: pa.Table, shared: dict | None = None) -> pa.Table:
         return lang_id_batch(batch, shared=shared)

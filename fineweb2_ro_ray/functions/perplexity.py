@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .textstats import utf8_flat_view
+
 _SEED_VOCAB = (
     "și de la cu pentru este sunt care nu se în pe un o ce mai din ale "
     "acest aceasta dar fi fost avea face timp zi an oameni lume țară oraș "
@@ -60,32 +62,10 @@ LOGP = _train_logp()  # frozen at import; deterministic
 _LOGP_FLAT = LOGP.reshape(-1)  # 1-D gather is ~20x faster than 2-D fancy indexing
 
 
-def _utf8_flat_view(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy (bytes, per-row lengths) view of a string array: an
-    Arrow StringArray's data buffer IS the concatenated UTF-8 payload,
-    so no to_pylist/encode/join round-trip is needed."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    import pyarrow.compute as pc
-
-    arr = pc.fill_null(arr, "")
-    if pa.types.is_large_string(arr.type):
-        off_dtype = np.int64
-    else:
-        off_dtype = np.int32
-    buffers = arr.buffers()
-    offsets = np.frombuffer(buffers[1], dtype=off_dtype)
-    offsets = offsets[arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
-    data = np.frombuffer(buffers[2], dtype=np.uint8) if buffers[2] is not None else np.zeros(0, np.uint8)
-    flat = data[offsets[0] : offsets[-1]]
-    lens = np.diff(offsets)
-    return flat, lens
-
-
 def perplexity_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Append a ``ppl`` float64 column — fully vectorized over the
     batch's UTF-8 bytes, read zero-copy from the Arrow string buffer."""
-    flat, lens = _utf8_flat_view(batch[text_col])
+    flat, lens = utf8_flat_view(batch[text_col])
     n = len(lens)
     ppl = np.zeros(n, dtype=np.float64)
     if len(flat) >= 2:

@@ -407,18 +407,11 @@ def _dup_line_fracs(text: pa.Array, n_lines_np: np.ndarray) -> np.ndarray:
 def compute_text_stats(
     batch: pa.Table,
     text_col: str = "text",
-    share_tokens: bool = False,
     return_shared: bool = False,
 ) -> pa.Table | tuple[pa.Table, dict]:
     """Append the rule-input columns to ``batch`` (zero-copy for the
     untouched columns — the reference's column-accretion model,
     SURVEY.md §1.2).
-
-    ``share_tokens=True`` additionally appends a transient ``_toks``
-    column (trimmed, lowercased token list) so the downstream LID stage
-    reuses this stage's tokenization instead of re-splitting — the
-    stages stay logically separate but share the expensive kernel work;
-    LID drops the column.
 
     ``return_shared=True`` (the fused-actor path) instead returns
     ``(table, shared)`` where ``shared`` carries the tokenization
@@ -479,11 +472,4 @@ def compute_text_stats(
             "n_dia": bk["n_dia"],
         }
         return out, shared
-    if share_tokens:
-        toks = toks_u.take(dic.indices)
-        row_off = np.empty(len(n_words) + 1, dtype=np.int64)
-        row_off[0] = 0
-        np.cumsum(n_words, out=row_off[1:])
-        toks_list = pa.LargeListArray.from_arrays(row_off, toks)
-        out = out.append_column("_toks", toks_list)
     return out

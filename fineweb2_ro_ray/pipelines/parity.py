@@ -787,14 +787,41 @@ def q_events_sessions(sf_dir: str):
     return session_windows(_read(sf_dir, "events", ["user_id", "ts"]))
 
 
+def _parquet_column_bytes(sf_dir: str, table: str, columns: list[str]) -> int:
+    """Uncompressed bytes of ``columns`` summed from the Parquet footer
+    (no data pages read)."""
+    import pyarrow.parquet as pq
+
+    md = pq.read_metadata(f"{sf_dir}/{table}.parquet")
+    want = set(columns)
+    return sum(
+        rg.column(i).total_uncompressed_size
+        for rg in (md.row_group(r) for r in range(md.num_row_groups))
+        for i in range(rg.num_columns)
+        if rg.column(i).path_in_schema in want
+    )
+
+
 def q_orders_join_native(sf_dir: str):
     """J-family with Ray's native hash-partitioned ``Dataset.join``
     (both-sides-large path; the broadcast variant is
-    ``q_orders_by_segment``)."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    ``q_orders_by_segment``). Without a partition size hint Ray sizes
+    every aggregator's memory reservation from its max block size
+    (14 GiB for 16 aggregators), which a session with less memory never
+    schedules; the hint is the inputs' footer size per partition."""
+    o_cols, c_cols, n_parts = ["o_custkey", "o_totalprice"], ["c_custkey", "c_mktsegment"], 16
+    orders = _read(sf_dir, "orders", o_cols)
+    cust = _read(sf_dir, "customer", c_cols)
+    size = _parquet_column_bytes(sf_dir, "orders", o_cols) + _parquet_column_bytes(
+        sf_dir, "customer", c_cols
+    )
     joined = orders.join(
-        cust, join_type="inner", num_partitions=16, on=("o_custkey",), right_on=("c_custkey",)
+        cust,
+        join_type="inner",
+        num_partitions=n_parts,
+        on=("o_custkey",),
+        right_on=("c_custkey",),
+        partition_size_hint=max(1, size // n_parts),
     )
 
     def partial(b: pa.Table) -> pa.Table:

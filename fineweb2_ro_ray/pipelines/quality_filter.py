@@ -1,26 +1,22 @@
 """The flagship pipeline: transcript quality filtering.
 
 Ray Data restatement of the reference's production chain
-(``/root/reference/run.sh:1-26``: download → JQL scoring → percentile
-thresholds → conjunctive filter → join → parquet) as ONE streaming DAG
+(``run.sh:1-26``: download → JQL scoring → percentile thresholds →
+conjunctive filter → join → parquet) as ONE streaming DAG
 (SURVEY.md §3.1):
 
-    read_parquet(transcripts)
-      → map_batches(compute_text_stats)          # stateless tasks
-      → map_batches(LangIdScorer,  actor pool)   # state loaded once/actor
-      → map_batches(PerplexityScorer, actor pool)
-      → map_batches(Scrubber, actor pool)
-      → map_batches(decide)                      # keep/drop + drop_reason
-      [→ groupby(conv_id).map_groups(reassemble)]  # the only wide op
-      → write_parquet (partitioned, resumable — state/checkpoint.py)
+    read_parquet(transcripts, pruned columns)
+      → map_batches(Annotator, fixed actor pool)   # stats → LID → ppl →
+                                                   # scrub → decide, fused
+      → map_batches(_precombine_dropped)           # dropped turns → meta rows
+      → hash exchange on conv_id + Arrow reduce    # the only wide op
+      → write_parquet (or partitioned and resumable — state/checkpoint.py)
 
 Unlike the reference, no stage materializes the corpus to disk between
 steps; the streaming executor pipelines blocks with backpressure.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -62,20 +58,6 @@ def read_transcripts_pruned(path: str | list[str], columns: list[str]) -> ray.da
     return ray.data.read_parquet(path, schema=pruned, columns=columns)
 
 
-def _default_pool() -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized to the cluster: three scorer
-    pools must coexist with the task stages, so each pool may grow to
-    ~1/3 of the CPUs but demands only 1 up front (a fixed min that
-    exceeds the cluster would stall the streaming executor)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return (1, max(2, cpus // 3))
-
-
 # Test-only fault injection for the fused actor pool: set to
 # ("annotate", marker_path) and the FIRST Annotator batch to run
 # SIGKILLs its actor (atomically claimed via O_EXCL on the marker).
@@ -93,8 +75,7 @@ class Annotator:
     block — at 10^12 turns those hops are pure shuffle-free overhead.
     Every scorer's frozen state (lexicons, LOGP table, regex packs) is
     bound once per actor (reference stateful-stage pattern, SURVEY.md
-    §2.3). The individual stage callables remain available for unfused
-    composition."""
+    §2.3)."""
 
     def __init__(
         self,
@@ -124,9 +105,8 @@ class Annotator:
             from ..stages.exchange import _maybe_die
 
             _maybe_die(self._failpoint, "annotate")
-        # fused route: stats hands its dictionary-encoded tokenization
-        # (and byte-kernel diacritic counts) straight to LID in-process —
-        # no transient _toks column, no re-encode
+        # stats hands its dictionary-encoded tokenization (and byte-kernel
+        # diacritic counts) straight to LID in-process — no re-encode
         b, shared = compute_text_stats(batch, return_shared=True)
         b = self.lid(b, shared=shared)
         b = self.ppl(b)
@@ -144,107 +124,42 @@ def annotate(
     cfg: FilterConfig | None = None,
     *,
     batch_size: int = 4096,
-    fused: bool = True,
     project: list[str] | None = None,
-    lid_actors: int | tuple[int, int] | None = None,
-    ppl_actors: int | tuple[int, int] | None = None,
-    scrub_actors: int | tuple[int, int] | None = None,
 ) -> ray.data.Dataset:
-    """Append every engine column per turn.
-
-    ``fused=True`` (default): one actor pool running the whole per-turn
-    chain (see ``Annotator``). ``fused=False``: the stage-per-operator
-    layout — stateless transforms as tasks, each scorer its own
-    autoscaling actor pool — identical results, more object-store
-    traffic; useful for per-stage profiling/resource isolation."""
+    """Append every engine column per turn: one fixed actor pool running
+    the whole per-turn chain (see ``Annotator``); ``project`` keeps only
+    the named columns, inside the actor."""
     cfg = cfg or FilterConfig()
-    if fused:
-        try:
-            import ray
+    try:
+        import ray
 
-            cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        except Exception:
-            cpus = 8
-        # FIXED pool size: the autoscaling (min,max) pool ramps up too
-        # slowly and halves throughput on steady batch streams; a fixed
-        # pool sized to the cluster is right for a saturating stage.
-        # ALWAYS leave >=1 CPU free for read/write/shuffle tasks — a
-        # pool that reserves every CPU starves them and the pipeline
-        # crawls (observed at num_cpus=2).
-        pool = max(1, cpus - 2) if cpus >= 4 else max(1, cpus - 1)
-        # read tasks ask for a whole CPU, so at 1 CPU the one actor
-        # reserves none and shares it with them (reserving it hung)
-        actor_cpus = 1 if cpus > 1 else 0
-        return ds.map_batches(
-            Annotator,
-            # failpoint read driver-side at wiring time and shipped as a
-            # plain constructor argument (the exchange's test-only fault
-            # pattern — tests/test_actor_faults.py)
-            fn_constructor_kwargs={
-                "cfg": cfg,
-                "project": project,
-                "failpoint": _TEST_FAILPOINT,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=pool,
-            num_cpus=actor_cpus,
-        )
-    lid_actors = lid_actors or _default_pool()
-    ppl_actors = ppl_actors or _default_pool()
-    scrub_actors = scrub_actors or _default_pool()
-    ds = ds.map_batches(
-        partial(compute_text_stats, share_tokens=True),
+        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    except Exception:
+        cpus = 8
+    # FIXED pool size: the autoscaling (min,max) pool ramps up too
+    # slowly and halves throughput on steady batch streams; a fixed
+    # pool sized to the cluster is right for a saturating stage.
+    # ALWAYS leave >=1 CPU free for read/write/shuffle tasks — a
+    # pool that reserves every CPU starves them and the pipeline
+    # crawls (observed at num_cpus=2).
+    pool = max(1, cpus - 2) if cpus >= 4 else max(1, cpus - 1)
+    # read tasks ask for a whole CPU, so at 1 CPU the one actor
+    # reserves none and shares it with them (reserving it hung)
+    actor_cpus = 1 if cpus > 1 else 0
+    return ds.map_batches(
+        Annotator,
+        # failpoint read driver-side at wiring time and shipped as a
+        # plain constructor argument (the exchange's test-only fault
+        # pattern — tests/test_actor_faults.py)
+        fn_constructor_kwargs={
+            "cfg": cfg,
+            "project": project,
+            "failpoint": _TEST_FAILPOINT,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-    )
-    ds = ds.map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=batch_size, concurrency=lid_actors
-    )
-    ds = ds.map_batches(
-        PerplexityScorer,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=ppl_actors,
-    )
-    ds = ds.map_batches(
-        Scrubber, batch_format="pyarrow", batch_size=batch_size, concurrency=scrub_actors
-    )
-    ds = ds.map_batches(
-        partial(decide_batch, cfg=cfg), batch_format="pyarrow", batch_size=batch_size
-    )
-    return ds
-
-
-def _reassemble_partition(df: pd.DataFrame) -> pd.DataFrame:
-    """Reassemble EVERY conversation in one hash partition with
-    vectorized pandas groupby (C path) instead of one Python call per
-    conversation — at 10^12 turns the per-group-call overhead of a
-    naive ``groupby(conv_id).map_groups`` dominates; per-PARTITION calls
-    amortize it over thousands of conversations.
-
-    Ordering inside a conversation is explicit ``(conv_id, turn_idx)``
-    sort — the single ordering contract (BASELINE.json: per-turn text
-    equality under stable turn ordering); never positional."""
-    df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    g = df.groupby("conv_id", sort=True)
-    n_turns = g.size()
-    n_kept = g["keep"].sum().astype(np.int64)
-    first_ts = g["ts"].first()
-    last_ts = g["ts"].last()
-    kept = df[df["keep"]]
-    text = kept.groupby("conv_id", sort=True)["scrubbed_text"].agg("\n".join)
-    text = text.reindex(n_turns.index, fill_value="")
-    return pd.DataFrame(
-        {
-            "conv_id": n_turns.index,
-            "n_turns": n_turns.to_numpy(dtype=np.int64),
-            "n_kept": n_kept.to_numpy(),
-            "conv_keep": (n_kept > 0).to_numpy(),
-            "text": text.to_numpy(),
-            "first_ts": first_ts.to_numpy(),
-            "last_ts": last_ts.to_numpy(),
-        }
+        concurrency=pool,
+        num_cpus=actor_cpus,
     )
 
 
@@ -288,7 +203,7 @@ def _precombine_dropped(b: pa.Table) -> pa.Table:
         # first/last ts follow pandas groupby.first/last semantics
         # (SKIP nulls): boundaries are computed over the NON-NULL-ts
         # subset only, so a dropped turn with null ts contributes its
-        # count but never a NaT boundary (parity with the plain path)
+        # count but never a NaT boundary
         nn = df[df["ts"].notna()]
         gn = nn.groupby("conv_id", sort=False)
         agg = pd.DataFrame(
@@ -319,63 +234,6 @@ def _precombine_dropped(b: pa.Table) -> pa.Table:
     return kept_t
 
 
-def _reassemble_partition_combined(df: pd.DataFrame) -> pd.DataFrame:
-    """Reduce side of the pre-combined exchange: kept rows rebuild the
-    text exactly as :func:`_reassemble_partition`; dropped-side partials
-    merge by min/max over turn_idx. Output is IDENTICAL to the unfused
-    path (equivalence pinned by tests)."""
-    meta = df[df["turn_idx"].isna()]
-    kept = df[df["turn_idx"].notna()]
-    kept = kept.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    kg = kept.groupby("conv_id", sort=True)
-    k_n = kg.size()
-    # ts boundaries over the NON-NULL-ts kept rows only (pandas
-    # first()/last() skip nulls — the plain path's semantics); a kept
-    # turn with null ts still counts and still contributes text
-    knn = kept[kept["ts"].notna()].groupby("conv_id", sort=True)
-    k_min_ti = knn["turn_idx"].first()
-    k_min_ts = knn["ts"].first()
-    k_max_ti = knn["turn_idx"].last()
-    k_max_ts = knn["ts"].last()
-    text = kg["scrubbed_text"].agg("\n".join)
-    mg = meta.groupby("conv_id", sort=True)
-    m_n = mg["d_n"].sum()
-    # merge multiple per-batch partials of the same conversation
-    m_min = meta.sort_values(["conv_id", "d_min_ti"], kind="mergesort").groupby(
-        "conv_id", sort=True
-    )[["d_min_ti", "d_min_ts"]].first()
-    m_max = meta.sort_values(["conv_id", "d_max_ti"], kind="mergesort").groupby(
-        "conv_id", sort=True
-    )[["d_max_ti", "d_max_ts"]].last()
-    convs = k_n.index.union(m_n.index, sort=True)
-    n_turns = k_n.reindex(convs, fill_value=0) + m_n.reindex(convs, fill_value=0)
-    n_kept = k_n.reindex(convs, fill_value=0).astype(np.int64)
-    # first/last by turn_idx across both sides
-    kmin_ti = k_min_ti.reindex(convs)
-    dmin_ti = m_min["d_min_ti"].reindex(convs)
-    kmax_ti = k_max_ti.reindex(convs)
-    dmax_ti = m_max["d_max_ti"].reindex(convs)
-    use_k_min = dmin_ti.isna() | (kmin_ti.notna() & (kmin_ti <= dmin_ti))
-    use_k_max = dmax_ti.isna() | (kmax_ti.notna() & (kmax_ti >= dmax_ti))
-    first_ts = np.where(
-        use_k_min, k_min_ts.reindex(convs), m_min["d_min_ts"].reindex(convs)
-    )
-    last_ts = np.where(
-        use_k_max, k_max_ts.reindex(convs), m_max["d_max_ts"].reindex(convs)
-    )
-    return pd.DataFrame(
-        {
-            "conv_id": convs,
-            "n_turns": n_turns.to_numpy(dtype=np.int64),
-            "n_kept": n_kept.to_numpy(),
-            "conv_keep": (n_kept > 0).to_numpy(),
-            "text": text.reindex(convs, fill_value="").to_numpy(),
-            "first_ts": first_ts,
-            "last_ts": last_ts,
-        }
-    )
-
-
 def _as_array(ca) -> pa.Array:
     """ChunkedArray → single Array (empty-safe)."""
     if isinstance(ca, pa.Array):
@@ -399,14 +257,16 @@ def _segment_starts(conv: pa.Array) -> np.ndarray:
     return np.flatnonzero(change).astype(np.int64)
 
 
-def _reassemble_partition_combined_arrow(t: pa.Table) -> pa.Table:
-    """Arrow-native rewrite of :func:`_reassemble_partition_combined`
-    (same input/output contract, equivalence pytest-pinned): one
-    ``sort_indices`` + run-boundary numpy over the kept side, with the
-    per-conversation text join done by the single vectorized
-    ``binary_join`` kernel over a ListArray view — no pandas object
-    columns, no per-group Python. Boolean reindex/selection logic uses
-    Kleene kernels to match pandas NA semantics bit-for-bit."""
+def _reassemble_partition(t: pa.Table) -> pa.Table:
+    """Reduce side of the reassembly exchange: every conversation of one
+    hash partition of :func:`_precombine_dropped` output. Kept rows
+    rebuild the text (newline-joined in ``turn_idx`` order — the single
+    ordering contract, never positional); dropped-side partials merge
+    by min/max over ``turn_idx``. ``first_ts``/``last_ts`` are the
+    first/last NON-NULL ts. One ``sort_indices`` + run-boundary numpy
+    over the kept side, with the per-conversation text join done by the
+    single vectorized ``binary_join`` kernel over a ListArray view — no
+    pandas object columns, no per-group Python."""
     is_meta = pc.is_null(t["turn_idx"])
     meta = t.filter(is_meta)
     kept = t.filter(pc.invert(is_meta))
@@ -528,38 +388,20 @@ def _reassemble_partition_combined_arrow(t: pa.Table) -> pa.Table:
 
 def reassemble(
     ds: ray.data.Dataset,
-    n_partitions: int = 4096,
-    precombine: bool = True,
-    exchange: str = "hash",
     input_schema: pa.Schema | None = None,
-    reduce_impl: str = "arrow",
 ) -> ray.data.Dataset:
     """Conversation reassembly: the only all-to-all exchange in the
-    pipeline. Conversations are hash-partitioned by ``conv_id`` (crc32,
-    the ONE partitioning key used everywhere — SURVEY.md §7.2) and each
-    partition is reassembled vectorized. Hot conversations skew only
-    their partition (salting is impossible here — a conversation must
-    land in exactly one group; thinning partitions is the lever).
-
-    ``exchange`` selects the shuffle implementation (identical output,
-    equivalence-tested):
-
-    - ``"hash"`` (default): raw-Ray push-based hash exchange
-      (:mod:`..stages.exchange`) — no key sampling, no per-block sort,
-      no merge heap; profiled ~1.7x faster end-to-end than the sort
-      path on the 6M-turn bench.
-    - ``"sort"``: Ray Data's native ``groupby().map_groups`` (a
-      range-partitioned sort). Keys are pre-binned into
-      ``n_partitions`` buckets — the bucket count must be LARGE
-      (thousands): the sort samples boundaries from the key, and with
-      only ~64 distinct values it collapses everything into one reduce
-      task (measured 8x slower).
-
-    ``precombine`` (default): dropped turns collapse map-side to one
+    pipeline. Dropped turns first collapse map-side to one
     per-conversation meta row per batch (:func:`_precombine_dropped`),
-    so their scrubbed text never enters the shuffle — output is
-    identical (equivalence-tested); set False for the plain path."""
-    from ..state.checkpoint import add_partition_column
+    so their scrubbed text never enters the shuffle. Conversations are
+    then hash-partitioned by ``conv_id`` (crc32, the ONE partitioning
+    key used everywhere — SURVEY.md §7.2) by the raw-Ray push-based
+    exchange (:mod:`..stages.exchange`: no key sampling, no per-block
+    sort) and each partition is reassembled by the Arrow reduce
+    :func:`_reassemble_partition`. Hot conversations skew only their
+    partition (salting is impossible here — a conversation must land in
+    exactly one group; thinning partitions is the lever)."""
+    from ..stages.exchange import hash_exchange_map_groups
 
     # prune to the five columns the shuffle needs — the exchange moves
     # scrubbed text + keys only, not the full annotated table.
@@ -577,50 +419,25 @@ def reassemble(
     have = [c for c in needed if c in names]
     if len(have) == len(needed):
         ds = ds.select_columns(needed)
-    if precombine:
-        ds = ds.map_batches(_precombine_dropped, batch_format="pyarrow")
-    # ``reduce_impl``: "arrow" (default) = Arrow-native reduce
-    # (_reassemble_partition_combined_arrow — sort_indices + run
-    # boundaries + one binary_join kernel, no pandas round-trip);
-    # "pandas" = the original groupby reduce, kept for the pinned
-    # equivalence tests and as the A/B reference (BASELINE.md records
-    # the measured delta). Only the precombined hash path has the Arrow
-    # variant — it is the flagship hot path.
-    fn = _reassemble_partition_combined if precombine else _reassemble_partition
-    if exchange == "hash":
-        from ..stages.exchange import hash_exchange_map_groups
-
-        out_schema = pa.schema(
-            [
-                pa.field("conv_id", pa.string()),
-                pa.field("n_turns", pa.int64()),
-                pa.field("n_kept", pa.int64()),
-                pa.field("conv_keep", pa.bool_()),
-                pa.field("text", pa.string()),
-                pa.field("first_ts", ts_type),
-                pa.field("last_ts", ts_type),
-            ]
-        )
-        if precombine and reduce_impl == "arrow":
-            return hash_exchange_map_groups(
-                ds,
-                _reassemble_partition_combined_arrow,
-                key="conv_id",
-                out_schema=out_schema,
-                batch_format="pyarrow",
-            )
-        return hash_exchange_map_groups(
-            ds, fn, key="conv_id", out_schema=out_schema
-        )
-    ds = ds.map_batches(
-        partial(add_partition_column, n_partitions=n_partitions),
+    ds = ds.map_batches(_precombine_dropped, batch_format="pyarrow")
+    out_schema = pa.schema(
+        [
+            pa.field("conv_id", pa.string()),
+            pa.field("n_turns", pa.int64()),
+            pa.field("n_kept", pa.int64()),
+            pa.field("conv_keep", pa.bool_()),
+            pa.field("text", pa.string()),
+            pa.field("first_ts", ts_type),
+            pa.field("last_ts", ts_type),
+        ]
+    )
+    return hash_exchange_map_groups(
+        ds,
+        _reassemble_partition,
+        key="conv_id",
+        out_schema=out_schema,
         batch_format="pyarrow",
     )
-    out = ds.groupby("part").map_groups(
-        lambda g: fn(g.drop(columns=["part"])),
-        batch_format="pandas",
-    )
-    return out
 
 
 def ordered_turns(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -665,26 +482,11 @@ def derive_ppl_threshold(
     return dataclasses.replace(cfg or FilterConfig(), max_ppl=float(thr))
 
 
-def annotate_with_derived_ppl_threshold(
-    input_path: str | list[str],
-    *,
-    percentile: float = 92.0,
-    cfg: FilterConfig | None = None,
-    batch_size: int = 4096,
-) -> ray.data.Dataset:
-    """The full pipeline with ``max_ppl`` derived from the corpus
-    (``derive_ppl_threshold``) and captured in the decide closure —
-    'aggregate → driver scalar → downstream closure', no shuffle."""
-    cfg2 = derive_ppl_threshold(input_path, percentile, cfg, batch_size)
-    return annotate(read_transcripts(input_path), cfg2, batch_size=batch_size)
-
-
 def run_flagship(
     input_path: str | list[str],
     cfg: FilterConfig | None = None,
     *,
     batch_size: int = 4096,
-    reduce_impl: str = "arrow",
 ) -> ray.data.Dataset:
     """read → annotate → reassemble. Returns the conversation-level
     Dataset (lazy; caller consumes). The fused annotate stage projects
@@ -711,4 +513,4 @@ def run_flagship(
         batch_size=batch_size,
         project=project,
     )
-    return reassemble(ds, input_schema=ann_schema, reduce_impl=reduce_impl)
+    return reassemble(ds, input_schema=ann_schema)

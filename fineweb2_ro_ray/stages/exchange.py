@@ -8,7 +8,7 @@ experimental hash-shuffle strategy hangs in local mode (measured,
 BASELINE.md). A keyed map_groups needs CO-LOCATION of each key's rows,
 not global order, so the sort is pure overhead: profiled at ~2/3 of
 the flagship wall (Sort 51 s vs 19 s of scoring compute at sf-bench,
-scripts/profile_flagship.py), and a multi-second fixed floor per
+per-operator ``Dataset.stats()``), and a multi-second fixed floor per
 groupby on small inputs (sampling pass + sort tasks + merge).
 
 Shape (push-based hash shuffle with a tree-merge reduce fan-in, the

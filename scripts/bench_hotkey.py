@@ -68,12 +68,12 @@ def build_frames(hot_n: int, cold_n: int, chunk: int = 50_000) -> list[pd.DataFr
 def run(p: int, frames: list[pd.DataFrame]) -> dict:
     from fineweb2_ro_ray.pipelines.quality_filter import (
         _precombine_dropped,
-        _reassemble_partition_combined_arrow,
+        _reassemble_partition,
     )
 
     def timed_reduce(t: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
-        out = _reassemble_partition_combined_arrow(t)
+        out = _reassemble_partition(t)
         wall = time.perf_counter() - t0
         # part_id: conv_ids are partition-disjoint, so the min conv_id
         # uniquely tags this reducer — two reducers that happen to

@@ -23,12 +23,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
-from bench_round4 import probe_ms, wait_quiet  # noqa: E402
+from bench import _probe_page_supply_ms, _wait_for_quiet_window  # noqa: E402
 
 
 def main() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    p = wait_quiet(float(os.environ.get("R4_MAX_WAIT_S", "3600")))
+    p, _ = _wait_for_quiet_window(float(os.environ.get("BENCH_MAX_WAIT_S", "3600")))
     out: dict = {"probe_page_ms": p, "sf_dir": sf_dir}
 
     import ray
@@ -107,7 +107,7 @@ def main() -> None:
             "obj_runs": [round(t, 2) for t in times["obj"]],
             "segmerge_runs": [round(t, 2) for t in times["segm"]],
         }
-    out["probe_page_ms_end"] = probe_ms()
+    out["probe_page_ms_end"] = _probe_page_supply_ms()
     ray.shutdown()
     print(json.dumps(out), flush=True)
 

@@ -108,7 +108,7 @@ def test_resumable_conversation_output(corpus, tmp_path):
     s = run_resumable(
         inp,
         out,
-        lambda ds: reassemble(annotate(ds, batch_size=512), n_partitions=64),
+        lambda ds: reassemble(annotate(ds, batch_size=512)),
         n_groups=3,
     )
     assert s["groups_run"] == 3

@@ -216,3 +216,56 @@ def test_banded_lev_flat_equals_scalar_core():
             [_banded_lev_core(p[0], p[1], k) for p in pairs], np.int64
         )
         assert np.array_equal(got, exp), (maxlen, k)
+
+
+def test_banded_lev_flat_outlier_memory_bounded():
+    """One ~200 KB pair among 4,096 short pairs: the verify works in
+    chunks whose dense operands stay under ``_VERIFY_CHUNK_BYTES``, so
+    the outlier does not pad every short pair to its length (4,097 x
+    200 KB x 2 operands would be 1.6 GB). Values stay exact: the
+    outlier returns its constructed distance, every short pair equals
+    the scalar core."""
+    import tracemalloc
+
+    from fineweb2_ro_ray.stages import editdist as ed
+
+    k = 16
+    rng = np.random.default_rng(4242)
+    shorts = []
+    for _ in range(4096):
+        a = rng.integers(97, 101, int(rng.integers(1, 120))).astype(np.uint8)
+        b = a.copy()
+        for _ in range(int(rng.integers(0, 4))):
+            b[int(rng.integers(0, len(b)))] = rng.integers(97, 101)
+        shorts.append((a, b))
+    big = rng.integers(97, 123, 200_000).astype(np.uint8)
+    # 7 deletions: the length gap makes 7 a lower bound, the deletions
+    # an upper one
+    near = np.delete(big, rng.choice(len(big), 7, replace=False))
+    # 48 leading bytes that occur nowhere in ``big``: distance >= 48 > k
+    far = big.copy()
+    far[:48] = ord("0")
+
+    def run(outlier):
+        pairs = shorts[:1000] + [(big, outlier)] + shorts[1000:]
+        fa = np.concatenate([p[0] for p in pairs])
+        fb = np.concatenate([p[1] for p in pairs])
+        la = np.array([len(p[0]) for p in pairs], np.int64)
+        lb = np.array([len(p[1]) for p in pairs], np.int64)
+        return ed._banded_lev_flat(fa, la, fb, lb, k)
+
+    tracemalloc.start()
+    try:
+        got_far = run(far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got_far[1000] == -1
+    assert peak <= 3 * ed._VERIFY_CHUNK_BYTES, peak
+
+    got = run(near)
+    assert got[1000] == 7
+    want = np.array([ed._banded_lev_core(a, b, k) for a, b in shorts], np.int64)
+    short_got = np.concatenate([got[:1000], got[1001:]])
+    assert np.array_equal(short_got, want)
+    assert np.array_equal(np.delete(got_far, 1000), want)

@@ -118,11 +118,13 @@ def test_io_roundtrip(tmp_path):
 
 def test_derived_ppl_threshold(golden_path):
     from fineweb2_ro_ray.pipelines.quality_filter import (
-        annotate_with_derived_ppl_threshold,
+        annotate,
+        derive_ppl_threshold,
+        read_transcripts,
     )
 
-    ds = annotate_with_derived_ppl_threshold(golden_path, percentile=50.0)
-    df = ds.to_pandas()
+    cfg = derive_ppl_threshold(golden_path, percentile=50.0)
+    df = annotate(read_transcripts(golden_path), cfg).to_pandas()
     # with max_ppl at the median, roughly half the turns fail the ppl rule
     # or an earlier one; sanity: threshold actually bites
     assert (df["drop_reason"] == "ppl").sum() > 0
@@ -679,3 +681,84 @@ def test_ingest_jsonl_quarantine(tmp_path):
     assert s2["rows_quarantined"] == 4
     qt2 = pq.read_table(os.path.join(out, "quarantine", qfiles[0]))
     assert qt2.equals(qt)
+
+
+_JOIN_NATIVE_SCRIPT = """
+import sys
+sys.path.insert(0, {repo!r})
+import ray
+ray.init(address="local", num_cpus=8, _memory=2 << 30,
+         object_store_memory=512 << 20, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from fineweb2_ro_ray.pipelines.parity import q_orders_join_native
+df = q_orders_join_native(sys.argv[1]).to_pandas()
+print("RESULT:" + df.to_json(orient="records"))
+ray.shutdown()
+"""
+
+
+def test_orders_join_native_fits_a_small_session(tmp_path):
+    """Ray's own ``Dataset.join`` reserves aggregator memory from its
+    partition size hint (without one, from the max block size: 14 GiB
+    for 16 aggregators). In a session with 2 GiB of memory resource the
+    query must still finish, with the pandas join's answer."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pandas as pd
+
+    import pyarrow.parquet as pq
+
+    from fineweb2_ro_ray.pipelines.parity import round_half_away
+
+    rng = np.random.default_rng(11)
+    sf = str(tmp_path / "sf")
+    os.makedirs(sf)
+    pq.write_table(pa.table({
+        "o_custkey": pa.array(rng.integers(1, 400, 3000), pa.int64()),
+        "o_totalprice": pa.array(np.round(rng.uniform(10, 5e5, 3000), 2)),
+    }), f"{sf}/orders.parquet")
+    pq.write_table(pa.table({
+        "c_custkey": pa.array(np.arange(1, 301), pa.int64()),
+        "c_mktsegment": pa.array(
+            np.array(["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD",
+                      "MACHINERY"])[rng.integers(0, 5, 300)]
+        ),
+    }), f"{sf}/customer.parquet")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = str(tmp_path / "join_native.py")
+    with open(script, "w") as f:
+        f.write(_JOIN_NATIVE_SCRIPT.format(repo=repo))
+    # own process group: a hung run is killed with every Ray process it
+    # started, not just its driver
+    p = subprocess.Popen(
+        [sys.executable, script, sf],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=repo,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = p.communicate(timeout=120)
+    finally:
+        if p.poll() is None:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait()
+    assert p.returncode == 0, stderr[-2000:]
+    got = pd.DataFrame(json.loads(
+        [l for l in stdout.splitlines() if l.startswith("RESULT:")][0][7:]
+    )).sort_values("c_mktsegment", ignore_index=True)
+
+    o = pd.read_parquet(f"{sf}/orders.parquet", columns=["o_custkey", "o_totalprice"])
+    c = pd.read_parquet(f"{sf}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
+    j = o.merge(c, left_on="o_custkey", right_on="c_custkey")
+    j["cents"] = round_half_away(j["o_totalprice"].to_numpy() * 100)
+    want = (j.groupby("c_mktsegment")
+            .agg(n_orders=("cents", "size"), total_cents=("cents", "sum"))
+            .reset_index())
+    assert got["c_mktsegment"].tolist() == want["c_mktsegment"].tolist()
+    assert got["n_orders"].tolist() == want["n_orders"].tolist()
+    assert got["total_cents"].tolist() == want["total_cents"].tolist()

@@ -1062,9 +1062,9 @@ def test_review_round3_regressions():
 
 
 def test_reassemble_precombine_null_ts_parity():
-    """first_ts/last_ts skip NULL timestamps exactly like the plain
-    path (pandas groupby.first semantics), including a conversation
-    whose FIRST turn has a null ts and one whose every ts is null."""
+    """first_ts/last_ts skip NULL timestamps, including a conversation
+    whose FIRST turn has a null ts and one whose every ts is null;
+    frozen per-conversation values."""
     import ray.data as rdx
 
     from fineweb2_ro_ray.pipelines.quality_filter import reassemble
@@ -1081,29 +1081,28 @@ def test_reassemble_precombine_null_ts_parity():
         "keep": [False, True, True, False, False, True, False],
         "scrubbed_text": ["x", "hello", "world", "y", "z", "ok", "no"],
     })
-    ds = rdx.from_arrow(t)
-    a = (reassemble(ds, precombine=False).to_pandas()
-         .sort_values("conv_id", ignore_index=True))
-    b = (reassemble(ds, precombine=True).to_pandas()
-         .sort_values("conv_id", ignore_index=True))
-    pd.testing.assert_frame_equal(a, b)
-    assert str(b.loc[0, "first_ts"])[:10] == "2025-01-02"  # null ts skipped
-    assert pd.isna(b.loc[1, "first_ts"])  # all-null conv -> NaT
-    # three-way: the pandas combined reduce must also match
-    c = (reassemble(ds, precombine=True, reduce_impl="pandas").to_pandas()
-         .sort_values("conv_id", ignore_index=True))
-    pd.testing.assert_frame_equal(a, c)
+    got = (reassemble(rdx.from_arrow(t)).to_pandas()
+           .sort_values("conv_id", ignore_index=True))
+    assert got["conv_id"].tolist() == ["c1", "c2", "c3"]
+    assert got["n_turns"].tolist() == [3, 2, 2]
+    assert got["n_kept"].tolist() == [2, 0, 1]
+    assert got["conv_keep"].tolist() == [True, False, True]
+    assert got["text"].tolist() == ["hello\nworld", "", "ok"]
+    day = [None if pd.isna(v) else str(v)[:10] for v in got["first_ts"]]
+    assert day == ["2025-01-02", None, "2025-01-05"]  # null ts skipped
+    day = [None if pd.isna(v) else str(v)[:10] for v in got["last_ts"]]
+    assert day == ["2025-01-03", None, "2025-01-05"]
 
 
-def test_reassemble_arrow_reduce_matches_pandas_randomized():
-    """Kernel-level parity of the Arrow-native combined reduce vs the
-    pandas one on randomized partitions: multi-batch precombine partials
+def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations):
+    """Map-side precombine + the Arrow reduce together equal the
+    by-definition conversation table (pandas, one conversation at a
+    time) on randomized partitions: multi-batch precombine partials
     per conversation, null timestamps, all-dropped and all-kept convs,
     unsorted arrival order."""
     from fineweb2_ro_ray.pipelines.quality_filter import (
         _precombine_dropped,
-        _reassemble_partition_combined,
-        _reassemble_partition_combined_arrow,
+        _reassemble_partition,
     )
 
     rng = np.random.default_rng(31)
@@ -1138,18 +1137,7 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized():
             if cuts[i + 1] > cuts[i]
         ]
         part_t = pa.concat_tables(parts).combine_chunks()
-        want = (
-            _reassemble_partition_combined(part_t.to_pandas())
-            .sort_values("conv_id", ignore_index=True)
-        )
-        got = (
-            _reassemble_partition_combined_arrow(part_t)
-            .to_pandas()
-            .sort_values("conv_id", ignore_index=True)
-        )
-        pd.testing.assert_frame_equal(
-            got.astype(want.dtypes.to_dict()), want, check_dtype=False
-        )
+        assert_conversations(_reassemble_partition(part_t).to_pandas(), df)
 
 
 def test_decontamination_flags_and_filter():
