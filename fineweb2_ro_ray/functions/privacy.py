@@ -21,13 +21,12 @@ a keyed PRF offline if the threat model needs it).
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.exchange import hash_exchange_map_groups
+from ..stages.exchange import aggregate_table, hash_exchange_map_groups
 
 
 def pseudonymize(
@@ -61,23 +60,17 @@ def k_anonymity_report(
     counts, one keyed exchange sum, under-k filter inside the reduce.
     Output ``(*qi_cols, n)``."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select(qi_cols).to_pandas()
-        g = df.groupby(qi_cols, as_index=False, dropna=False).size()
-        g.columns = qi_cols + ["pn"]
-        return pa.Table.from_pandas(g, preserve_index=False)
-
     parts = ds.select_columns(qi_cols).map_batches(
-        partial, batch_format="pyarrow"
+        lambda b: aggregate_table(b, qi_cols, [(None, "size", "pn")]),
+        batch_format="pyarrow",
     )
     out_schema = pa.schema(
         [(c, pa.string()) for c in qi_cols] + [("n", pa.int64())]
     )
 
-    def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(qi_cols, as_index=False, dropna=False)["pn"].sum()
-        g = g[g["pn"] < k].rename(columns={"pn": "n"})
-        return g.astype({"n": "int64"})
+    def reduce_part(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, qi_cols, [("pn", "sum", "n")])
+        return g.filter(pc.less(g["n"], k))
 
     return hash_exchange_map_groups(
         parts, reduce_part, key=qi_cols, out_schema=out_schema

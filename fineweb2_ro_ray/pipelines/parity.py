@@ -12,6 +12,10 @@ here calls ``ray.init``.
 
 from __future__ import annotations
 
+import contextlib
+import shutil
+import tempfile
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -21,7 +25,6 @@ import ray
 import ray.data
 
 from ..stages.analysis import (
-    TOKEN_PATTERN,
     capped_token_sum,
     doc_stats,
     exact_percentiles,
@@ -37,9 +40,19 @@ from ..stages.dedup import (
     minhash_lsh_pairs,
     simhash_pairs,
 )
-from ..stages.similarity import _to_matrix, knn_bruteforce, knn_lsh
+from ..stages.similarity import knn_bruteforce, knn_lsh
 from ..functions.textstats import SYMBOL_PATTERN
 from ..schema import from_pandas_clean
+from ..stages.exchange import (
+    aggregate_table,
+    distinct_table,
+    exchange_aggregate,
+    hash_exchange_map_groups,
+    run_ids,
+    run_rank,
+    run_starts,
+    sorted_runs,
+)
 
 
 def _read(
@@ -67,26 +80,35 @@ def _read(
     )
 
 
+@contextlib.contextmanager
+def _run_dir(prefix: str):
+    """A fresh directory for one query run's on-disk artifacts, removed
+    when the run ends, so concurrent runs never share a path. A query
+    whose result reads the artifact returns it materialized."""
+    d = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield d
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
+
+
 def _exchange_sum(
     partials: ray.data.Dataset,
-    keys: list[str],
+    keys: str | list[str],
     renames: dict[str, str],
     out_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
     """Merge map-side partial-sum rows on the raw hash exchange (no
-    sort): one vectorized groupby-sum per reduce partition. ``renames``
-    maps partial column → output alias, in output order. Pass
-    ``out_schema`` when the result can be EMPTY (every partial filtered
-    out): without it an all-empty exchange yields a schema-less block
-    and the driver compare sees zero columns."""
-    from ..stages.exchange import hash_exchange_map_groups
-
-    def reduce_sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(keys, as_index=False, dropna=False)[list(renames)].sum()
-        return out.rename(columns=renames)
-
-    return hash_exchange_map_groups(
-        partials, reduce_sum, key=list(keys), out_schema=out_schema
+    sort): one ``exchange_aggregate`` sum per reduce partition.
+    ``renames`` maps partial column → output alias, in output order.
+    Pass ``out_schema`` when the result can be EMPTY (every partial
+    filtered out): without it an all-empty exchange yields a
+    schema-less block and the driver compare sees zero columns."""
+    return exchange_aggregate(
+        partials,
+        keys,
+        [(c, "sum", alias) for c, alias in renames.items()],
+        out_schema=out_schema,
     )
 
 
@@ -808,8 +830,12 @@ def q_orders_join_native(sf_dir: str):
     ``q_orders_by_segment``). Without a partition size hint Ray sizes
     every aggregator's memory reservation from its max block size
     (14 GiB for 16 aggregators), which a session with less memory never
-    schedules; the hint is the inputs' footer size per partition."""
-    o_cols, c_cols, n_parts = ["o_custkey", "o_totalprice"], ["c_custkey", "c_mktsegment"], 16
+    schedules; the hint is the inputs' footer size per partition. The
+    join runs one aggregator per partition, so the partition count is
+    the session's CPU count, at most 16: a 2-CPU session never starts
+    the 16 aggregator workers it could not run."""
+    o_cols, c_cols = ["o_custkey", "o_totalprice"], ["c_custkey", "c_mktsegment"]
+    n_parts = max(1, min(16, int(ray.cluster_resources().get("CPU", 16))))
     orders = _read(sf_dir, "orders", o_cols)
     cust = _read(sf_dir, "customer", c_cols)
     size = _parquet_column_bytes(sf_dir, "orders", o_cols) + _parquet_column_bytes(
@@ -1383,11 +1409,18 @@ def q_nchars_quantiles_sketch(sf_dir: str):
     return quantile_sketch(ds, "n_chars", [10.0, 25.0, 50.0, 75.0, 90.0, 99.0])
 
 
+def _user_event_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """Events sorted by (user_id, ts, event_id), with each user's run
+    starts (``exchange.sorted_runs``)."""
+    return sorted_runs(
+        t, ["user_id"], [("ts", "ascending"), ("event_id", "ascending")]
+    )
+
+
 def q_events_cumsum(sf_dir: str):
     """Running total per key — SUM OVER (PARTITION BY user ORDER BY ts,
     id ROWS UNBOUNDED PRECEDING) in exact integer cents. Same
     hash-partitioned sorted-scan shape as per_key_rank; one exchange."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
@@ -1397,10 +1430,15 @@ def q_events_cumsum(sf_dir: str):
             "cents", pa.array(cents, pa.int64())
         )
 
-    def cumsum(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        df["cum_cents"] = df.groupby("user_id", sort=False)["cents"].cumsum()
-        return df[["user_id", "event_id", "cum_cents"]]
+    def cumsum(t: pa.Table) -> pa.Table:
+        t, starts = _user_event_runs(t)
+        cents = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+        cum = np.cumsum(cents)
+        base = cum[starts[:-1]] - cents[starts[:-1]]
+        cum -= np.repeat(base, np.diff(starts))
+        return t.select(["user_id", "event_id"]).append_column(
+            "cum_cents", pa.array(cum, pa.int64())
+        )
 
     return hash_exchange_map_groups(
         ds.map_batches(to_cents, batch_format="pyarrow"), cumsum, key="user_id"
@@ -1474,7 +1512,6 @@ def q_label_centroid_sums(sf_dir: str):
     one thin exchange of (labels x dims) partial rows. Integer ppm
     scaling keeps the value hash engine-independent; a consumer divides
     sum_ppm / n / 1e6 for the mean."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
@@ -1511,12 +1548,10 @@ def q_label_centroid_sums(sf_dir: str):
             )
         return from_pandas_clean(pd.concat(rows, ignore_index=True))
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["label", "pos"], as_index=False)[["partial_sum", "partial_n"]].sum()
-        return out.rename(columns={"partial_sum": "sum_ppm", "partial_n": "n"})
-
-    return hash_exchange_map_groups(
-        ds.map_batches(partial, batch_format="pyarrow"), merge, key=["label", "pos"]
+    return _exchange_sum(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["label", "pos"],
+        {"partial_sum": "sum_ppm", "partial_n": "n"},
     )
 
 
@@ -1525,20 +1560,19 @@ def q_events_percent_rank(sf_dir: str):
     scaled to exact integers (x 1e6 with round-half-away, both engines)
     so the value hash is bit-stable. Same exchange shape as
     per_key_rank."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
-    def win(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        g = df.groupby("user_id", sort=False)
-        r = g.cumcount().to_numpy().astype(np.float64)
-        n = g["event_id"].transform("size").to_numpy().astype(np.float64)
+    def win(t: pa.Table) -> pa.Table:
+        t, starts = _user_event_runs(t)
+        r = run_rank(starts).astype(np.float64)
+        lens = np.diff(starts)
+        n = np.repeat(lens, lens).astype(np.float64)
         pr = np.where(n > 1, r / np.maximum(n - 1, 1), 0.0)
         cd = (r + 1) / n
-        df["pr_ppm"] = round_half_away(pr * 1e6)
-        df["cd_ppm"] = round_half_away(cd * 1e6)
-        return df[["user_id", "event_id", "pr_ppm", "cd_ppm"]]
+        return t.select(["user_id", "event_id"]).append_column(
+            "pr_ppm", pa.array(round_half_away(pr * 1e6), pa.int64())
+        ).append_column("cd_ppm", pa.array(round_half_away(cd * 1e6), pa.int64()))
 
     return hash_exchange_map_groups(
         ds.select_columns(["user_id", "event_id", "ts"]), win, key="user_id"
@@ -1678,7 +1712,6 @@ def q_user_retention(sf_dir: str):
     ONE user-keyed exchange computes each user's anchor and emits
     per-partition (cohort, offset) partial counts, then a thin
     final-key exchange sums them. Raw events never cross a shuffle."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -1693,22 +1726,20 @@ def q_user_retention(sf_dir: str):
 
     per = ev.map_batches(partial, batch_format="pyarrow")
 
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["user_id", "day"])
-        coh = df.groupby("user_id")["day"].transform("min")
-        out = pd.DataFrame(
+    def per_user(t: pa.Table) -> pa.Table:
+        # distinct (user, day), sorted: each user's first row is its cohort
+        t = distinct_table(t.filter(pc.is_valid(t["user_id"])), ["user_id", "day"])
+        starts = run_starts(t, ["user_id"])
+        day = pc.cast(t["day"], pa.timestamp("us"))
+        us = day.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        first = np.repeat(starts[:-1], np.diff(starts))
+        out = pa.table(
             {
-                "cohort_day": coh.dt.strftime("%Y-%m-%d"),
-                "day_offset": (df["day"] - coh).dt.days.astype(np.int64),
+                "cohort_day": pc.strftime(day.take(pa.array(first)), format="%Y-%m-%d"),
+                "day_offset": pa.array((us - us[first]) // 86_400_000_000, pa.int64()),
             }
         )
-        g = (
-            out.groupby(["cohort_day", "day_offset"], as_index=False)
-            .size()
-            .rename(columns={"size": "pn"})
-        )
-        g["pn"] = g["pn"].astype(np.int64)
-        return g
+        return aggregate_table(out, ["cohort_day", "day_offset"], [(None, "size", "pn")])
 
     counts = hash_exchange_map_groups(per, per_user, key="user_id")
     return _exchange_sum(
@@ -1741,7 +1772,6 @@ def q_supplier_sole_returner(sf_dir: str):
     test vectorized; the 'F' filter is a SEMI hash join; supplier
     names attach via broadcast (J2) and a thin name-keyed exchange
     sums numwait. No raw lineitem row ever crosses a shuffle."""
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"])
@@ -1771,15 +1801,14 @@ def q_supplier_sole_returner(sf_dir: str):
 
     part = li.map_batches(partial, batch_format="pyarrow")
 
-    def per_order(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["l_orderkey", "l_suppkey"], as_index=False)["n_ret"].sum()
-        g["rs"] = (g["n_ret"] > 0).astype(np.int64)
-        agg = g.groupby("l_orderkey").agg(
-            n_supp=("l_suppkey", "size"), n_rsupp=("rs", "sum")
-        )
-        ok = agg.index[(agg["n_supp"] > 1) & (agg["n_rsupp"] == 1)]
-        out = g[g["l_orderkey"].isin(ok) & (g["n_ret"] > 0)]
-        return out[["l_orderkey", "l_suppkey", "n_ret"]].reset_index(drop=True)
+    def per_order(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, ["l_orderkey", "l_suppkey"], [("n_ret", "sum", "n_ret")])
+        starts = run_starts(g, ["l_orderkey"])
+        lens = np.diff(starts)
+        rs = g["n_ret"].to_numpy() > 0
+        n_rsupp = np.add.reduceat(rs.astype(np.int64), starts[:-1]) if len(rs) else lens
+        ok = np.repeat((lens > 1) & (n_rsupp == 1), lens)
+        return g.filter(pa.array(ok & rs))
 
     per_ord = hash_exchange_map_groups(part, per_order, key="l_orderkey")
 
@@ -1815,21 +1844,17 @@ def q_orders_exists_late(sf_dir: str):
     exchange merge of (orderkey, max_ship) rows, one hash join, then a
     grouped-count exchange of partial rows. No row of lineitem crosses
     the shuffle."""
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def max_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        out = df.groupby("l_orderkey", as_index=False)["l_shipdate"].max()
-        return from_pandas_clean(out.rename(columns={"l_shipdate": "max_ship"}))
+        return aggregate_table(b, ["l_orderkey"], [("l_shipdate", "max", "max_ship")])
 
-    def merge_max(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("l_orderkey", as_index=False)["max_ship"].max()
-
-    per_order = hash_exchange_map_groups(
-        li.map_batches(max_partial, batch_format="pyarrow"), merge_max, key="l_orderkey"
+    per_order = exchange_aggregate(
+        li.map_batches(max_partial, batch_format="pyarrow"),
+        "l_orderkey",
+        [("max_ship", "max", "max_ship")],
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = hash_join(per_order, orders, key="l_orderkey", right_key="o_orderkey")
@@ -1861,7 +1886,6 @@ def q_promo_revenue_ratio(sf_dir: str):
     partial-row stream bounded by the reduce-partition count. Exact
     integer cents-x-basis-points; the single ratio division is the
     only float."""
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.joins import hash_join
     import datetime as _dt
 
@@ -1875,17 +1899,15 @@ def q_promo_revenue_ratio(sf_dir: str):
                 pc.less(b["l_shipdate"], pa.scalar(hi)),
             )
         )
-        df = t.select(["l_partkey", "l_extendedprice", "l_discount"]).to_pandas()
-        cents = round_half_away(df["l_extendedprice"].to_numpy() * 100)
-        disc = round_half_away(df["l_discount"].to_numpy() * 100)
-        df["rev_cbp"] = cents * (100 - disc)
-        return from_pandas_clean(df.groupby("l_partkey", as_index=False)["rev_cbp"].sum())
+        cents = round_half_away(t["l_extendedprice"].to_numpy() * 100)
+        disc = round_half_away(t["l_discount"].to_numpy() * 100)
+        rev = pa.table({"l_partkey": t["l_partkey"], "rev_cbp": cents * (100 - disc)})
+        return aggregate_table(rev, ["l_partkey"], [("rev_cbp", "sum", "rev_cbp")])
 
-    def merge_rev(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("l_partkey", as_index=False)["rev_cbp"].sum()
-
-    per_part = hash_exchange_map_groups(
-        li.map_batches(rev_partial, batch_format="pyarrow"), merge_rev, key="l_partkey"
+    per_part = _exchange_sum(
+        li.map_batches(rev_partial, batch_format="pyarrow"),
+        "l_partkey",
+        {"rev_cbp": "rev_cbp"},
     )
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
     joined = hash_join(per_part, part, key="l_partkey", right_key="p_partkey")
@@ -1923,25 +1945,22 @@ def q_small_qty_revenue(sf_dir: str):
     per-part aggregate (thin: one row per partkey) joins BACK to the
     fact stream on the exchange hash join; the fact side never
     aggregates globally."""
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def agg_partial(b: pa.Table) -> pa.Table:
-        df = b.select(["l_partkey", "l_quantity"]).to_pandas()
-        df["q100"] = round_half_away(df["l_quantity"].to_numpy() * 100)
-        out = df.groupby("l_partkey", as_index=False).agg(
-            sum_q100=("q100", "sum"), cnt=("q100", "size")
+        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
+        return aggregate_table(
+            pa.table({"l_partkey": b["l_partkey"], "q100": q100}),
+            ["l_partkey"],
+            [("q100", "sum", "sum_q100"), (None, "size", "cnt")],
         )
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return from_pandas_clean(out)
 
-    def merge_agg(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("l_partkey", as_index=False)[["sum_q100", "cnt"]].sum()
-
-    per_part = hash_exchange_map_groups(
-        li.map_batches(agg_partial, batch_format="pyarrow"), merge_agg, key="l_partkey"
+    per_part = _exchange_sum(
+        li.map_batches(agg_partial, batch_format="pyarrow"),
+        "l_partkey",
+        {"sum_q100": "sum_q100", "cnt": "cnt"},
     ).map_batches(
         lambda t: t.rename_columns(["pk", "sum_q100", "cnt"]), batch_format="pyarrow"
     )
@@ -1977,19 +1996,21 @@ def q_orders_big_qty(sf_dir: str):
     hundredths — ~1% of orders), joined back to the order header. The
     HAVING filter runs on the thin merged per-order aggregate, so only
     qualifying orderkeys enter the join."""
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def q_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["q100"] = round_half_away(df["l_quantity"].to_numpy() * 100)
-        return from_pandas_clean(df.groupby("l_orderkey", as_index=False)["q100"].sum())
+        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
+        return aggregate_table(
+            pa.table({"l_orderkey": b["l_orderkey"], "q100": q100}),
+            ["l_orderkey"],
+            [("q100", "sum", "q100")],
+        )
 
-    def merge_having(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("l_orderkey", as_index=False)["q100"].sum()
-        return out[out["q100"] > 25000].rename(columns={"q100": "total_q100"})
+    def merge_having(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, ["l_orderkey"], [("q100", "sum", "total_q100")])
+        return g.filter(pc.greater(g["total_q100"], 25000))
 
     big = hash_exchange_map_groups(
         li.map_batches(q_partial, batch_format="pyarrow"), merge_having, key="l_orderkey"
@@ -2017,16 +2038,20 @@ def q_user_event_paths(sf_dir: str):
     user; the partition body is a vectorized sort + join. The path
     length is bounded by a user's event count (sessionization upstream
     bounds it in a real pipeline)."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
 
-    def paths(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        g = df.groupby("user_id", sort=False)["event_type"]
-        out = g.agg(",".join).reset_index().rename(columns={"event_type": "path"})
-        out["n_events"] = g.size().to_numpy().astype(np.int64)
-        return out
+    def paths(t: pa.Table) -> pa.Table:
+        t, starts = _user_event_runs(t)
+        types = t["event_type"].combine_chunks()
+        lists = pa.ListArray.from_arrays(pa.array(starts, pa.int32()), types)
+        return pa.table(
+            {
+                "user_id": t["user_id"].take(pa.array(starts[:-1])),
+                "path": pc.binary_join(lists, ","),
+                "n_events": pa.array(np.diff(starts), pa.int64()),
+            }
+        )
 
     return hash_exchange_map_groups(ds, paths, key="user_id")
 
@@ -2038,32 +2063,26 @@ def q_user_first_last(sf_dir: str):
     per batch cross the exchange); the reduce applies the identical
     argmin/argmax, which is associative under the unique (ts,
     event_id) order."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
 
-    def ends(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        g = df.groupby("user_id", sort=False)
-        return pd.concat([g.head(1), g.tail(1)]).drop_duplicates()
-
     def candidates(b: pa.Table) -> pa.Table:
-        return from_pandas_clean(ends(b.to_pandas()))
+        t, starts = _user_event_runs(b)
+        return t.take(pa.array(np.unique(np.append(starts[:-1], starts[1:] - 1))))
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        g = df.groupby("user_id", sort=False)
-        first, last = g.head(1), g.tail(1)
-        out = first[["user_id", "event_id", "event_type"]].rename(
-            columns={"event_id": "first_event_id", "event_type": "first_type"}
+    def finalize(t: pa.Table) -> pa.Table:
+        t, starts = _user_event_runs(t)
+        first = t.take(pa.array(starts[:-1]))
+        last = t.take(pa.array(starts[1:] - 1))
+        return pa.table(
+            {
+                "user_id": first["user_id"],
+                "first_event_id": first["event_id"],
+                "first_type": first["event_type"],
+                "last_event_id": last["event_id"],
+                "last_type": last["event_type"],
+            }
         )
-        out = out.merge(
-            last[["user_id", "event_id", "event_type"]].rename(
-                columns={"event_id": "last_event_id", "event_type": "last_type"}
-            ),
-            on="user_id",
-        )
-        return out[["user_id", "first_event_id", "first_type", "last_event_id", "last_type"]]
 
     return hash_exchange_map_groups(
         ds.map_batches(candidates, batch_format="pyarrow"), finalize, key="user_id"
@@ -2372,10 +2391,6 @@ def q_dedup_incremental(sf_dir: str):
     odd doc_id the new snapshot; result = new docs whose text hash is
     absent from the index (stages.incremental — the FineWeb cross-dump
     exact-dedup shape). Oracle: NOT EXISTS anti-join on md5(text)."""
-    import shutil
-    import tempfile
-
-
     from ..stages.incremental import build_hash_index, filter_against_index
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -2388,15 +2403,12 @@ def q_dedup_incremental(sf_dir: str):
             batch_format="pyarrow",
         )
 
-    idx = tempfile.mkdtemp(prefix="hashidx_", dir="/tmp")
-    try:
+    with _run_dir("hashidx_") as idx:
         build_hash_index(side(0), idx, n_parts=16)
         kept = filter_against_index(side(1), idx)
         return kept.map_batches(
             lambda t: t.select(["doc_id"]), batch_format="pyarrow"
         ).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
 
 
 def q_dedup_incremental_update(sf_dir: str):
@@ -2404,9 +2416,6 @@ def q_dedup_incremental_update(sf_dir: str):
     snapshot B = %3==1 is merged in (only hashes new to the index are
     written), snapshot C = %3==2 filters against the union. Also
     exercises the no-Bloom exact path on the final filter."""
-    import shutil
-    import tempfile
-
     from ..stages.incremental import (
         build_hash_index,
         filter_against_index,
@@ -2423,16 +2432,13 @@ def q_dedup_incremental_update(sf_dir: str):
             batch_format="pyarrow",
         )
 
-    idx = tempfile.mkdtemp(prefix="hashidx_", dir="/tmp")
-    try:
+    with _run_dir("hashidx_") as idx:
         build_hash_index(side(0), idx, n_parts=8)
         update_index(side(1), idx, snapshot="s0001")
         kept = filter_against_index(side(2), idx, use_bloom=False)
         return kept.map_batches(
             lambda t: t.select(["doc_id"]), batch_format="pyarrow"
         ).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
 
 
 def _boilerplate_scrub(sf_dir: str, strategy: str):
@@ -2706,7 +2712,6 @@ def q_events_funnel(sf_dir: str):
     combines views to per-user mins; one user-keyed exchange co-locates
     each user's events; the chain is resolved vectorized per partition
     (three groupby-min passes, no per-user Python)."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -2720,21 +2725,37 @@ def q_events_funnel(sf_dir: str):
         cols = ["user_id", "event_type", "ts"]
         return from_pandas_clean(pd.concat([vmin[cols], rest[cols]], ignore_index=True))
 
-    def funnel(df: pd.DataFrame) -> pd.DataFrame:
-        # merge (never join-on-index): an EMPTY left side joined on a
-        # column inherits the right's index NAME, and the later
-        # groupby("user_id") then dies on index-level/column ambiguity
-        # (hit on any partition whose users have views but no clicks)
-        def stage(events: pd.DataFrame, out: str) -> pd.DataFrame:
-            g = events.groupby("user_id", as_index=False)["ts"].min()
-            return g.rename(columns={"ts": out})
+    def funnel(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.is_valid(t["user_id"]), pc.is_valid(t["ts"])))
+        users, inv = np.unique(t["user_id"].to_numpy(), return_inverse=True)
+        ts = pc.cast(t["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
+        ty = t["event_type"]
+        never = np.iinfo(np.int64).max
 
-        t1 = stage(df[df["event_type"] == "view"], "t_view")
-        c = df[df["event_type"] == "click"].merge(t1, on="user_id", how="inner")
-        t2 = stage(c[c["ts"] > c["t_view"]], "t_click")
-        p = df[df["event_type"] == "purchase"].merge(t2, on="user_id", how="inner")
-        t3 = stage(p[p["ts"] > p["t_click"]], "t_purchase")
-        return t1.merge(t2, on="user_id", how="left").merge(t3, on="user_id", how="left")
+        def stage(kind: str, after: np.ndarray) -> np.ndarray:
+            # per-user min ts of ``kind`` events strictly after ``after``
+            m = pc.fill_null(pc.equal(ty, kind), False).to_numpy(zero_copy_only=False)
+            m &= ts > after[inv]
+            out = np.full(len(users), never, np.int64)
+            np.minimum.at(out, inv[m], ts[m])
+            return out
+
+        t_view = stage("view", np.full(len(users), np.iinfo(np.int64).min))
+        t_click = stage("click", t_view)
+        t_purchase = stage("purchase", t_click)
+        has = t_view != never
+
+        def col(v: np.ndarray) -> pa.Array:
+            return pa.array(v[has], pa.timestamp("us"), mask=v[has] == never)
+
+        return pa.table(
+            {
+                "user_id": pa.array(users[has], pa.int64()),
+                "t_view": col(t_view),
+                "t_click": col(t_click),
+                "t_purchase": col(t_purchase),
+            }
+        )
 
     return hash_exchange_map_groups(
         ev.map_batches(thin, batch_format="pyarrow"),
@@ -2760,23 +2781,26 @@ def q_supplier_dominant_parts(sf_dir: str):
     per-(part, supp) integer partials, each reduce partition re-merges,
     derives the per-part total with a vectorized transform and filters
     ``5*supp > part`` — the fact table never crosses a second shuffle."""
-    from ..stages.exchange import hash_exchange_map_groups
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["q100"] = round_half_away(df["l_quantity"].to_numpy() * 100)
-        return from_pandas_clean(
-            df.groupby(["l_partkey", "l_suppkey"], as_index=False)["q100"].sum()
+        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
+        return aggregate_table(
+            b.select(["l_partkey", "l_suppkey"]).append_column("q100", pa.array(q100)),
+            ["l_partkey", "l_suppkey"],
+            [("q100", "sum", "q100")],
         )
 
-    def dominant(df: pd.DataFrame) -> pd.DataFrame:
-        ps = df.groupby(["l_partkey", "l_suppkey"], as_index=False)["q100"].sum()
-        tot = ps.groupby("l_partkey")["q100"].transform("sum")
-        out = ps[5 * ps["q100"] > tot].copy()
-        out["part_q100"] = tot[out.index].astype(np.int64)
-        return out.rename(columns={"q100": "supp_q100"})
+    def dominant(t: pa.Table) -> pa.Table:
+        ps = aggregate_table(t, ["l_partkey", "l_suppkey"], [("q100", "sum", "supp_q100")])
+        starts = run_starts(ps, ["l_partkey"])
+        q = ps["supp_q100"].to_numpy()
+        tot = np.repeat(np.add.reduceat(q, starts[:-1]), np.diff(starts)) if len(q) else q
+        keep = 5 * q > tot
+        return ps.filter(pa.array(keep)).append_column(
+            "part_q100", pa.array(tot[keep], pa.int64())
+        )
 
     return hash_exchange_map_groups(
         li.map_batches(partial, batch_format="pyarrow"),
@@ -3015,19 +3039,12 @@ def q_doc_lm_ppl_artifact(sf_dir: str):
     (no resident model anywhere — each reduce task reads exactly one
     artifact partition). Rows-only; equality with the broadcast scorer
     is pytest-pinned at rtol 1e-9."""
-    import os
-    import shutil
-
     from ..stages.lm import save_lm_artifact, score_word_bigram_exchange
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    art = os.path.join(
-        "/tmp/fineweb2_ro_lm_artifact",
-        os.path.basename(os.path.normpath(sf_dir)),
-    )
-    shutil.rmtree(art, ignore_errors=True)
-    save_lm_artifact(docs, art, min_count=2, n_parts=8)
-    return score_word_bigram_exchange(docs, art)
+    with _run_dir("fw2_lm_artifact_") as art:
+        save_lm_artifact(docs, art, min_count=2, n_parts=8)
+        return score_word_bigram_exchange(docs, art).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -3219,31 +3236,20 @@ def q_url_domain_counts(sf_dir: str):
     cap / TLD statistics shape): per-batch partial counts, one thin
     (regdom) exchange sum — document rows never shuffle."""
     from ..functions.url import parse_urls
-    from ..schema import from_pandas_like
-    from ..stages.exchange import hash_exchange_map_groups
 
     def partial(b: pa.Table) -> pa.Table:
         p = parse_urls(b["url"])
-        df = pa.table(
-            {"regdom": p["regdom"], "https": pc.equal(p["scheme"], "https")}
-        ).to_pandas()
-        out = df.groupby("regdom", as_index=False, dropna=False).agg(
-            partial_n=("https", "size"), partial_https=("https", "sum")
+        return aggregate_table(
+            pa.table({"regdom": p["regdom"], "https": pc.equal(p["scheme"], "https")}),
+            ["regdom"],
+            [(None, "size", "partial_n"), ("https", "sum", "partial_https")],
         )
-        out["partial_https"] = out["partial_https"].astype("int64")
-        return from_pandas_like(out, pa.table({"regdom": p["regdom"]}))
 
     partials = _with_urls(sf_dir).map_batches(partial, batch_format="pyarrow")
 
-    def reduce_sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("regdom", as_index=False, dropna=False)[
-            ["partial_n", "partial_https"]
-        ].sum()
-        return out.rename(
-            columns={"partial_n": "n_docs", "partial_https": "n_https"}
-        )
-
-    return hash_exchange_map_groups(partials, reduce_sum, key="regdom")
+    return _exchange_sum(
+        partials, "regdom", {"partial_n": "n_docs", "partial_https": "n_https"}
+    )
 
 
 _URL_BLOCKLIST = frozenset(
@@ -3478,14 +3484,12 @@ def q_index_lookup(sf_dir: str):
     Parquet artifact, then three probe terms answered by reading only
     the partitions they hash into. The oracle recomputes the same
     postings from the raw table."""
-    import hashlib
-
     from ..stages.invindex import build_inverted_index, lookup_terms
 
-    path = "/tmp/fw2_invindex_" + hashlib.md5(sf_dir.encode()).hexdigest()[:12]
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    build_inverted_index(ds, path, n_parts=16)
-    return lookup_terms(path, ["window", "join", "scan"])
+    with _run_dir("fw2_invindex_") as path:
+        build_inverted_index(ds, path, n_parts=16)
+        return lookup_terms(path, ["window", "join", "scan"])
 
 
 def q_index_search_bool(sf_dir: str):
@@ -3495,19 +3499,17 @@ def q_index_search_bool(sf_dir: str):
     partition reads (stages.invindex.search_boolean). tf_sum counts
     occurrences of the present positive terms; oracle recomputes from
     the raw text with list_filter."""
-    import hashlib
-
     from ..stages.invindex import build_inverted_index, search_boolean
 
-    path = "/tmp/fw2_invindex_" + hashlib.md5(sf_dir.encode()).hexdigest()[:12]
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    build_inverted_index(ds, path, n_parts=16)
-    return search_boolean(
-        path,
-        must=["filter", "join"],
-        should=["merge", "stream"],
-        must_not=["customer"],
-    )
+    with _run_dir("fw2_invindex_") as path:
+        build_inverted_index(ds, path, n_parts=16)
+        return search_boolean(
+            path,
+            must=["filter", "join"],
+            should=["merge", "stream"],
+            must_not=["customer"],
+        )
 
 
 def q_lang_regression(sf_dir: str):
@@ -3569,8 +3571,6 @@ def q_link_hosts(sf_dir: str):
     batch, one keyed exchange sum; links without an absolute
     scheme://host (mailto, malformed) are excluded on both sides."""
     from ..functions.html import extract_links
-    from ..schema import from_pandas_like
-    from ..stages.exchange import hash_exchange_map_groups
 
     def partial(b: pa.Table) -> pa.Table:
         links = extract_links(b)
@@ -3582,23 +3582,11 @@ def q_link_hosts(sf_dir: str):
         )
         host = pc.struct_field(st, "h")
         t = pa.table({"host": host}).filter(pc.is_valid(host))
-        df = t.to_pandas().groupby("host", as_index=False).size()
-        df.columns = ["host", "partial_n"]
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return aggregate_table(t, ["host"], [(None, "size", "partial_n")])
 
     parts = _with_linked_html(sf_dir).map_batches(partial, batch_format="pyarrow")
     out_schema = pa.schema([("host", pa.string()), ("n_links", pa.int64())])
-
-    def reduce_part(df):
-        import pandas as pd
-
-        g = df.groupby("host", as_index=False)["partial_n"].sum()
-        g.columns = ["host", "n_links"]
-        return g.astype({"n_links": "int64"})
-
-    return hash_exchange_map_groups(
-        parts, reduce_part, key="host", out_schema=out_schema
-    )
+    return _exchange_sum(parts, "host", {"partial_n": "n_links"}, out_schema)
 
 
 def q_bucket_join_orders(sf_dir: str):
@@ -3608,26 +3596,25 @@ def q_bucket_join_orders(sf_dir: str):
     exchange — one independent task per bucket pair, local Arrow hash
     join inside. The oracle is the plain equality join; equality proves
     the co-location invariant end to end."""
-    import hashlib
+    import os
 
     from ..stages.bucketed import bucket_join, write_bucketed
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    pa_dir = f"/tmp/fw2_bucketed_cust_{tag}"
-    pb_dir = f"/tmp/fw2_bucketed_ord_{tag}"
-    write_bucketed(
-        _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"]),
-        pa_dir,
-        key="c_custkey",
-        n_buckets=16,
-    )
-    write_bucketed(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
-        pb_dir,
-        key="o_custkey",
-        n_buckets=16,
-    )
-    return bucket_join(pa_dir, pb_dir, join_type="inner")
+    with _run_dir("fw2_bucketed_") as d:
+        pa_dir, pb_dir = os.path.join(d, "cust"), os.path.join(d, "ord")
+        write_bucketed(
+            _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"]),
+            pa_dir,
+            key="c_custkey",
+            n_buckets=16,
+        )
+        write_bucketed(
+            _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+            pb_dir,
+            key="o_custkey",
+            n_buckets=16,
+        )
+        return bucket_join(pa_dir, pb_dir, join_type="inner").materialize()
 
 
 def q_script_census(sf_dir: str):
@@ -3648,18 +3635,8 @@ def q_bucket_agg_orders(sf_dir: str):
     order count + exact integer-cents revenue, one task per bucket, no
     shuffle — the layout from q_bucket_join_orders reused by a second
     job, which is the whole point of bucketing."""
-    import hashlib
-
     from ..stages.bucketed import bucket_map_groups, write_bucketed
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    pb_dir = f"/tmp/fw2_bucketed_ord_{tag}"
-    write_bucketed(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
-        pb_dir,
-        key="o_custkey",
-        n_buckets=16,
-    )
     out_schema = pa.schema(
         [
             ("o_custkey", pa.int64()),
@@ -3670,13 +3647,20 @@ def q_bucket_agg_orders(sf_dir: str):
 
     def agg(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
-        df = pa.table({"o_custkey": t["o_custkey"], "cents": cents}).to_pandas()
-        g = df.groupby("o_custkey", as_index=False).agg(
-            n_orders=("cents", "size"), sum_cents=("cents", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).cast(out_schema)
+        return aggregate_table(
+            pa.table({"o_custkey": t["o_custkey"], "cents": cents}),
+            ["o_custkey"],
+            [(None, "size", "n_orders"), ("cents", "sum", "sum_cents")],
+        ).cast(out_schema)
 
-    return bucket_map_groups(pb_dir, agg, out_schema=out_schema)
+    with _run_dir("fw2_bucketed_") as pb_dir:
+        write_bucketed(
+            _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+            pb_dir,
+            key="o_custkey",
+            n_buckets=16,
+        )
+        return bucket_map_groups(pb_dir, agg, out_schema=out_schema).materialize()
 
 
 def q_expectations(sf_dir: str):
@@ -3759,31 +3743,28 @@ def q_url_canonical_dedup(sf_dir: str):
     collide (build_colliding_urls), construction mirrored in the
     oracle CTE; the canonicalization chain re-run by the oracle."""
     from ..functions.url import build_colliding_urls, canonicalize_urls
-    from ..stages.exchange import hash_exchange_map_groups
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
         canon = canonicalize_urls(build_colliding_urls(b))
-        df = pa.table({"canon_url": canon, "doc_id": b["doc_id"]}).to_pandas()
-        g = df.groupby("canon_url", as_index=False).agg(
-            pn=("doc_id", "size"), pmin=("doc_id", "min")
+        t = pa.table({"canon_url": canon, "doc_id": b["doc_id"]})
+        return aggregate_table(
+            t.filter(pc.is_valid(t["canon_url"])),
+            ["canon_url"],
+            [(None, "size", "pn"), ("doc_id", "min", "pmin")],
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
     out_schema = pa.schema(
         [("canon_url", pa.string()), ("n_docs", pa.int64()), ("keep_id", pa.int64())]
     )
 
-    def reduce_part(df):
-        g = df.groupby("canon_url", as_index=False).agg(
-            n_docs=("pn", "sum"), keep_id=("pmin", "min")
-        )
-        return g.astype({"n_docs": "int64", "keep_id": "int64"})
-
-    return hash_exchange_map_groups(
-        parts, reduce_part, key="canon_url", out_schema=out_schema
+    return exchange_aggregate(
+        parts,
+        "canon_url",
+        [("pn", "sum", "n_docs"), ("pmin", "min", "keep_id")],
+        out_schema=out_schema,
     )
 
 
@@ -3793,8 +3774,6 @@ def q_nation_cogroup(sf_dir: str):
     supplier/customer counts computed key-complete — the N-way
     join/aggregate without pairwise shuffles. Oracle: nation LEFT JOIN
     two grouped counts."""
-    import pandas as pd
-
     from ..stages.joins import cogroup
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
@@ -3809,23 +3788,20 @@ def q_nation_cogroup(sf_dir: str):
         ]
     )
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, g in df.groupby("k"):
-            names = g.loc[g["__side"] == 0, "s0_n_name"]
-            if names.empty:
-                continue  # no nation row: mirrors FROM nation
-            rows.append(
-                (
-                    int(k),
-                    names.iloc[0],
-                    int((g["__side"] == 1).sum()),
-                    int((g["__side"] == 2).sum()),
-                )
-            )
-        return pd.DataFrame(
-            rows, columns=["n_nationkey", "n_name", "n_suppliers", "n_customers"]
+    def per_part(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, ["k"], [("__side", "ascending")])
+        side, rid, n = t["__side"].to_numpy(), run_ids(starts), len(starts) - 1
+        first = t.take(pa.array(starts[:-1]))
+        out = pa.table(
+            {
+                "n_nationkey": first["k"],
+                "n_name": first["s0_n_name"],
+                "n_suppliers": np.bincount(rid[side == 1], minlength=n),
+                "n_customers": np.bincount(rid[side == 2], minlength=n),
+            }
         )
+        # a key without a nation row is dropped: mirrors FROM nation
+        return out.filter(pa.array(side[starts[:-1]] == 0))
 
     return cogroup(
         [(nation, "n_nationkey"), (supplier, "s_nationkey"), (customer, "c_nationkey")],
@@ -3845,7 +3821,6 @@ def q_domain_quality_filter(sf_dir: str):
     import ray as _ray
 
     from ..functions.url import parse_urls
-    from ..stages.exchange import hash_exchange_map_groups
 
     def thin(b: pa.Table) -> pa.Table:
         p = parse_urls(b["url"])
@@ -3869,20 +3844,16 @@ def q_domain_quality_filter(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        df = b.select(["regdom", "n_chars"]).to_pandas()
-        g = df.groupby("regdom", as_index=False, dropna=False).agg(
-            pn=("n_chars", "size"), ps=("n_chars", "sum")
+        return aggregate_table(
+            b, ["regdom"], [(None, "size", "pn"), ("n_chars", "sum", "ps")]
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     out_schema = pa.schema([("regdom", pa.string())])
 
-    def qualifying(df):
-        import pandas as pd
-
-        g = df.groupby("regdom", as_index=False, dropna=False)[["pn", "ps"]].sum()
-        keep = g[g["ps"] >= 300 * g["pn"]]
-        return keep[["regdom"]]
+    def qualifying(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, ["regdom"], [("pn", "sum", "pn"), ("ps", "sum", "ps")])
+        keep = g["ps"].to_numpy() >= 300 * g["pn"].to_numpy()
+        return g.filter(pa.array(keep)).select(["regdom"])
 
     good = hash_exchange_map_groups(
         thin_ds.map_batches(partial, batch_format="pyarrow"),
@@ -3952,18 +3923,13 @@ def q_matview_refresh(sf_dir: str):
     deleted doc, +1 per inserted doc) — O(|delta|) work, untouched
     partitions never read. The oracle recomputes the view from the
     merged corpus; equality proves refresh ≡ rebuild."""
-    import hashlib
-
     from ..stages.matview import (
         build_counts_view,
         read_counts_view,
         refresh_counts_view,
     )
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    path = f"/tmp/fw2_matview_{tag}"
     base = _read(sf_dir, "documents", ["doc_id", "lang"])
-    build_counts_view(base, path, "lang", n_parts=8)
 
     def deltas(b: pa.Table) -> pa.Table:
         did = b["doc_id"]
@@ -3986,8 +3952,10 @@ def q_matview_refresh(sf_dir: str):
         ).filter(mod(11))
         return pa.concat_tables([dels, ins])
 
-    refresh_counts_view(path, base.map_batches(deltas, batch_format="pyarrow"))
-    out = read_counts_view(path)
+    with _run_dir("fw2_matview_") as path:
+        build_counts_view(base, path, "lang", n_parts=8)
+        refresh_counts_view(path, base.map_batches(deltas, batch_format="pyarrow"))
+        out = read_counts_view(path)
     return pa.table({"lang": out["key"], "n": out["n"]})
 
 
@@ -3997,21 +3965,14 @@ def q_csv_roundtrip(sf_dir: str):
     embedded commas/quotes/newlines) → read back with pinned types.
     The oracle is the original table — byte-faithful round-trip is the
     claim."""
-    import hashlib
-
     from ..sources.io import read_csv_shards, write_csv_shards
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    out = f"/tmp/fw2_csv_{tag}"
-    import shutil as _sh
-
-    _sh.rmtree(out, ignore_errors=True)
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text", "n_chars"])
-    write_csv_shards(ds, out)
-    back = read_csv_shards(
-        out, column_types={"doc_id": pa.int64(), "n_chars": pa.int64()}
-    )
-    return back
+    with _run_dir("fw2_csv_") as out:
+        write_csv_shards(ds, out)
+        return read_csv_shards(
+            out, column_types={"doc_id": pa.int64(), "n_chars": pa.int64()}
+        ).materialize()
 
 
 def q_doc_readability(sf_dir: str):
@@ -4061,17 +4022,12 @@ def q_ipc_roundtrip(sf_dir: str):
     (sources.io.write_ipc_shards / read_ipc_shards): documents → IPC
     shards written in-task → file-parallel decode. Oracle = original
     table; byte-faithful round-trip is the claim."""
-    import hashlib
-    import shutil as _sh
-
     from ..sources.io import read_ipc_shards, write_ipc_shards
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    out = f"/tmp/fw2_ipc_{tag}"
-    _sh.rmtree(out, ignore_errors=True)
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text", "n_chars"])
-    write_ipc_shards(ds, out)
-    return read_ipc_shards(out)
+    with _run_dir("fw2_ipc_") as out:
+        write_ipc_shards(ds, out)
+        return read_ipc_shards(out).materialize()
 
 
 def q_events_asof_forward(sf_dir: str):
@@ -4276,7 +4232,6 @@ def q_corpus_profile(sf_dir: str):
     leaves the scan."""
     import pandas as pd
 
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.versioning import content_fingerprint
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source", "text", "n_chars"])
@@ -4330,9 +4285,9 @@ def q_corpus_profile(sf_dir: str):
             }
         )
 
-    def extra_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("fp", as_index=False)["pn"].sum()
-        return pd.DataFrame({"extra": [int((g["pn"] - 1).clip(lower=0).sum())]})
+    def extra_part(t: pa.Table) -> pa.Table:
+        n = aggregate_table(t, ["fp"], [("pn", "sum", "pn")])["pn"].to_numpy()
+        return pa.table({"extra": [int(np.clip(n - 1, 0, None).sum())]})
 
     out_schema = pa.schema([("extra", pa.int64())])
     dup_texts = int(
@@ -4469,17 +4424,12 @@ def q_lang_source_cube(sf_dir: str):
         ]
     )
 
-    def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["gid", "lang", "source"], as_index=False, dropna=False)[
-            "pn"
-        ].sum()
-        g = g.rename(columns={"pn": "n"})
-        return g[["lang", "source", "gid", "n"]].astype({"n": "int64", "gid": "int64"})
-
-    from ..stages.exchange import hash_exchange_map_groups
-
+    keys = ["gid", "lang", "source"]
     return hash_exchange_map_groups(
-        parts, reduce_part, key=["gid", "lang", "source"], out_schema=out_schema
+        parts,
+        lambda t: aggregate_table(t, keys, [("pn", "sum", "n")]).select(out_schema.names),
+        key=keys,
+        out_schema=out_schema,
     )
 
 
@@ -4493,7 +4443,6 @@ def q_dedup_funnel(sf_dir: str):
     import pandas as pd
 
     from ..functions.url import build_colliding_urls, canonicalize_urls
-    from ..stages.exchange import hash_exchange_map_groups
     from ..stages.versioning import content_fingerprint
 
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text", "n_chars"])
@@ -4525,9 +4474,12 @@ def q_dedup_funnel(sf_dir: str):
         [("doc_id", pa.int64()), ("fp", pa.string()), ("n_chars", pa.int64())]
     )
 
-    def keep_min_canon(df: pd.DataFrame) -> pd.DataFrame:
-        k = df.sort_values("doc_id").drop_duplicates("canon", keep="first")
-        return k[["doc_id", "fp", "n_chars"]]
+    def keep_min(t: pa.Table, key: str, cols: list[str]) -> pa.Table:
+        t, starts = sorted_runs(t, [key], [("doc_id", "ascending")])
+        return t.take(pa.array(starts[:-1])).select(cols)
+
+    def keep_min_canon(t: pa.Table) -> pa.Table:
+        return keep_min(t, "canon", s1_schema.names)
 
     s1 = hash_exchange_map_groups(
         thin_ds, keep_min_canon, key="canon", out_schema=s1_schema
@@ -4537,9 +4489,8 @@ def q_dedup_funnel(sf_dir: str):
     # stage 2: keep min doc_id per exact text (among stage-1 survivors)
     s2_schema = pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())])
 
-    def keep_min_fp(df: pd.DataFrame) -> pd.DataFrame:
-        k = df.sort_values("doc_id").drop_duplicates("fp", keep="first")
-        return k[["doc_id", "n_chars"]]
+    def keep_min_fp(t: pa.Table) -> pa.Table:
+        return keep_min(t, "fp", s2_schema.names)
 
     s2 = hash_exchange_map_groups(s1, keep_min_fp, key="fp", out_schema=s2_schema)
     n_s2 = int(s2.count())

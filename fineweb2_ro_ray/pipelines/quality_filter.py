@@ -436,7 +436,6 @@ def reassemble(
         _reassemble_partition,
         key="conv_id",
         out_schema=out_schema,
-        batch_format="pyarrow",
     )
 
 

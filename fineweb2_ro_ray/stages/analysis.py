@@ -26,8 +26,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
-from ..schema import from_pandas_clean, from_pandas_like
+from ray.data.aggregate import Count, Max, Min, Sum
+
+from ..schema import from_pandas_like
+from .exchange import (
+    aggregate_table,
+    exchange_aggregate,
+    hash_exchange_map_groups,
+    run_ids,
+    run_rank,
+    sorted_runs,
+)
 
 # canonical BPE-ish token pattern (letters | digits | single symbol) —
 # matches DuckDB regexp_extract_all for the oracle
@@ -96,37 +105,36 @@ def doc_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
+def strftime_seconds(ts) -> pa.Array:
+    """``%Y-%m-%d %H:%M:%S`` text of a timestamp column, floored to the
+    second (pandas ``dt.strftime``; Arrow's ``%S`` would print the
+    sub-second digits). Nulls stay null."""
+    us = pc.cast(ts, pa.timestamp("us"))
+    if isinstance(us, pa.ChunkedArray):
+        us = us.combine_chunks()
+    v = pc.fill_null(us.cast(pa.int64()), 0).to_numpy(zero_copy_only=False)
+    null = us.is_null().to_numpy(zero_copy_only=False)
+    sec = pa.array(v // 1_000_000, pa.timestamp("s"), mask=null)
+    return pc.strftime(sec, format="%Y-%m-%d %H:%M:%S")
+
+
 def grouped_counts(ds: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
     """G1: grouped counts with a map-side combiner — each batch emits
     one partial-count row per key combo, then a small groupby sums
     partials (the reference's per-shard-counter + driver-merge shape,
     ``full_dataset_analysis/main.py:8-39``)."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select(keys).to_pandas()
-        # dropna=False: SQL GROUP BY keeps the NULL group (and so does
-        # Ray's native groupby) — pandas' default would silently lose it
-        out = (
-            df.groupby(keys, as_index=False, dropna=False)
-            .size()
-            .rename(columns={"size": "partial_n"})
-        )
-        # pin key types to the block's (an all-null key batch would
-        # otherwise re-infer as double and poison the exchange concat)
-        return from_pandas_like(out, b)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    # SQL GROUP BY keeps the NULL group (and so does Ray's native
+    # groupby); key types stay the block's own
+    partials = ds.map_batches(
+        lambda b: aggregate_table(b, keys, [(None, "size", "partial_n")]),
+        batch_format="pyarrow",
+    )
     # the residual after the combiner is tiny (batches × distinct key
     # combos), but Ray's sort-based groupby still pays its fixed floor
     # (boundary sampling + per-block sort + merge) — the raw hash
     # exchange sums the partials with no sort at all
-    from .exchange import hash_exchange_map_groups
-
-    def reduce_sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(keys, as_index=False, dropna=False)["partial_n"].sum()
-        return out.rename(columns={"partial_n": "n"})
-
-    return hash_exchange_map_groups(partials, reduce_sum, key=list(keys))
+    return exchange_aggregate(partials, list(keys), [("partial_n", "sum", "n")])
 
 
 def value_counts(ds: ray.data.Dataset, col: str) -> pd.DataFrame:
@@ -301,22 +309,19 @@ def grouped_percentiles(
     group."""
     hist = grouped_counts(ds.select_columns(keys + [col]), keys + [col])
 
-    def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        res = percentiles_from_counts(
-            df[col].to_numpy(), df["n"].to_numpy(), qs
-        )
-        out = pd.DataFrame({"q": list(res.keys()), "value": list(res.values())})
-        for k in keys:
-            out[k] = df[k].iloc[0]
-        return out[keys + ["q", "value"]]
-
-    from .exchange import hash_exchange_map_groups
-
-    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [per_key(g) for _, g in df.groupby(keys, dropna=False, sort=False)],
-            ignore_index=True,
-        )
+    def per_partition(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, keys)
+        v = t[col].to_numpy(zero_copy_only=False)
+        n = t["n"].to_numpy(zero_copy_only=False)
+        qv, vals = [], []
+        for a, b in zip(starts[:-1], starts[1:]):
+            res = percentiles_from_counts(v[a:b], n[a:b], qs)
+            qv.extend(res.keys())
+            vals.extend(res.values())
+        first = pa.array(np.repeat(starts[:-1], len(qs)))
+        return t.select(keys).take(first).append_column(
+            "q", pa.array(qv, pa.float64())
+        ).append_column("value", pa.array(vals, pa.float64()))
 
     return hash_exchange_map_groups(hist, per_partition, key=list(keys))
 
@@ -335,21 +340,14 @@ def grouped_top_k(
     (thins the shuffle to ≤ k rows per key per batch), then a per-key
     merge in ``map_groups``. SQL equivalent: ``row_number() OVER
     (PARTITION BY keys ORDER BY col ...) <= k``."""
-    asc = [not descending, True]
+    order = [(col, "descending" if descending else "ascending"), (tiebreak, "ascending")]
 
-    def local(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df.sort_values([col, tiebreak], ascending=asc, kind="mergesort")
-        return from_pandas_like(df.groupby(keys, dropna=False).head(k), b)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([col, tiebreak], ascending=asc, kind="mergesort")
-        return df.groupby(keys, dropna=False, sort=False).head(k)
-
-    from .exchange import hash_exchange_map_groups
+    def top(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, keys, order)
+        return t.filter(pa.array(run_rank(starts) < k))
 
     return hash_exchange_map_groups(
-        ds.map_batches(local, batch_format="pyarrow"), merge, key=list(keys)
+        ds.map_batches(top, batch_format="pyarrow"), top, key=list(keys)
     )
 
 
@@ -377,20 +375,23 @@ def rolling_sum_cents(
             "cents", pa.array(cents, pa.int64())
         )
 
-    def roll(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, id_col], kind="mergesort")
-        r = (
-            df.groupby(key, sort=False)["cents"]
-            .rolling(window, min_periods=1)
-            .sum()
-            .reset_index(drop=True)
+    def roll(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(
+            t, [key], [(ts_col, "ascending"), (id_col, "ascending")]
         )
-        df = df.reset_index(drop=True)
-        df["roll_cents"] = r.astype(np.int64)
-        df[ts_col] = df[ts_col].dt.strftime("%Y-%m-%d %H:%M:%S")
-        return df[[key, id_col, ts_col, "cents", "roll_cents"]]
-
-    from .exchange import hash_exchange_map_groups
+        cents = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+        pre = np.concatenate([[0], np.cumsum(cents)])
+        i = np.arange(len(cents))
+        lo = np.maximum(i + 1 - window, np.repeat(starts[:-1], np.diff(starts)))
+        return pa.table(
+            {
+                key: t[key],
+                id_col: t[id_col],
+                ts_col: strftime_seconds(t[ts_col]),
+                "cents": pa.array(cents, pa.int64()),
+                "roll_cents": pa.array(pre[i + 1] - pre[lo], pa.int64()),
+            }
+        )
 
     return hash_exchange_map_groups(
         ds.select_columns([key, id_col, ts_col, val_col]).map_batches(
@@ -435,14 +436,10 @@ def word_counts(
             {"word": dic.dictionary, "partial_n": pa.array(cnt.astype(np.int64), pa.int64())}
         )
 
-    from .exchange import hash_exchange_map_groups
-
-    merged = hash_exchange_map_groups(
+    merged = exchange_aggregate(
         ds.select_columns([text_col]).map_batches(partial, batch_format="pyarrow"),
-        lambda df: df.groupby("word", as_index=False, dropna=False)["partial_n"]
-        .sum()
-        .rename(columns={"partial_n": "n"}),
-        key="word",
+        "word",
+        [("partial_n", "sum", "n")],
         # schema pin: an all-empty corpus otherwise yields a column-less
         # frame and the top-k sort below KeyErrors (empty-input sweep)
         out_schema=pa.schema([("word", pa.string()), ("n", pa.int64())]),
@@ -466,13 +463,9 @@ def grouped_distinct_counts(
     is the thinned shuffle (G1 shape); distinct count = rows per key of
     that histogram — a second tiny groupby."""
     pairs = grouped_counts(ds.select_columns([key, col]), [key, col])
-    from .exchange import hash_exchange_map_groups
-
-    def count_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(key, as_index=False, dropna=False).size()
-        return out.rename(columns={"size": "n_distinct"})
-
-    return hash_exchange_map_groups(pairs.select_columns([key]), count_rows, key=key)
+    return exchange_aggregate(
+        pairs.select_columns([key]), key, [(None, "size", "n_distinct")]
+    )
 
 
 def pivot_counts(
@@ -484,20 +477,18 @@ def pivot_counts(
     histogram, pivoted per row-key group."""
     hist = grouped_counts(ds.select_columns([row_key, col_key]), [row_key, col_key])
 
-    def widen(df: pd.DataFrame) -> pd.DataFrame:
-        out = {row_key: df[row_key].iloc[0]}
-        counts = dict(zip(df[col_key], df["n"]))
+    def widen_part(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, [row_key])
+        rid = run_ids(starts)
+        n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+        out = t.select([row_key]).take(pa.array(starts[:-1]))
         for v in col_values:
-            out[f"n_{v}"] = int(counts.get(v, 0))
-        return pd.DataFrame([out])
-
-    from .exchange import hash_exchange_map_groups
-
-    def widen_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [widen(g) for _, g in df.groupby(row_key, dropna=False, sort=False)],
-            ignore_index=True,
-        )
+            hit = pc.fill_null(pc.equal(t[col_key], v), False).to_numpy(
+                zero_copy_only=False
+            )
+            cnt = np.bincount(rid[hit], weights=n[hit], minlength=len(starts) - 1)
+            out = out.append_column(f"n_{v}", pa.array(cnt.astype(np.int64)))
+        return out
 
     return hash_exchange_map_groups(hist, widen_part, key=row_key)
 
@@ -515,12 +506,11 @@ def per_key_rank(
     session-windows shape); (order, id) total order keeps ranks
     engine-independent under ties."""
 
-    def rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, order_col, id_col], kind="mergesort")
-        df["rn"] = df.groupby(key, sort=False).cumcount() + 1
-        return df
-
-    from .exchange import hash_exchange_map_groups
+    def rank(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(
+            t, [key], [(order_col, "ascending"), (id_col, "ascending")]
+        )
+        return t.append_column("rn", pa.array(run_rank(starts) + 1))
 
     return hash_exchange_map_groups(
         ds.select_columns([key, order_col, id_col]), rank, key=key
@@ -542,11 +532,13 @@ def per_key_ntile(
     ``per_key_rank``; the tile is closed-form from the 0-based rank and
     the key's row count, all vectorized."""
 
-    def ntile(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, order_col, id_col], kind="mergesort")
-        g = df.groupby(key, sort=False)
-        r = g.cumcount().to_numpy()
-        cnt = g[id_col].transform("size").to_numpy()
+    def ntile(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(
+            t, [key], [(order_col, "ascending"), (id_col, "ascending")]
+        )
+        r = run_rank(starts)
+        lens = np.diff(starts)
+        cnt = np.repeat(lens, lens)
         base, rem = cnt // n, cnt % n
         cut = (base + 1) * rem  # rows occupied by the larger buckets
         big = r < cut
@@ -555,10 +547,9 @@ def per_key_ntile(
             r // np.maximum(base + 1, 1),
             np.where(base > 0, rem + (r - cut) // np.maximum(base, 1), r),
         )
-        df[out_col] = (tile + 1).astype(np.int64)
-        return df[[key, id_col, out_col]]
-
-    from .exchange import hash_exchange_map_groups
+        return t.select([key, id_col]).append_column(
+            out_col, pa.array((tile + 1).astype(np.int64))
+        )
 
     return hash_exchange_map_groups(
         ds.select_columns([key, order_col, id_col]), ntile, key=key
@@ -579,28 +570,19 @@ def grouped_mode(
     and argmaxes — the shuffle moves (key, value, partial_n) rows,
     never documents."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select([key, value_col]).to_pandas()
-        out = (
-            df.groupby([key, value_col], as_index=False, dropna=False)
-            .size()
-            .rename(columns={"size": "n"})
+    kv = [key, value_col]
+    partials = ds.map_batches(
+        lambda b: aggregate_table(b, kv, [(None, "size", "n")]),
+        batch_format="pyarrow",
+    )
+
+    def argmax(t: pa.Table) -> pa.Table:
+        tot = aggregate_table(t, kv, [("n", "sum", "n")])
+        tot, starts = sorted_runs(
+            tot, [key], [("n", "descending"), (value_col, "ascending")]
         )
-        return from_pandas_like(out, b)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def argmax(df: pd.DataFrame) -> pd.DataFrame:
-        tot = df.groupby([key, value_col], as_index=False, dropna=False)["n"].sum()
-        tot = tot.sort_values(
-            ["n", value_col], ascending=[False, True], kind="mergesort"
-        )
-        # drop_duplicates keeps the literal first row per key (a .first()
-        # groupby would skip NULL cells column-wise)
-        out = tot.drop_duplicates(subset=[key], keep="first")
-        return out[[key, value_col]].rename(columns={value_col: out_col})
-
-    from .exchange import hash_exchange_map_groups
+        out = tot.take(pa.array(starts[:-1]))
+        return pa.table({key: out[key], out_col: out[value_col]})
 
     return hash_exchange_map_groups(partials, argmax, key=key)
 
@@ -630,14 +612,19 @@ def per_key_interarrival(
         )
         return b.select([key, id_col]).append_column("_ts_us", pa.array(us, pa.int64()))
 
-    def gaps(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, "_ts_us", id_col], kind="mergesort")
-        prev = df.groupby(key, sort=False)["_ts_us"].shift(1)
-        gap = df["_ts_us"] - prev
-        df["gap_us"] = gap.fillna(-1).astype(np.int64)
-        return df[[key, id_col, "gap_us"]]
-
-    from .exchange import hash_exchange_map_groups
+    def gaps(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(
+            t, [key], [("_ts_us", "ascending"), (id_col, "ascending")]
+        )
+        ts = t["_ts_us"].to_numpy(zero_copy_only=False)
+        gap = np.full(len(ts), -1, np.int64)
+        gap[1:] = ts[1:] - ts[:-1]
+        # a key's first event, and every null-key row, has no previous
+        first = (run_rank(starts) == 0) | t[key].is_null().to_numpy(
+            zero_copy_only=False
+        )
+        gap[first] = -1
+        return t.select([key, id_col]).append_column("gap_us", pa.array(gap))
 
     return hash_exchange_map_groups(
         ds.select_columns([key, id_col, ts_col]).map_batches(
@@ -946,8 +933,6 @@ def grouped_top_words(
     picks the exact winners with the (n DESC, word ASC) tie-break.
     Bytes through both exchanges are vocabulary-sized, k-bounded after
     the pre-select."""
-    import pandas as pd
-
     def partial(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(pc.is_valid(b[text_col]), pc.is_valid(b[group_col]))
@@ -991,12 +976,12 @@ def grouped_top_words(
         [("g", pa.string()), ("word", pa.string()), ("n", pa.int64())]
     )
 
-    def merge_and_preselect(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.groupby(["g", "word"], as_index=False)["n"].sum()
-        m = m.sort_values(["g", "n", "word"], ascending=[True, False, True])
-        return m.groupby("g", as_index=False, sort=False).head(k)
+    def top(m: pa.Table) -> pa.Table:
+        m, starts = sorted_runs(m, ["g"], [("n", "descending"), ("word", "ascending")])
+        return m.filter(pa.array(run_rank(starts) < k))
 
-    from .exchange import hash_exchange_map_groups
+    def merge_and_preselect(t: pa.Table) -> pa.Table:
+        return top(aggregate_table(t, ["g", "word"], [("n", "sum", "n")]))
 
     cand = hash_exchange_map_groups(
         parts, merge_and_preselect, key=["g", "word"], out_schema=mid_schema
@@ -1006,11 +991,9 @@ def grouped_top_words(
         [(group_col, pa.string()), ("word", pa.string()), ("n", pa.int64())]
     )
 
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.sort_values(["g", "n", "word"], ascending=[True, False, True])
-        m = m.groupby("g", as_index=False, sort=False).head(k)
-        return m.rename(columns={"g": group_col})
-
     return hash_exchange_map_groups(
-        cand, final_topk, key="g", out_schema=out_schema
+        cand,
+        lambda t: top(t).rename_columns([group_col, "word", "n"]),
+        key="g",
+        out_schema=out_schema,
     )

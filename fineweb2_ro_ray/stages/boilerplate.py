@@ -123,7 +123,6 @@ def unit_doc_frequencies(
         key="unit",
         n_reducers=n_reducers,
         out_schema=_DF_SCHEMA,
-        batch_format="pyarrow",
     )
 
 
@@ -262,7 +261,6 @@ def remove_frequent_units(
         key=id_col,
         n_reducers=n_reducers,
         out_schema=out_schema,
-        batch_format="pyarrow",
     )
 
 
@@ -337,15 +335,15 @@ def top_terms_per_doc(
     )
 
     def topk(t: pa.Table) -> pa.Table:
-        import pandas as pd
+        from .exchange import run_rank, sorted_runs
 
-        d = t.select([id_col, "term", "tf", "nd"]).to_pandas()
-        d = d.sort_values(
-            [id_col, "tf", "nd", "term"], ascending=[True, False, True, True]
+        d, starts = sorted_runs(
+            t.select([id_col, "term", "tf", "nd"]),
+            [id_col],
+            [("tf", "descending"), ("nd", "ascending"), ("term", "ascending")],
         )
-        d["rk"] = d.groupby(id_col, sort=False).cumcount() + 1
-        d = d[d["rk"] <= k]
-        return pa.Table.from_pandas(d, preserve_index=False).cast(out_schema)
+        rk = run_rank(starts) + 1
+        return d.append_column("rk", pa.array(rk)).filter(pa.array(rk <= k))
 
     return hash_exchange_map_groups(
         joined,
@@ -353,5 +351,4 @@ def top_terms_per_doc(
         key=id_col,
         n_reducers=n_reducers,
         out_schema=out_schema,
-        batch_format="pyarrow",
     )

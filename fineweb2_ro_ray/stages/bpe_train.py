@@ -49,7 +49,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .exchange import hash_exchange_map_groups
+from .exchange import exchange_aggregate
 
 _WORD_SCHEMA = pa.schema([("word", pa.string()), ("f", pa.int64())])
 
@@ -83,19 +83,11 @@ def _word_count_partials(batch: pa.Table, text_col: str) -> pa.Table:
 def word_freq_table(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
     """ONE corpus pass -> distributed distinct ``(word, f)`` table."""
 
-    def reduce_words(t: pa.Table) -> pa.Table:
-        g = t.group_by("word").aggregate([("f", "sum")]).select(["word", "f_sum"])
-        return g.rename_columns(["word", "f"])
-
     partials = ds.map_batches(
         lambda b: _word_count_partials(b, text_col), batch_format="pyarrow"
     )
-    return hash_exchange_map_groups(
-        partials,
-        reduce_words,
-        key="word",
-        out_schema=_WORD_SCHEMA,
-        batch_format="pyarrow",
+    return exchange_aggregate(
+        partials, "word", [("f", "sum", "f")], out_schema=_WORD_SCHEMA
     )
 
 

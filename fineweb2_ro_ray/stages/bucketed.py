@@ -108,7 +108,6 @@ def write_bucketed(
     stats_schema = pa.schema([("part", pa.int64()), ("rows", pa.int64())])
     stats = hash_exchange_map_groups(
         keyed, write_parts, key="part", out_schema=stats_schema,
-        batch_format="pyarrow",
     ).to_pandas()
     meta = {
         "key": key,

@@ -29,7 +29,6 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Min
 
 
 def connected_components(
@@ -114,13 +113,11 @@ def connected_components(
             {"doc_id": pa.array(u, pa.int64()), "lbl": pa.array(u, pa.int64())}
         )
 
-    from .exchange import hash_exchange_map_groups
+    from .exchange import exchange_aggregate
 
-    lbl_min = lambda df: df.groupby("doc_id", as_index=False)["lbl"].min()  # noqa: E731
-    labels = hash_exchange_map_groups(
-        edges.map_batches(init_labels, batch_format="pyarrow"),
-        lbl_min,
-        key="doc_id",
+    lbl_min = [("lbl", "min", "lbl")]
+    labels = exchange_aggregate(
+        edges.map_batches(init_labels, batch_format="pyarrow"), "doc_id", lbl_min
     ).materialize()
 
     edge_schema = pa.schema([pa.field("a", pa.int64()), pa.field("b", pa.int64())])
@@ -163,9 +160,7 @@ def connected_components(
             )
 
         prop = wab.map_batches(cands, batch_format="pyarrow")
-        labels = hash_exchange_map_groups(
-            prop.union(labels), lbl_min, key="doc_id"
-        ).materialize()
+        labels = exchange_aggregate(prop.union(labels), "doc_id", lbl_min).materialize()
         # pointer jump: l(x) <- min(l(x), l(l(x))). Every label IS a
         # node id, so the lookup always resolves; combined with the
         # neighbor-min this gives O(log diameter) rounds instead of
@@ -209,13 +204,11 @@ def connected_components(
 def cluster_sizes(components: ray.data.Dataset) -> ray.data.Dataset:
     """(component, cluster_size) — the engine-side derivation of the
     reference's ``minhash_cluster_size`` passenger column."""
-    from .exchange import hash_exchange_map_groups
+    from .exchange import exchange_aggregate
 
-    def count_per_part(df):
-        out = df.groupby("component", as_index=False).size()
-        return out.rename(columns={"size": "cluster_size"})
-
-    return hash_exchange_map_groups(components, count_per_part, key="component")
+    return exchange_aggregate(
+        components, "component", [(None, "size", "cluster_size")]
+    )
 
 
 def dedup_by_components(
@@ -223,10 +216,8 @@ def dedup_by_components(
 ) -> ray.data.Dataset:
     """Canonical survivor per near-dup cluster: the MIN doc id (= the
     component label itself). Returns one (doc_id,) row per cluster."""
-    from .exchange import hash_exchange_map_groups
+    from .exchange import exchange_aggregate
 
-    return hash_exchange_map_groups(
-        components,
-        lambda df: df.groupby("component", as_index=False)["doc_id"].min(),
-        key="component",
+    return exchange_aggregate(
+        components, "component", [("doc_id", "min", "doc_id")]
     ).select_columns(["doc_id"])

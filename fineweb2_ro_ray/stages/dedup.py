@@ -21,16 +21,21 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-import zlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Min
-from ..schema import from_pandas_clean, from_pandas_like
+
 from .bloom import _mix64
+from .exchange import (
+    aggregate_table,
+    exchange_aggregate,
+    hash_exchange_map_groups,
+    run_rank,
+    sorted_runs,
+)
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -70,10 +75,7 @@ def _batch_min_by_key(batch: pa.Table, key: str, id_col: str) -> pa.Table:
     batch — thins the shuffle input (ray_guide 'pre-aggregate first').
     dropna=False: the NULL-text group is a real group (SQL GROUP BY
     keeps it; so does Ray's groupby)."""
-    sel = batch.select([key, id_col])
-    df = sel.to_pandas()
-    out = df.groupby(key, as_index=False, dropna=False)[id_col].min()
-    return from_pandas_like(out, sel)  # all-null-key batch: keep key type
+    return aggregate_table(batch, [key], [(id_col, "min", id_col)])
 
 
 def dedup_exact(
@@ -82,19 +84,13 @@ def dedup_exact(
     """Exact dedup: canonical row per distinct text = the MIN id.
     hash → map-side partial min → small groupby shuffle → global min.
     Returns columns (text_md5, doc_id)."""
-    from .exchange import hash_exchange_map_groups
-
     ds = ds.map_batches(
         lambda b: _batch_min_by_key(add_md5(b, text_col), "text_md5", id_col),
         batch_format="pyarrow",
     )
     # global min over the per-batch partials on the hash exchange (no
     # sort floor; the shuffled rows are the thinned (key, min-id) set)
-    return hash_exchange_map_groups(
-        ds,
-        lambda df: df.groupby("text_md5", as_index=False, dropna=False)[id_col].min(),
-        key="text_md5",
-    )
+    return exchange_aggregate(ds, "text_md5", [(id_col, "min", id_col)])
 
 
 def dedup_keep_best(
@@ -111,34 +107,24 @@ def dedup_keep_best(
     pipeline usually wants instead of min-id. Same scale shape as
     :func:`dedup_exact`: map-side best-per-key combiner thins the
     shuffle to one row per (batch, key); the global best is resolved
-    per HASH PARTITION of the key (one vectorized pandas call covering
+    per HASH PARTITION of the key (one vectorized Arrow call covering
     thousands of keys — ``groupby(text_md5).map_groups`` would invoke
     Python once per distinct text). NULL text forms its own group
     (``md5(NULL)`` is NULL). Returns (text_md5, doc_id, score_col)."""
 
-    from .exchange import hash_exchange_map_groups
+    def best(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(
+            t, ["text_md5"], [(score_col, "descending"), (id_col, "ascending")]
+        )
+        return t.take(pa.array(starts[:-1]))
 
     def best_per_batch(b: pa.Table) -> pa.Table:
-        sel = add_md5(b, text_col, "text_md5").select(
-            ["text_md5", id_col, score_col]
+        return best(
+            add_md5(b, text_col, "text_md5").select(["text_md5", id_col, score_col])
         )
-        df = sel.to_pandas()
-        df = df.sort_values(
-            [score_col, id_col], ascending=[False, True], kind="mergesort"
-        )
-        df = df.groupby("text_md5", as_index=False, dropna=False).head(1)
-        return from_pandas_like(df, sel)
-
-    def best_per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            [score_col, id_col], ascending=[False, True], kind="mergesort"
-        )
-        return df.groupby("text_md5", as_index=False, dropna=False).head(1)
 
     return hash_exchange_map_groups(
-        ds.map_batches(best_per_batch, batch_format="pyarrow"),
-        best_per_part,
-        key="text_md5",
+        ds.map_batches(best_per_batch, batch_format="pyarrow"), best, key="text_md5"
     )
 
 
@@ -413,7 +399,6 @@ def lsh_candidate_pairs(
     from several bands may repeat) for callers that dedup themselves.
     ``sigs``: precomputed (id, minhash) dataset to reuse instead of
     hashing ``ds`` (see ``minhash_lsh_pairs`` signature caching)."""
-    from .exchange import hash_exchange_map_groups
 
     rows = num_perm // bands
     if sigs is None:
@@ -433,7 +418,6 @@ def lsh_candidate_pairs(
         exploded,
         lambda t: _partition_bucket_id_pairs(t, id_col),
         key="bucket",
-        batch_format="pyarrow",
         out_schema=pair_schema,
     )
     # same pair can surface from several bands (up to ``bands``× dups).
@@ -450,7 +434,6 @@ def lsh_candidate_pairs(
         pairs,
         _distinct_pairs,
         key=["doc_a", "doc_b"],
-        batch_format="pyarrow",
         out_schema=pair_schema,
     )
 
@@ -594,10 +577,9 @@ def attach_payload_exchange(
     # per_part resolves matches via searchsorted over the whole
     # partition (key-generic), so it runs once per raw-hash-exchange
     # partition instead of paying the sort-based groupby
-    from .exchange import hash_exchange_map_groups
 
     return hash_exchange_map_groups(
-        pt.union(tt), per_part, key="part", batch_format="pyarrow", out_schema=out_schema
+        pt.union(tt), per_part, key="part", out_schema=out_schema
     )
 
 
@@ -1101,7 +1083,6 @@ def simhash_pairs(
     # both wide steps on the raw hash exchange (see lsh_candidate_pairs):
     # bucket co-location for pairing, then (doc_a, doc_b)-keyed min over
     # hamming (the same pair can surface from several chunk buckets)
-    from .exchange import hash_exchange_map_groups
 
     pair_schema = pa.schema(
         [
@@ -1114,15 +1095,10 @@ def simhash_pairs(
         hashed.map_batches(explode, batch_format="pyarrow"),
         partition_pairs,
         key="bucket",
-        batch_format="pyarrow",
         out_schema=pair_schema,
     )
-
-    def min_hamming(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["doc_a", "doc_b"], as_index=False)["hamming"].min()
-
-    return hash_exchange_map_groups(
-        pairs, min_hamming, key=["doc_a", "doc_b"], out_schema=pair_schema
+    return exchange_aggregate(
+        pairs, ["doc_a", "doc_b"], [("hamming", "min", "hamming")], out_schema=pair_schema
     )
 
 
@@ -1160,31 +1136,29 @@ def jaccard_pairs_by_group(
 
     t = threshold
 
-    _empty_pairs = pd.DataFrame(
-        {
-            "doc_a": np.array([], dtype=np.int64),
-            "doc_b": np.array([], dtype=np.int64),
-            "jaccard": np.array([], dtype=np.float64),
-        }
+    pair_schema = pa.schema(
+        [
+            pa.field("doc_a", pa.int64()),
+            pa.field("doc_b", pa.int64()),
+            pa.field("jaccard", pa.float64()),
+        ]
     )
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
+    def per_group(g: pa.Table) -> pa.Table:
         """Vectorized AllPairs for one group — no Python loop touches a
         token or a candidate pair (the dict/set candidate index was
         this operator's hot spot at a 444k-pair group). The candidate
         SET is the same as the loop version's (AllPairs is correct for
         any global token order, so the df-rank tie-break need not match
-        bit-for-bit); the verified output is exact either way."""
-        g = g.sort_values(id_col)
+        bit-for-bit); the verified output is exact either way. ``g`` is
+        sorted by id."""
         ids = g[id_col].to_numpy()
         n = len(ids)
         if n < 2:
-            return _empty_pairs.copy()
+            return pair_schema.empty_table()
         # tokenize + per-doc unique, all Arrow/numpy: split → dictionary
         # encode → unique (doc, token-code) via one np.unique
-        texts = pa.array(
-            ["" if s is None else s for s in g["text"]], pa.string()
-        )
+        texts = pc.fill_null(g["text"], "").combine_chunks().cast(pa.string())
         toks = pc.split_pattern(texts, " ")
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = toks.flatten()
@@ -1224,13 +1198,13 @@ def jaccard_pairs_by_group(
             ai, bi = np.triu_indices(e - s, k=1)
             pair_keys.append(bd[s + ai] * n + bd[s + bi])  # bd ascending in bucket
         if not pair_keys:
-            return _empty_pairs.copy()
+            return pair_schema.empty_table()
         pk = np.unique(np.concatenate(pair_keys))
         pi, pj = pk // n, pk % n
         keep = t * np.maximum(sizes[pi], sizes[pj]) <= np.minimum(sizes[pi], sizes[pj])
         pi, pj = pi[keep], pj[keep]
         if len(pi) == 0:
-            return _empty_pairs.copy()
+            return pair_schema.empty_table()
         # bulk exact verify: make token ranks pair-unique by offsetting
         # with pair_idx·V, then ONE np.unique(return_counts) over both
         # sides — a rank appearing twice is an intersection hit for its
@@ -1257,40 +1231,30 @@ def jaccard_pairs_by_group(
         union = la + lb - inter
         jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
         ok = jac >= t
-        return pd.DataFrame(
+        return pa.table(
             {
                 "doc_a": ids[pi[ok]].astype(np.int64),
                 "doc_b": ids[pj[ok]].astype(np.int64),
                 "jaccard": jac[ok].astype(np.float64),
-            }
+            },
+            schema=pair_schema,
         )
 
     # hash exchange, not Ray's sort-based groupby: each reduce partition
-    # holds several complete groups; loop them pandas-side (the
+    # holds several complete groups; loop them over key runs (the
     # per-group body is the expensive part, the loop is over distinct
-    # sources). Null groups are real groups (dropna=False), matching
-    # Ray map_groups semantics.
-    from .exchange import hash_exchange_map_groups
-
-    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [
-            per_group(g) for _, g in df.groupby(group_col, dropna=False, sort=False)
-        ]
-        return (
-            pd.concat(outs, ignore_index=True) if outs else per_group(df.head(0))
-        )
+    # sources). Null groups are real groups, matching Ray map_groups
+    # semantics.
+    def per_partition(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, [group_col], [(id_col, "ascending")])
+        outs = [per_group(t.slice(a, b - a)) for a, b in zip(starts[:-1], starts[1:])]
+        return pa.concat_tables(outs) if outs else pair_schema.empty_table()
 
     return hash_exchange_map_groups(
         ds.select_columns([group_col, id_col, "text"]),
         per_partition,
         key=group_col,
-        out_schema=pa.schema(
-            [
-                pa.field("doc_a", pa.int64()),
-                pa.field("doc_b", pa.int64()),
-                pa.field("jaccard", pa.float64()),
-            ]
-        ),
+        out_schema=pair_schema,
     )
 
 
@@ -1409,44 +1373,41 @@ def jaccard_pairs_distributed(
             }
         )
 
-    from .exchange import hash_exchange_map_groups
-
     tok_rows = ds.select_columns([group_col, id_col, "text"]).map_batches(
         explode_unique, batch_format="pyarrow"
     )
 
-    # exchange 1: df per (group, token), vectorized per partition
-    def add_df(g: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: a NULL group_col is a real group (matches the
-        # per-group path, where Ray's groupby keeps the null group)
-        g = g.copy()
-        g["df"] = g.groupby([group_col, "token"], dropna=False)[id_col].transform("size")
-        return g
+    # exchange 1: df per (group, token), vectorized per partition; a
+    # NULL group_col is a real group (matches the per-group path, where
+    # Ray's groupby keeps the null group)
+    def add_df(g: pa.Table) -> pa.Table:
+        g, starts = sorted_runs(g, [group_col, "token"])
+        lens = np.diff(starts)
+        return g.append_column("df", pa.array(np.repeat(lens, lens), pa.int64()))
 
     with_df = hash_exchange_map_groups(tok_rows, add_df, key=[group_col, "token"])
 
     # exchange 2: per-doc prefix by the global (df, token) order
-    def take_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([group_col, id_col, "df", "token"], kind="mergesort")
-        pos = g.groupby([group_col, id_col], dropna=False).cumcount()
-        p = g["set_size"] - np.ceil(t * g["set_size"]).astype(np.int64) + 1
-        out = g[pos < p]
-        return out[[group_col, "token", id_col, "set_size"]]
+    def take_prefix(g: pa.Table) -> pa.Table:
+        g, starts = sorted_runs(
+            g, [group_col, id_col], [("df", "ascending"), ("token", "ascending")]
+        )
+        size = g["set_size"].to_numpy()
+        p = size - np.ceil(t * size).astype(np.int64) + 1
+        keep = pa.array(run_rank(starts) < p)
+        return g.filter(keep).select([group_col, "token", id_col, "set_size"])
 
     prefixes = hash_exchange_map_groups(
         with_df, take_prefix, key=[group_col, id_col]
     )
 
     # exchange 3: candidate pairs within each (group, token) bucket
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([group_col, "token", id_col], kind="mergesort")
-        keys = (g[group_col].astype(str) + "\x00" + g["token"].astype(str)).to_numpy()
+    def bucket_pairs(g: pa.Table) -> pa.Table:
+        g, starts = sorted_runs(g, [group_col, "token"], [(id_col, "ascending")])
         ids = g[id_col].to_numpy()
         sz = g["set_size"].to_numpy()
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        ends = np.concatenate([starts[1:], [len(keys)]])
         out_a, out_b = [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts[:-1], starts[1:]):
             if e - s < 2:
                 continue
             ai, bi = np.triu_indices(e - s, k=1)
@@ -1455,11 +1416,14 @@ def jaccard_pairs_distributed(
             keep = t * np.maximum(sa, sb) <= np.minimum(sa, sb)
             out_a.append(np.minimum(ia, ib)[keep])
             out_b.append(np.maximum(ia, ib)[keep])
-        if not out_a:
-            return pd.DataFrame({"doc_a": np.array([], np.int64), "doc_b": np.array([], np.int64)})
-        return pd.DataFrame(
-            {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)}
-        ).drop_duplicates()
+        return _distinct_pairs(
+            pa.table(
+                {
+                    "doc_a": np.concatenate(out_a or [np.zeros(0, np.int64)]),
+                    "doc_b": np.concatenate(out_b or [np.zeros(0, np.int64)]),
+                }
+            )
+        )
 
     pair_only_schema = pa.schema(
         [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
@@ -1470,8 +1434,8 @@ def jaccard_pairs_distributed(
             out_schema=pair_only_schema,
         ),
         # global pair-distinct: equal pairs hash to one partition, so a
-        # partition-local drop_duplicates is globally distinct
-        lambda df: df.drop_duplicates(),
+        # partition-local distinct is globally distinct
+        _distinct_pairs,
         key=["doc_a", "doc_b"],
         out_schema=pair_only_schema,
     ).materialize()  # consumed twice: involved-id scan + attach
@@ -1563,22 +1527,20 @@ def near_dedup_full(
     import pyarrow.compute as pc
 
     from .components import connected_components
-    from .exchange import hash_exchange_map_groups
     from .joins import hash_join
 
     comp = connected_components(pairs)  # (doc_id, component); label == min id
 
-    def with_sizes(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def with_sizes(t: pa.Table) -> pa.Table:
+        comp = t["component"].to_numpy(zero_copy_only=False).astype(np.int64)
+        _, inv, cnt = np.unique(comp, return_inverse=True, return_counts=True)
+        return pa.table(
             {
-                "_nd_id": df["doc_id"].astype("int64"),
-                "_nd_component": df["component"].astype("int64"),
+                "_nd_id": t["doc_id"].cast(pa.int64()),
+                "_nd_component": pa.array(comp, pa.int64()),
+                "_nd_cluster_size": pa.array(cnt[inv], pa.int64()),
             }
         )
-        out["_nd_cluster_size"] = (
-            out.groupby("_nd_component")["_nd_id"].transform("size").astype("int64")
-        )
-        return out
 
     perdoc = hash_exchange_map_groups(
         comp,
@@ -1647,7 +1609,6 @@ def minhash_cluster_edges(
     scheme (collision prob 1-(1-J^r)^b with r = num_perm//bands), as
     in the reference corpus tooling. Output: distinct (doc_a, doc_b)
     with doc_a the bucket min."""
-    from .exchange import hash_exchange_map_groups
 
     rows = num_perm // bands
     if sigs is None:
@@ -1682,7 +1643,6 @@ def minhash_cluster_edges(
         exploded,
         star_per_part,
         key="bucket",
-        batch_format="pyarrow",
         out_schema=pair_schema,
     )
     # same edge repeats across bands (<= bands x): one thin distinct
@@ -1691,7 +1651,6 @@ def minhash_cluster_edges(
         edges,
         _distinct_pairs,
         key=["doc_a", "doc_b"],
-        batch_format="pyarrow",
         out_schema=pair_schema,
     )
 
@@ -1761,8 +1720,6 @@ def minhash_dedup_full(
     lsh_input = ds
     if collapse_exact:
         import pyarrow.compute as pc
-
-        from .exchange import hash_exchange_map_groups
         from .joins import hash_join
 
         thin = ds.map_batches(
@@ -1771,16 +1728,12 @@ def minhash_dedup_full(
             batch_format="pyarrow",
         )
 
-        def fam(df: pd.DataFrame) -> pd.DataFrame:
-            rep = df.groupby("text_md5", dropna=False)[id_col].transform("min").to_numpy()
-            ids = df[id_col].to_numpy()
+        def fam(t: pa.Table) -> pa.Table:
+            t, starts = sorted_runs(t, ["text_md5"], [(id_col, "ascending")])
+            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            rep = np.repeat(ids[starts[:-1]], np.diff(starts))
             m = rep != ids
-            return pd.DataFrame(
-                {
-                    "doc_a": rep[m].astype("int64"),
-                    "doc_b": ids[m].astype("int64"),
-                }
-            )
+            return pa.table({"doc_a": rep[m], "doc_b": ids[m]})
 
         star = hash_exchange_map_groups(
             thin,

@@ -32,13 +32,12 @@ Scale shape:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from .exchange import hash_exchange_map_groups
+from .exchange import exchange_aggregate
 
 _EMPTY = pa.table(
     {
@@ -106,15 +105,10 @@ def word_drift_chi2(
         batch_format="pyarrow",
     )
 
-    def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("word", as_index=False, dropna=False)[
-            ["cnt_a", "cnt_b"]
-        ].sum()
-
     # vocabulary-sized and thin; materialized ONCE because it feeds two
     # consumers (the totals aggregate and the chi2 map)
-    merged = hash_exchange_map_groups(
-        partials, reduce_part, key="word"
+    merged = exchange_aggregate(
+        partials, "word", [("cnt_a", "sum", "cnt_a"), ("cnt_b", "sum", "cnt_b")]
     ).materialize()
     tot = merged.sum(["cnt_a", "cnt_b"])
     ta = float(tot["sum(cnt_a)"])

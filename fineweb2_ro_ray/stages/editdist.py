@@ -47,8 +47,8 @@ this member exceeds that surface, like the rest of the dedup family.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -356,6 +356,22 @@ def _band_verify(
             prev, cur = cur, prev
 
 
+def _lookup_counts(t: pa.Table, lut: pa.Table, keys: list[str]) -> pa.Array:
+    """``lut["n"]`` for every row of ``t`` whose ``keys`` match a
+    ``lut`` row (null matches null, as in a pandas merge); null where
+    none does. ``lut`` holds one row per key."""
+    from .exchange import key_codes
+
+    if lut.num_rows == 0:
+        return pa.nulls(t.num_rows, pa.int64())
+    code, lcode = key_codes(t, keys, lut, keys)
+    order = np.argsort(lcode, kind="stable")
+    pos = np.searchsorted(lcode[order], code).clip(0, len(order) - 1)
+    found = lcode[order][pos] == code
+    n = lut["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.array(n[order][pos], pa.int64(), mask=~found)
+
+
 def editdistance_pairs_distributed(
     ds: ray.data.Dataset,
     *,
@@ -384,11 +400,9 @@ def editdistance_pairs_distributed(
     two-exchange path runs unchanged. Both paths produce the SAME
     candidate set: prefix order is (df, gram) under identical counts,
     and the exact verify is downstream either way."""
-    import pyarrow.compute as pc
-
     from .analysis import grouped_counts
-    from .dedup import attach_payload_exchange, distinct_pair_ids
-    from .exchange import hash_exchange_map_groups
+    from .dedup import _distinct_pairs, attach_payload_exchange, distinct_pair_ids
+    from .exchange import hash_exchange_map_groups, run_rank, sorted_runs
     from .joins import _broadcast_cached_get
 
     k, qq = int(max_dist), int(q)
@@ -433,59 +447,52 @@ def editdistance_pairs_distributed(
         # ships ONCE via ray.put and merges inside the one prefix
         # exchange — the full-gram-stream df-attach exchange the
         # original shape paid is gone entirely
-        cdf = counts.to_pandas().rename(columns={"n": "df"})
-        cdf_ref = ray.put(cdf)
+        lut_ref = ray.put(pa.concat_tables(ray.get(counts.to_arrow_refs())))
 
-        def take_prefix_bcast(g: pd.DataFrame) -> pd.DataFrame:
-            lut = _broadcast_cached_get(cdf_ref)
-            is_sent = g["gram"].to_numpy() < 0
-            real = g[~is_sent].merge(lut, on=gkey, how="left")
-            real = real.sort_values(dkey + ["df", "gram"], kind="mergesort")
-            pos = real.groupby(dkey, dropna=False).cumcount()
-            out = pd.concat([real[pos < qq * k + 1], g[is_sent]])
-            return out[gkey + ["_id", "blen"]]
+        def take_prefix_bcast(g: pa.Table) -> pa.Table:
+            lut = _broadcast_cached_get(lut_ref)
+            return take_prefix(g, lambda real: _lookup_counts(real, lut, gkey))
 
-        prefixes = hash_exchange_map_groups(
-            gram_rows, take_prefix_bcast, key=dkey
-        )
     else:
         # exchange path (heavily-diverse gram space): df attach on the
         # gram key, then prefix selection on the doc key — unchanged
-        def add_df(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.copy()
-            g["df"] = g.groupby(gkey, dropna=False)["_id"].transform("size")
-            return g
+        def add_df(g: pa.Table) -> pa.Table:
+            g, starts = sorted_runs(g, gkey)
+            lens = np.diff(starts)
+            return g.append_column("df", pa.array(np.repeat(lens, lens), pa.int64()))
 
-        with_df = hash_exchange_map_groups(gram_rows, add_df, key=gkey)
+        gram_rows = hash_exchange_map_groups(gram_rows, add_df, key=gkey)
 
-        def take_prefix(g: pd.DataFrame) -> pd.DataFrame:
-            # sentinel rows (gram < 0: length-band keys) always survive
-            # and must NOT consume prefix slots (the theorem needs the
-            # first qK + 1 REAL grams)
-            is_sent = g["gram"].to_numpy() < 0
-            real = g[~is_sent].sort_values(dkey + ["df", "gram"], kind="mergesort")
-            pos = real.groupby(dkey, dropna=False).cumcount()
-            out = pd.concat([real[pos < qq * k + 1], g[is_sent]])
-            return out[gkey + ["_id", "blen"]]
+    def take_prefix(g: pa.Table, df_of=lambda real: real["df"]) -> pa.Table:
+        # sentinel rows (gram < 0: length-band keys) always survive
+        # and must NOT consume prefix slots (the theorem needs the
+        # first qK + 1 REAL grams)
+        is_sent = pc.less(g["gram"], 0)
+        real = g.filter(pc.invert(is_sent))
+        real = real.append_column("_df", df_of(real))
+        real, starts = sorted_runs(
+            real, dkey, [("_df", "ascending"), ("gram", "ascending")]
+        )
+        cols = gkey + ["_id", "blen"]
+        return pa.concat_tables(
+            [
+                real.filter(pa.array(run_rank(starts) < qq * k + 1)).select(cols),
+                g.filter(is_sent).select(cols),
+            ]
+        )
 
-        prefixes = hash_exchange_map_groups(with_df, take_prefix, key=dkey)
+    prefixes = hash_exchange_map_groups(
+        gram_rows,
+        take_prefix_bcast if n_gram_keys <= df_broadcast_limit else take_prefix,
+        key=dkey,
+    )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(gkey + ["_id"], kind="mergesort")
-        if grp is not None:
-            keyv = (
-                g[grp].astype(str) + "\x00" + g["gram"].astype(str)
-            ).to_numpy()
-        else:
-            keyv = g["gram"].to_numpy()
+    def bucket_pairs(g: pa.Table) -> pa.Table:
+        g, starts = sorted_runs(g, gkey, [("_id", "ascending")])
         ids = g["_id"].to_numpy()
         bl = g["blen"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate([[True], keyv[1:] != keyv[:-1]])
-        )
-        ends = np.concatenate([starts[1:], [len(keyv)]])
         out_a, out_b = [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts[:-1], starts[1:]):
             m = e - s
             if m < 2:
                 continue
@@ -508,13 +515,14 @@ def editdistance_pairs_distributed(
             ia, ib = ido[ai], ido[bj]
             out_a.append(np.minimum(ia, ib))
             out_b.append(np.maximum(ia, ib))
-        if not out_a:
-            return pd.DataFrame(
-                {"doc_a": np.array([], np.int64), "doc_b": np.array([], np.int64)}
+        return _distinct_pairs(
+            pa.table(
+                {
+                    "doc_a": np.concatenate(out_a or [np.zeros(0, np.int64)]),
+                    "doc_b": np.concatenate(out_b or [np.zeros(0, np.int64)]),
+                }
             )
-        return pd.DataFrame(
-            {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)}
-        ).drop_duplicates()
+        )
 
     pair_schema = pa.schema(
         [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
@@ -523,7 +531,7 @@ def editdistance_pairs_distributed(
         hash_exchange_map_groups(
             prefixes, bucket_pairs, key=gkey, out_schema=pair_schema
         ),
-        lambda df: df.drop_duplicates(),  # equal pairs share a partition
+        _distinct_pairs,  # equal pairs share a partition
         key=["doc_a", "doc_b"],
         out_schema=pair_schema,
     ).materialize()  # consumed twice: involved-id scan + attach

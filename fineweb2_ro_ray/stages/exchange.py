@@ -27,7 +27,7 @@ tooling for):
                       With M ≤ F (every local run) the tree is empty
                       and the wiring is identical to a flat exchange.
     P reduce tasks  — concat their ≤ F chunks, run ONE vectorized
-                      reduce_fn over the whole partition (every key's
+                      Arrow reduce_fn over the whole partition (every key's
                       rows are now co-located), emit an Arrow block.
 
 vs the sort-based groupby: no sampling pass, no per-block sort, no
@@ -79,14 +79,15 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 
 def _concat_named(tabs: list[pa.Table], where: str) -> pa.Table:
-    """``pa.concat_tables`` that, on schema drift between blocks (a
-    producer that bypassed ``from_pandas_like`` type pinning), fails
+    """``pa.concat_tables`` that, on schema drift between blocks (e.g. an
+    upstream pandas ``map_batches`` that re-inferred a type), fails
     with the mismatching schemas named instead of a bare Arrow error —
     the coalesced map side concats up to 128 upstream blocks, so the
     failure needs enough context to find the odd producer.
@@ -176,9 +177,8 @@ def _split_core(
     per *unique* key — cheap for multi-turn conversations); other keys
     via the canonical hash.
 
-    Accepts pandas-backed blocks too (Ray stores ``from_pandas`` /
-    pandas-map_groups outputs as DataFrames): converted to Arrow here,
-    metadata-stripped."""
+    Accepts pandas-backed blocks too (Ray stores ``from_pandas``
+    outputs as DataFrames): converted to Arrow here, metadata-stripped."""
     tabs = [
         pa.Table.from_pandas(b, preserve_index=False).replace_schema_metadata(None)
         if isinstance(b, pd.DataFrame)
@@ -306,38 +306,25 @@ def _merge_slices(failpoint: tuple[str, str] | None, *chunks: pa.Table) -> pa.Ta
 def _reduce_core(
     fn: Callable,
     out_schema: pa.Schema | None,
-    batch_format: str,
     t: pa.Table,
 ) -> pa.Table:
     """Shared reduce tail: one vectorized ``fn`` call over a whole
-    partition table, output types pinned (``out_schema`` cast, or
-    ``from_pandas_like`` against the input partition — a partition
-    whose string key is entirely null would otherwise re-infer as
-    double and poison any downstream concat/to_pandas)."""
-    if batch_format == "pyarrow":
-        out_t = fn(t)
-        return out_t.cast(out_schema) if out_schema is not None else out_t
-    out = fn(t.to_pandas())
-    if out_schema is not None:
-        return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
-    from ..schema import from_pandas_like
-
-    return from_pandas_like(out, t)
+    partition table, cast to ``out_schema`` when one is pinned."""
+    out_t = fn(t)
+    return out_t.cast(out_schema) if out_schema is not None else out_t
 
 
 @ray.remote
 def _reduce_partition(
     fn: Callable,
     out_schema: pa.Schema | None,
-    batch_format: str,
     failpoint: tuple[str, str] | None,
     *chunks: pa.Table,
 ) -> pa.Table:
     """Reduce side: all of one partition's (merged) chunks → one
     vectorized ``fn`` call → one Arrow block. ``out_schema`` pins the
     output type so an empty partition emits a schema-identical empty
-    block (pandas would otherwise upcast empty columns to
-    object/float64)."""
+    block."""
     _maybe_die(failpoint, "reduce")
     live = [c for c in chunks if c.num_rows > 0]
     if not live:
@@ -346,7 +333,7 @@ def _reduce_partition(
             return out_schema.empty_table()
         return chunks[0]  # degenerate; pruned by the 0-row filter below
     t = _concat_named(live, "reduce concat").combine_chunks()
-    return _reduce_core(fn, out_schema, batch_format, t)
+    return _reduce_core(fn, out_schema, t)
 
 
 # --- Disk-segment exchange (Magnet/Spark-ESS-style map output files) ---
@@ -552,7 +539,6 @@ def _read_segment_range(path: str, part_idx: int) -> pa.Table | None:
 def _reduce_partition_segments(
     fn: Callable,
     out_schema: pa.Schema | None,
-    batch_format: str,
     part_idx: int,
     failpoint: tuple[str, str] | None,
     paths: list[str] | str,
@@ -590,7 +576,7 @@ def _reduce_partition_segments(
             "fetch-failure semantics)"
         ) from e
     t = _concat_named(tabs, "segment reduce concat").combine_chunks()
-    return _reduce_core(fn, out_schema, batch_format, t)
+    return _reduce_core(fn, out_schema, t)
 
 
 def _auto_reducers(total_bytes: int, cpus: int) -> int:
@@ -635,7 +621,7 @@ def hash_exchange_map_groups(
     key: str | list[str] | Callable,
     n_reducers: int | None = None,
     out_schema: pa.Schema | None = None,
-    batch_format: str = "pandas",
+    batch_format: str = "pyarrow",
     group_width: int | None = None,
     segment_dir: str | None = None,
 ) -> ray.data.Dataset:
@@ -652,11 +638,15 @@ def hash_exchange_map_groups(
     arrays) via ``ray.put`` and fetch inside.
 
     ``fn`` must be partition-local and key-complete (the contract of
-    ``groupby(key).map_groups`` with a vectorized body): it receives
-    EVERY row of each key in the partition (a pandas frame, or an
-    Arrow table with ``batch_format="pyarrow"``) and groups
-    internally. Unlike ``map_groups`` it is called once per PARTITION,
-    not per key — no bucket pre-binning column needed.
+    ``groupby(key).map_groups`` with a vectorized body): it takes an
+    Arrow table holding EVERY row of each key in the partition, groups
+    internally, and returns an Arrow table. Unlike ``map_groups`` it is
+    called once per PARTITION, not per key — no bucket pre-binning
+    column needed. Plain keyed sums/counts/min/max and distinct rows
+    have ready bodies: ``exchange_aggregate`` and ``exchange_distinct``;
+    ``sorted_runs`` gives the sort-plus-run-boundary layout the other
+    bodies group with. ``batch_format`` accepts only ``"pyarrow"`` (the
+    benchmark's traced identity exchange still passes it).
 
     ``n_reducers=None`` auto-sizes from the streamed input bytes (see
     ``_auto_reducers``); pass it explicitly only when key cardinality
@@ -671,6 +661,11 @@ def hash_exchange_map_groups(
     of any M x P term, at the cost of file-system durability semantics.
     A per-exchange subdirectory is created under it; the caller owns
     cleanup after the consuming Dataset has fully executed."""
+    if batch_format != "pyarrow":
+        raise ValueError(
+            f"hash_exchange_map_groups: reduce bodies take and return Arrow "
+            f"tables; batch_format={batch_format!r} is not supported"
+        )
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     target = int(os.environ.get("FW2_EXCHANGE_SPLIT_BYTES", str(64 << 20)))
     fp = _TEST_FAILPOINT
@@ -811,7 +806,6 @@ def hash_exchange_map_groups(
                     _reduce_partition_segments.remote(
                         fn,
                         out_schema,
-                        batch_format,
                         i - bounds[g],
                         fp,
                         merged[g],
@@ -821,7 +815,7 @@ def hash_exchange_map_groups(
             for i in range(p):
                 outs.append(
                     _reduce_partition_segments.remote(
-                        fn, out_schema, batch_format, i, fp, paths_ref
+                        fn, out_schema, i, fp, paths_ref
                     )
                 )
     elif gb is not None:
@@ -853,9 +847,7 @@ def hash_exchange_map_groups(
                         for j in range(0, len(refs), fanin)
                     ]
                 outs.append(
-                    _reduce_partition.remote(
-                        fn, out_schema, batch_format, fp, *refs
-                    )
+                    _reduce_partition.remote(fn, out_schema, fp, *refs)
                 )
     else:
         # Tree-merge each partition's slice column with bounded fan-in
@@ -873,7 +865,7 @@ def hash_exchange_map_groups(
                     for j in range(0, len(refs), fanin)
                 ]
             outs.append(
-                _reduce_partition.remote(fn, out_schema, batch_format, fp, *refs)
+                _reduce_partition.remote(fn, out_schema, fp, *refs)
             )
     del splits
     if out_schema is not None:
@@ -891,3 +883,155 @@ def hash_exchange_map_groups(
     counts = ray.get([_num_rows.remote(o) for o in outs])
     keep = [o for o, n in zip(outs, counts) if n > 0]
     return ray.data.from_arrow_refs(keep or outs[:1])
+
+
+# --- Ready-made Arrow reduce bodies ---
+#
+# Most keyed reduces are one of three shapes: a groupby-aggregate, a
+# distinct, or "sort each key's rows, then act on runs of equal keys"
+# (first-k per key, per-key rank / cumsum / shift). The first two are
+# whole exchanges below; ``sorted_runs``/``run_rank`` give the third its
+# layout. Group order inside a partition is key-ascending with nulls
+# last, and a sum over a group whose values are all null is 0 (pandas
+# ``groupby`` conventions, which the callers' outputs are pinned to);
+# null KEYS form their own group (SQL ``GROUP BY``), so a caller that
+# must drop them filters before the exchange.
+
+
+def sort_by_keys(t: pa.Table, keys: list[str], order=()) -> pa.Table:
+    """``t`` sorted by ``keys`` ascending, then by the extra ``order``
+    ``(column, "ascending"|"descending")`` pairs; nulls last, stable."""
+    if t.num_rows < 2:
+        return t
+    sk = [(k, "ascending") for k in keys] + list(order)
+    return t.take(pc.sort_indices(t, sort_keys=sk, null_placement="at_end"))
+
+
+def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Start row of every run of equal ``keys`` in a key-sorted table,
+    with ``num_rows`` appended (so ``np.diff`` gives the run lengths).
+    Two nulls are equal here; a null and a value are not."""
+    n = t.num_rows
+    if n == 0:
+        return np.zeros(1, np.int64)
+    new = np.zeros(n, bool)
+    new[0] = True
+    for k in keys:
+        c = t[k].combine_chunks()
+        a, b = c.slice(1), c.slice(0, n - 1)
+        ne = pc.fill_null(pc.not_equal(a, b), False)
+        if c.null_count:
+            ne = pc.or_(ne, pc.xor(pc.is_null(a), pc.is_null(b)))
+        new[1:] |= ne.to_numpy(zero_copy_only=False)
+    return np.append(np.flatnonzero(new), n).astype(np.int64)
+
+
+def sorted_runs(
+    t: pa.Table, keys: list[str], order=()
+) -> tuple[pa.Table, np.ndarray]:
+    """``sort_by_keys`` plus the ``run_starts`` of the sorted table."""
+    st = sort_by_keys(t, keys, order)
+    return st, run_starts(st, keys)
+
+
+def run_rank(starts: np.ndarray) -> np.ndarray:
+    """0-based position of every row inside its run (pandas
+    ``groupby().cumcount()`` over a sorted table)."""
+    lens = np.diff(starts)
+    return np.arange(starts[-1], dtype=np.int64) - np.repeat(starts[:-1], lens)
+
+
+def run_ids(starts: np.ndarray) -> np.ndarray:
+    """Run index of every row (pandas ``groupby().ngroup()`` over a
+    sorted table)."""
+    return np.repeat(np.arange(len(starts) - 1, dtype=np.int64), np.diff(starts))
+
+
+def key_codes(
+    a: pa.Table, a_keys: list[str], b: pa.Table, b_keys: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int64 codes for the key tuples of ``a`` and ``b`` on one
+    shared scale: equal tuples get equal codes, and a null equals a
+    null (pandas ``merge``/``factorize`` matching)."""
+    n = a.num_rows
+    code = np.zeros(n + b.num_rows, np.int64)
+    for ka, kb in zip(a_keys, b_keys):
+        ca = a[ka].combine_chunks()
+        col = pa.concat_arrays([ca, b[kb].combine_chunks().cast(ca.type)])
+        vs = pc.unique(col)
+        idx = pc.index_in(col, value_set=vs, skip_nulls=False)
+        idx = idx.to_numpy(zero_copy_only=False).astype(np.int64)
+        code = np.unique(code * len(vs) + idx, return_inverse=True)[1].ravel()
+    return code[:n], code[n:]
+
+
+def aggregate_table(
+    t: pa.Table, keys: list[str], aggs: list[tuple[str, str, str]]
+) -> pa.Table:
+    """In-process body of ``exchange_aggregate``: keys then one column
+    per ``(column, function, output_name)`` aggregate, one row per key,
+    sorted by key. ``function`` is an Arrow hash-aggregate name
+    (``sum``, ``min``, ``max``, ``count``, ``mean``, ``count_distinct``
+    …) or ``size`` (rows per key, nulls included). ``sum`` counts an
+    all-null group as 0 and returns int64 for boolean input."""
+    spec = []
+    for col, func, _ in aggs:
+        if func == "size":
+            spec.append(([], "count_all"))
+        elif func == "sum":
+            spec.append((col, "sum", pc.ScalarAggregateOptions(min_count=0)))
+        else:
+            spec.append((col, func))
+    g = t.group_by(keys, use_threads=False).aggregate(spec)
+    # Arrow puts the aggregates and the keys at either end depending on
+    # the version; pick each by position
+    na = len(aggs)
+    lead_keys = g.column_names[: len(keys)] == list(keys)
+    kcols = g.columns[: len(keys)] if lead_keys else g.columns[na:]
+    acols = g.columns[len(keys):] if lead_keys else g.columns[:na]
+    cols, names = list(kcols), list(keys)
+    for (col, func, name), c in zip(aggs, acols):
+        if func == "sum" and pa.types.is_boolean(t.schema.field(col).type):
+            c = c.cast(pa.int64())
+        cols.append(c)
+        names.append(name)
+    return sort_by_keys(pa.Table.from_arrays(cols, names=names), list(keys))
+
+
+def distinct_table(t: pa.Table, keys: list[str]) -> pa.Table:
+    """In-process body of ``exchange_distinct``: the distinct rows of
+    ``t``'s ``keys`` columns, sorted."""
+    st, starts = sorted_runs(t.select(list(keys)), list(keys))
+    return st.take(pa.array(starts[:-1]))
+
+
+def exchange_aggregate(
+    ds: ray.data.Dataset,
+    keys: str | list[str],
+    aggs: list[tuple[str, str, str]],
+    *,
+    out_schema: pa.Schema | None = None,
+) -> ray.data.Dataset:
+    """Keyed aggregate through the hash exchange (SQL ``GROUP BY keys``
+    with the ``aggregate_table`` functions): one ``Table.group_by``
+    per reduce partition. ``keys`` routes as ``hash_exchange_map_groups``'
+    ``key`` does (a single string column named bare routes by its
+    crc32). Pass ``out_schema`` when the input can be empty, so the
+    result is a typed empty table."""
+    cols = [keys] if isinstance(keys, str) else list(keys)
+    aggs = [tuple(a) for a in aggs]
+    return hash_exchange_map_groups(
+        ds,
+        lambda t: aggregate_table(t, cols, aggs),
+        key=keys,
+        out_schema=out_schema,
+    )
+
+
+def exchange_distinct(ds: ray.data.Dataset, keys: str | list[str]) -> ray.data.Dataset:
+    """Distinct rows of ``ds``'s ``keys`` columns through the hash
+    exchange (SQL ``SELECT DISTINCT keys``); null keys are kept."""
+    cols = [keys] if isinstance(keys, str) else list(keys)
+    return hash_exchange_map_groups(
+        ds.select_columns(cols), lambda t: distinct_table(t, cols), key=keys
+    )

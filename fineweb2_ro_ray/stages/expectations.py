@@ -41,8 +41,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..schema import from_pandas_like
-from .exchange import hash_exchange_map_groups
+from .exchange import aggregate_table, hash_exchange_map_groups
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,9 @@ def validate(
                 }
             )
 
-        def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("v", as_index=False, dropna=False)["n"].sum()
-            extra = int((g["n"] - 1).clip(lower=0).sum())
-            return pd.DataFrame({"extra": [extra]})
+        def reduce_part(t: pa.Table) -> pa.Table:
+            n = aggregate_table(t, ["v"], [("n", "sum", "n")])["n"].to_numpy()
+            return pa.table({"extra": [int(np.clip(n - 1, 0, None).sum())]})
 
         extra = int(
             hash_exchange_map_groups(

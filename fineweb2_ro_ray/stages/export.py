@@ -247,7 +247,6 @@ def pack_token_examples(
         frag_ds,
         assemble,
         key="example_id",
-        batch_format="pyarrow",
     )
 
 

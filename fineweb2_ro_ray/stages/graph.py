@@ -23,7 +23,6 @@ find-root, level computation and tree accumulation.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -67,26 +66,26 @@ def tree_depths(
 
     for _ in range(rounds):
 
-        def jump(df: pd.DataFrame) -> pd.DataFrame:
+        def jump(g: pa.Table) -> pa.Table:
             # side 0 = probers keyed on anc; side 1 = targets keyed on
             # node. Every key's rows are co-located: attach the (unique)
             # target's (anc, depth) to all probers of that key.
-            t = df[df["__side"] == 1]
-            p = df[df["__side"] == 0]
-            if p.empty:
-                return pd.DataFrame(
-                    {"node": [], "anc": [], "depth": []}
-                ).astype({"node": "int64", "anc": "int64", "depth": "int64"})
-            lut_anc = dict(zip(t["k"], t["s1_anc"]))
-            lut_d = dict(zip(t["k"], t["s1_depth"]))
-            k = p["k"].to_numpy()
-            new_anc = np.array([lut_anc[x] for x in k], dtype=np.int64)
-            add_d = np.array([lut_d[x] for x in k], dtype=np.int64)
-            return pd.DataFrame(
+            side = g["__side"].to_numpy()
+            t, p = g.filter(pa.array(side == 1)), g.filter(pa.array(side == 0))
+            if p.num_rows == 0:
+                return _STATE.empty_table()
+            tk, pk = t["k"].to_numpy(), p["k"].to_numpy()
+            o = np.argsort(tk, kind="stable")
+            at = o[np.searchsorted(tk[o], pk).clip(0, len(o) - 1)] if len(o) else o
+            if len(at) != len(pk) or not (tk[at] == pk).all():
+                raise KeyError("tree_depths: an ancestor id is not a node")
+            return pa.table(
                 {
-                    "node": p["s0_node"].to_numpy(np.int64),
-                    "anc": new_anc,
-                    "depth": p["s0_depth"].to_numpy(np.int64) + add_d,
+                    "node": p["s0_node"].cast(pa.int64()),
+                    "anc": pa.array(t["s1_anc"].to_numpy()[at], pa.int64()),
+                    "depth": pa.array(
+                        p["s0_depth"].to_numpy() + t["s1_depth"].to_numpy()[at], pa.int64()
+                    ),
                 }
             )
 

@@ -243,7 +243,6 @@ def build_hash_index(
         key="_ipart",
         n_reducers=n_reducers,
         out_schema=_STATS_SCHEMA,
-        batch_format="pyarrow",
     ).to_pandas()
     meta = {
         "n_parts": n_parts,
@@ -291,7 +290,6 @@ def update_index(
         key="_ipart",
         n_reducers=n_reducers,
         out_schema=_STATS_SCHEMA,
-        batch_format="pyarrow",
     ).to_pandas()
     bm = np.load(os.path.join(index_dir, _BLOOM))
     bm = _or_bloom_from_hashes(_snapshot_hashes_ds(index_dir, snapshot), bm, meta["n_hashes"])
@@ -389,7 +387,6 @@ def filter_against_index(
         key="_ipart",
         n_reducers=n_reducers,
         out_schema=orig_schema,
-        batch_format="pyarrow",
     )
     return survivors if passthrough is None else passthrough.union(survivors)
 

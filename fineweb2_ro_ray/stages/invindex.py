@@ -152,7 +152,6 @@ def build_inverted_index(
         write_parts,
         key="part",
         out_schema=stats_schema,
-        batch_format="pyarrow",
     ).to_pandas()
     meta = {
         "n_parts": int(n_parts),

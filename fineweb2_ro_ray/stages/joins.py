@@ -27,7 +27,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
 from ..schema import hash_key_u64
+from .exchange import key_codes
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
@@ -212,7 +214,7 @@ def asof_join(
     from .exchange import hash_exchange_map_groups
 
     return hash_exchange_map_groups(
-        both, per_part, key="part", batch_format="pyarrow", out_schema=out_schema
+        both, per_part, key="part", out_schema=out_schema
     )
 
 
@@ -254,10 +256,7 @@ def range_join(
         if lt.num_rows == 0 or rt.num_rows == 0:
             return out_schema.empty_table()
         nl, nr = lt.num_rows, rt.num_rows
-        codes, _ = pd.factorize(
-            np.concatenate([_col_np(lt, key), _col_np(rt, right_key)]), sort=False
-        )
-        l_codes, r_codes = codes[:nl], codes[nl:]
+        l_codes, r_codes = key_codes(lt, [key], rt, [right_key])
         r_ord = np.lexsort((_col_np(rt, right_start), r_codes))
         r_codes_s = r_codes[r_ord]
         starts_s = _col_np(rt, right_start)[r_ord]
@@ -302,7 +301,7 @@ def range_join(
     from .exchange import hash_exchange_map_groups
 
     return hash_exchange_map_groups(
-        both, per_part, key="part", batch_format="pyarrow", out_schema=out_schema
+        both, per_part, key="part", out_schema=out_schema
     )
 
 
@@ -327,24 +326,33 @@ def _positions_merge_take(
     l_cols: list[str],
     r_cols: list[str],
     out_schema: pa.Schema,
-    rpos: pd.DataFrame | None = None,
 ) -> pa.Table:
     """The equality-join core shared by hash_join and broadcast_join:
-    a positions-only pandas merge (null index for unmatched outer
-    rows), then Arrow ``take`` composition — a null index yields a
-    null row, so no column value ever converts through pandas."""
-    lpos = pd.DataFrame({f"k{i}": lt[c].to_pandas() for i, c in enumerate(kl)})
-    lpos["li"] = np.arange(lt.num_rows, dtype=np.int64)
-    if rpos is None:
-        rpos = pd.DataFrame({f"k{i}": rt[c].to_pandas() for i, c in enumerate(rkl)})
-        rpos["ri"] = np.arange(rt.num_rows, dtype=np.int64)
-    pairs = lpos.merge(
-        rpos,
-        on=[f"k{i}" for i in range(len(kl))],
-        how={"full": "outer"}.get(how, how),
-    )
-    li = pa.array(pairs["li"].to_numpy(), type=pa.int64(), from_pandas=True)
-    ri = pa.array(pairs["ri"].to_numpy(), type=pa.int64(), from_pandas=True)
+    (left_pos, right_pos) index pairs from shared key codes (null index
+    for unmatched outer rows), then Arrow ``take`` composition — a null
+    index yields a null row, so no column value changes type."""
+    lcode, rcode = key_codes(lt, kl, rt, rkl)
+    ro = np.argsort(rcode, kind="stable")
+    rs = rcode[ro]
+    lo = np.searchsorted(rs, lcode, "left")
+    cnt = np.searchsorted(rs, lcode, "right") - lo
+    keep_l = how in ("left", "full")
+    # one output row per match, or one null-padded row per unmatched
+    # left row of an outer join; left order, right matches in order
+    per = np.maximum(cnt, 1) if keep_l else cnt
+    li = np.repeat(np.arange(lt.num_rows, dtype=np.int64), per)
+    at = np.arange(len(li), dtype=np.int64) - np.repeat(np.cumsum(per) - per, per)
+    hit = cnt[li] > 0
+    ri = np.where(hit, ro[np.minimum(lo[li] + at, len(ro) - 1)], -1)
+    l_null = np.zeros(len(li), bool)
+    if how in ("right", "full"):
+        r_only = np.setdiff1d(np.arange(rt.num_rows), ri[hit])
+        li = np.append(li, np.zeros(len(r_only), np.int64))
+        ri = np.append(ri, r_only)
+        l_null = np.append(l_null, np.ones(len(r_only), bool))
+        hit = np.append(hit, np.ones(len(r_only), bool))
+    li = pa.array(li, pa.int64(), mask=l_null)
+    ri = pa.array(ri, pa.int64(), mask=~hit)
     cols = {c: pc.take(lt[c], li) for c in l_cols}
     cols.update({c: pc.take(rt[c], ri) for c in r_cols})
     return pa.table(cols).cast(out_schema)
@@ -366,7 +374,7 @@ def hash_join(
     dominates small and mid-size joins. Same single-shuffle shape as
     asof/range: pad both sides to the superset schema, ONE
     identically-keyed exchange, then per partition resolve (left_pos,
-    right_pos) index pairs with one positions-only ``pd.merge`` and
+    right_pos) index pairs with one positions-only key-code match and
     compose the output with Arrow ``take`` — a null right index yields
     a null row, so LEFT-join padding never round-trips int64 through
     float64 (the dtype trap ``_split_sides_arrow`` documents). NULL equality
@@ -410,13 +418,8 @@ def hash_join(
                 return out_schema.empty_table()
             if rt.num_rows == 0:
                 return lt.cast(out_schema) if how == "anti" else out_schema.empty_table()
-            lkeys = pd.DataFrame({f"k{i}": lt[c].to_pandas() for i, c in enumerate(kl)})
-            rkeys = pd.DataFrame(
-                {f"k{i}": rt[c].to_pandas() for i, c in enumerate(rkl)}
-            ).drop_duplicates()
-            on = [f"k{i}" for i in range(len(kl))]
-            hit = lkeys.merge(rkeys, on=on, how="left", indicator=True)["_merge"]
-            mask = (hit == "both").to_numpy()
+            lcode, rcode = key_codes(lt, kl, rt, rkl)
+            mask = np.isin(lcode, rcode)
             if how == "anti":
                 mask = ~mask
             return lt.filter(pa.array(mask)).cast(out_schema)
@@ -435,7 +438,6 @@ def hash_join(
         both,
         lambda g: done(per_part(g)),
         key="part",
-        batch_format="pyarrow",
         out_schema=done(out_schema.empty_table()).schema,
     )
     if how == "anti":
@@ -529,26 +531,17 @@ def broadcast_join(
     assert not overlap, f"rename overlapping columns first: {overlap}"
     out_fields = [l_schema.field(c) for c in l_cols] + [rt.schema.field(c) for c in r_cols]
     out_schema = pa.schema(out_fields)
-    # ship the build table AND its precomputed key frame once — the key
-    # frame would otherwise be rebuilt per left batch
-    rpos0 = pd.DataFrame({f"k{i}": rt[c].to_pandas() for i, c in enumerate(rkl)})
-    rpos0["ri"] = np.arange(rt.num_rows, dtype=np.int64)
-    rref = ray.put((rt, rpos0))
+    rref = ray.put(rt)
 
     def per_batch(b: pa.Table) -> pa.Table:
-        # worker-local memo: ray.get of the tuple re-unpickles the
-        # pandas key frame on every call otherwise (O(build_rows) per
-        # left batch)
-        rt, rpos = _broadcast_cached_get(rref)
+        rt = _broadcast_cached_get(rref)
         anynull = pc.is_null(b[kl[0]])
         for kc in kl[1:]:
             anynull = pc.or_(anynull, pc.is_null(b[kc]))
         lt = b.filter(pc.invert(anynull))
         nullk = b.filter(anynull) if how == "left" else None
         if lt.num_rows and rt.num_rows:
-            out = _positions_merge_take(
-                lt, rt, kl, rkl, how, l_cols, r_cols, out_schema, rpos=rpos
-            )
+            out = _positions_merge_take(lt, rt, kl, rkl, how, l_cols, r_cols, out_schema)
         elif lt.num_rows and how == "left":  # empty build side
             out = _null_padded(lt, l_cols, out_schema)
         else:
@@ -565,8 +558,8 @@ _BROADCAST_CACHE: dict[str, tuple] = {}
 
 def _broadcast_cached_get(ref):
     """Per-worker-process cache of deserialized broadcast build sides
-    (the Arrow table is zero-copy, but the key frame unpickles on every
-    ``ray.get``). Bounded: a handful of live joins at a time."""
+    (one ``ray.get`` per worker instead of one per batch). Bounded: a
+    handful of live joins at a time."""
     k = ref.hex()
     v = _BROADCAST_CACHE.get(k)
     if v is None:
@@ -594,8 +587,8 @@ def cogroup(
     ``k``, a ``__side`` int8 tag, and every non-key column renamed
     ``s{i}_{name}`` (other sides' columns ride as nulls — thin, since
     null columns cost bits, not values). ``fn`` is partition-local and
-    key-complete over that layout (pandas frame), same contract as
-    ``hash_exchange_map_groups``.
+    key-complete over that layout (an Arrow table in, an Arrow table
+    out), same contract as ``hash_exchange_map_groups``.
     """
     from ..stages.exchange import hash_exchange_map_groups
 
@@ -672,17 +665,7 @@ def interval_overlap_join(
         lt, rt = _split_sides_arrow(g, l_cols, r_cols)
         if lt.num_rows == 0 or rt.num_rows == 0:
             return out_schema.empty_table()
-        # shared key factorization across both sides
-        lk = pd.factorize(
-            pd.concat(
-                [
-                    pd.Series(_col_np(lt, key)),
-                    pd.Series(_col_np(rt, right_key)),
-                ],
-                ignore_index=True,
-            )
-        )[0]
-        lcode, rcode = lk[: lt.num_rows], lk[lt.num_rows :]
+        lcode, rcode = key_codes(lt, [key], rt, [right_key])
         rs = _col_np(rt, right_start)
         re_ = _col_np(rt, right_end)
         order = np.lexsort((rs, rcode))
@@ -728,5 +711,5 @@ def interval_overlap_join(
     from .exchange import hash_exchange_map_groups
 
     return hash_exchange_map_groups(
-        both, per_part, key="part", batch_format="pyarrow", out_schema=out_schema
+        both, per_part, key="part", out_schema=out_schema
     )

@@ -55,7 +55,7 @@ import ray
 import ray.data
 
 from .boilerplate import _split_col
-from .exchange import hash_exchange_map_groups
+from .exchange import exchange_aggregate, hash_exchange_map_groups
 
 _COUNT1_SCHEMA = pa.schema([("w", pa.string()), ("n", pa.int64())])
 _COUNT2_SCHEMA = pa.schema(
@@ -73,14 +73,6 @@ def _batch_words(t: pa.Table, text_col: str) -> tuple[pa.Array, np.ndarray]:
     return flat.filter(keep), parents[keep_np]
 
 
-def _sum_counts(keys: list[str]):
-    def f(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate([("n", "sum")])
-        return g.rename_columns(keys + ["n"])
-
-    return f
-
-
 def unigram_counts(
     ds: ray.data.Dataset, *, text_col: str = "text", min_count: int = 1
 ) -> ray.data.Dataset:
@@ -94,12 +86,11 @@ def unigram_counts(
         g = pa.table({"w": flat}).group_by("w").aggregate([("w", "count")])
         return pa.table({"w": g["w"], "n": g["w_count"].cast(pa.int64())})
 
-    out = hash_exchange_map_groups(
+    out = exchange_aggregate(
         ds.map_batches(uni_partials, batch_format="pyarrow"),
-        _sum_counts(["w"]),
-        key="w",
+        "w",
+        [("n", "sum", "n")],
         out_schema=_COUNT1_SCHEMA,
-        batch_format="pyarrow",
     )
     if min_count > 1:
         out = out.map_batches(
@@ -134,12 +125,11 @@ def bigram_counts(
             {"w1": g["w1"], "w2": g["w2"], "n": g["w1_count"].cast(pa.int64())}
         )
 
-    out = hash_exchange_map_groups(
+    out = exchange_aggregate(
         ds.map_batches(bi_partials, batch_format="pyarrow"),
-        _sum_counts(["w1", "w2"]),
-        key=["w1", "w2"],
+        ["w1", "w2"],
+        [("n", "sum", "n")],
         out_schema=_COUNT2_SCHEMA,
-        batch_format="pyarrow",
     )
     if min_count > 1:
         out = out.map_batches(
@@ -194,12 +184,11 @@ def gram_counts(
         )
         return pa.concat_tables([uni, bi])
 
-    return hash_exchange_map_groups(
+    return exchange_aggregate(
         ds.map_batches(partials, batch_format="pyarrow"),
-        _sum_counts(["w1", "w2"]),
-        key=["w1", "w2"],
+        ["w1", "w2"],
+        [("n", "sum", "n")],
         out_schema=_GRAM_SCHEMA,
-        batch_format="pyarrow",
     )
 
 
@@ -429,7 +418,6 @@ def save_lm_artifact(
         write_parts,
         key="part",
         out_schema=stats_schema,
-        batch_format="pyarrow",
     ).to_pandas()
     # V (pruned vocab size) — needed by the exchange-join scorer's
     # add-alpha denominator; distributed count over the (materialized-
@@ -708,14 +696,12 @@ def score_word_bigram_exchange(
         key="w1",
         n_reducers=n_parts,
         out_schema=part_schema,
-        batch_format="pyarrow",
     )
     return hash_exchange_map_groups(
         partials.union(seed_ds),
         per_doc,
         key="doc",
         out_schema=pa.schema([(id_col, id_type), (out_col, pa.float64())]),
-        batch_format="pyarrow",
     )
 
 

@@ -28,15 +28,13 @@ import json
 import os
 import shutil
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
 from ..state.checkpoint import add_partition_column
-from .exchange import hash_exchange_map_groups
+from .exchange import aggregate_table, hash_exchange_map_groups, sorted_runs
 from .incremental import _atomic_write
 
 _META = "meta.json"
@@ -78,18 +76,18 @@ def build_counts_view(
         batch_format="pyarrow",
     )
 
-    def write_parts(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for p, g in df.groupby("part"):
-            m = g.groupby("key", as_index=False)["n"].sum().sort_values("key")
+    def write_parts(t: pa.Table) -> pa.Table:
+        st, starts = sorted_runs(t, ["part"])
+        parts, rows = [], []
+        for a, b in zip(starts[:-1], starts[1:]):
+            p = st["part"][int(a)].as_py()
+            m = aggregate_table(st.slice(a, b - a), ["key"], [("n", "sum", "n")])
             d = os.path.join(path, f"part={int(p):05d}")
             os.makedirs(d, exist_ok=True)
-            _atomic_write(
-                pa.Table.from_pandas(m, preserve_index=False).cast(_VIEW_SCHEMA),
-                os.path.join(d, "counts.parquet"),
-            )
-            rows.append((int(p), len(m)))
-        return pd.DataFrame(rows, columns=["part", "rows"])
+            _atomic_write(m.cast(_VIEW_SCHEMA), os.path.join(d, "counts.parquet"))
+            parts.append(int(p))
+            rows.append(m.num_rows)
+        return pa.table({"part": parts, "rows": rows}, schema=stats_schema)
 
     stats_schema = pa.schema([("part", pa.int64()), ("rows", pa.int64())])
     hash_exchange_map_groups(
@@ -114,31 +112,33 @@ def refresh_counts_view(path: str, deltas: ray.data.Dataset) -> None:
         batch_format="pyarrow",
     )
 
-    def apply_part(df: pd.DataFrame) -> pd.DataFrame:
+    def apply_part(t: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        rows = []
-        for p, g in df.groupby("part"):
-            d = g.groupby("key", as_index=False)["dn"].sum()
+        t = t.filter(pc.is_valid(t["key"]))
+        st, starts = sorted_runs(t, ["part"])
+        parts, rows = [], []
+        for a, b in zip(starts[:-1], starts[1:]):
+            p = st["part"][int(a)].as_py()
+            g = st.slice(a, b - a)
+            d = pa.table({"key": g["key"], "n": pc.cast(g["dn"], pa.int64())})
             f = os.path.join(path, f"part={int(p):05d}", "counts.parquet")
             cur = (
-                pq.read_table(f).to_pandas()
+                pq.read_table(f, columns=["key", "n"]).cast(_VIEW_SCHEMA)
                 if os.path.exists(f)
-                else pd.DataFrame({"key": [], "n": []})
+                else _VIEW_SCHEMA.empty_table()
             )
-            m = cur.merge(d, on="key", how="outer")
-            m["n"] = m["n"].fillna(0).astype("int64") + m["dn"].fillna(0).astype(
-                "int64"
+            m = aggregate_table(
+                pa.concat_tables([cur, d.cast(_VIEW_SCHEMA)]),
+                ["key"],
+                [("n", "sum", "n")],
             )
-            m = m[m["n"] > 0][["key", "n"]].sort_values("key")
-            dd = os.path.dirname(f)
-            os.makedirs(dd, exist_ok=True)
-            _atomic_write(
-                pa.Table.from_pandas(m, preserve_index=False).cast(_VIEW_SCHEMA),
-                f,
-            )
-            rows.append((int(p), len(m)))
-        return pd.DataFrame(rows, columns=["part", "rows"])
+            m = m.filter(pc.greater(m["n"], 0))
+            os.makedirs(os.path.dirname(f), exist_ok=True)
+            _atomic_write(m.cast(_VIEW_SCHEMA), f)
+            parts.append(int(p))
+            rows.append(m.num_rows)
+        return pa.table({"part": parts, "rows": rows}, schema=stats_schema)
 
     stats_schema = pa.schema([("part", pa.int64()), ("rows", pa.int64())])
     hash_exchange_map_groups(

@@ -174,13 +174,10 @@ def cap_per_key(
     semi-join the survivors back, the same pattern as
     stages.dedup.exact_dedup. Null keys form one group (capped like any
     other)."""
-    from .exchange import hash_exchange_map_groups
+    from .exchange import hash_exchange_map_groups, run_rank, sorted_runs
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values([key] + order_by, kind="mergesort")
-            .groupby(key, dropna=False)
-            .head(k)
-        )
+    def per_part(t: pa.Table) -> pa.Table:
+        st, starts = sorted_runs(t, [key], [(c, "ascending") for c in order_by])
+        return st.filter(pa.array(run_rank(starts) < k))
 
     return hash_exchange_map_groups(ds, per_part, key=key)

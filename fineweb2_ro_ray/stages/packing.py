@@ -46,14 +46,13 @@ is consistent), so the cross-range order stays exact.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-from .exchange import hash_exchange_map_groups
+from .exchange import hash_exchange_map_groups, sorted_runs
 from .sketches import quantile_sketch
 
 
@@ -146,22 +145,24 @@ def pack_spans(
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.float64)
         return b.append_column("range_id", pa.array(_range_ids(ids, bd), pa.int64()))
 
-    def scan(df: pd.DataFrame) -> pd.DataFrame:
+    def scan(t: pa.Table) -> pa.Table:
         bs = ray.get(base_ref)
-        df = df.sort_values(["range_id", order_col], kind="mergesort", ignore_index=True)
-        n = df[n_col].to_numpy(np.int64)
+        t, starts = sorted_runs(t, ["range_id"], [(order_col, "ascending")])
+        n = t[n_col].to_numpy(zero_copy_only=False).astype(np.int64)
         cum = np.cumsum(n) - n  # exclusive local cumsum
-        rid = df["range_id"].to_numpy(np.int64)
+        rid = t["range_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         # restart the local cumsum at each range boundary, add its base
-        starts = np.flatnonzero(np.diff(rid, prepend=rid[0] - 1))
-        cum = cum - np.repeat(cum[starts], np.diff(np.append(starts, len(rid))))
+        cum = cum - np.repeat(cum[starts[:-1]], np.diff(starts))
         tok_start = cum + bs[rid]
-        out = df[names].copy()
-        out[n_col] = n
-        out["tok_start"] = tok_start
-        out["pack_first"] = tok_start // budget
-        out["pack_last"] = (tok_start + n - 1) // budget
-        return out
+        out = t.select(names)
+        out = out.set_column(names.index(n_col), n_col, pa.array(n, pa.int64()))
+        return (
+            out.append_column("tok_start", pa.array(tok_start, pa.int64()))
+            .append_column("pack_first", pa.array(tok_start // budget, pa.int64()))
+            .append_column(
+                "pack_last", pa.array((tok_start + n - 1) // budget, pa.int64())
+            )
+        )
 
     return hash_exchange_map_groups(
         thin.map_batches(tag, batch_format="pyarrow"),

@@ -30,14 +30,18 @@ side into a disjoint id range.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
 
-from ..schema import from_pandas_like
-from .exchange import hash_exchange_map_groups
+from .exchange import (
+    aggregate_table,
+    exchange_aggregate,
+    exchange_distinct,
+    hash_exchange_map_groups,
+    sorted_runs,
+)
 
 SCALE = 10**12
 
@@ -49,14 +53,7 @@ def distinct_edges(ds: ray.data.Dataset, src: str = "src", dst: str = "dst") -> 
     def local(b: pa.Table) -> pa.Table:
         return b.select([src, dst]).group_by([src, dst]).aggregate([])
 
-    def reduce_distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates([src, dst], ignore_index=True)
-
-    return hash_exchange_map_groups(
-        ds.map_batches(local, batch_format="pyarrow"),
-        reduce_distinct,
-        key=src,
-    )
+    return exchange_distinct(ds.map_batches(local, batch_format="pyarrow"), [src, dst])
 
 
 def pagerank(
@@ -72,11 +69,10 @@ def pagerank(
     e = distinct_edges(edges, src, dst)
 
     # attach out-degree to each edge row once: (src, dst, d)
-    def deg_reduce(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.groupby(src)[dst].transform("size").astype("int64")
-        out = df.copy()
-        out["d"] = d
-        return out
+    def deg_reduce(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, [src])
+        lens = np.diff(starts)
+        return t.append_column("d", pa.array(np.repeat(lens, lens), pa.int64()))
 
     ewd = hash_exchange_map_groups(e, deg_reduce, key=src).materialize()
 
@@ -90,13 +86,8 @@ def pagerank(
         )
         return pa.table({"id": ids}).group_by(["id"]).aggregate([])
 
-    def nodes_reduce(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["id"], ignore_index=True)
-
-    nodes = hash_exchange_map_groups(
-        ewd.map_batches(nodes_local, batch_format="pyarrow"),
-        nodes_reduce,
-        key="id",
+    nodes = exchange_distinct(
+        ewd.map_batches(nodes_local, batch_format="pyarrow"), "id"
     ).materialize()  # thin (id) rows; re-joined every iteration
 
     def init(b: pa.Table) -> pa.Table:
@@ -127,20 +118,13 @@ def pagerank(
             r = b["r"].to_numpy(zero_copy_only=False).astype(np.int64)
             d = b["d"].to_numpy(zero_copy_only=False).astype(np.int64)
             c = (85 * r) // (100 * d)
-            df = pd.DataFrame(
-                {"id": b[dst].to_numpy(zero_copy_only=False).astype(np.int64), "c": c}
+            ids = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+            return aggregate_table(
+                pa.table({"id": ids, "c": c}), ["id"], [("c", "sum", "c")]
             )
-            out = df.groupby("id", as_index=False)["c"].sum()
-            return from_pandas_like(out, pa.table({"id": out["id"].to_numpy()}))
 
         partials = j.map_batches(contrib_partial, batch_format="pyarrow")
-
-        def sum_contrib(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.groupby("id", as_index=False)["c"].sum()
-            out["c"] = out["c"].astype("int64")
-            return out
-
-        sums = hash_exchange_map_groups(partials, sum_contrib, key="id")
+        sums = exchange_aggregate(partials, "id", [("c", "sum", "c")])
 
         def csum(b: pa.Table) -> pa.Table:
             return pa.table({"_cs": b["id"], "c": b["c"]})

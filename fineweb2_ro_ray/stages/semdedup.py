@@ -257,7 +257,6 @@ def semdedup_flags(
         key="cluster",
         n_reducers=n_reducers,
         out_schema=out_schema,
-        batch_format="pyarrow",
     )
 
 

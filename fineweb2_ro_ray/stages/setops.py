@@ -14,8 +14,8 @@ INTERSECT/EXCEPT): pandas ``dropna=False`` groupbys keep them.
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -40,15 +40,15 @@ def _tagged_union(
 def _setop(
     a: ray.data.Dataset, b: ray.data.Dataset, cols: list[str], want: str
 ) -> ray.data.Dataset:
-    from .exchange import hash_exchange_map_groups
+    from .exchange import aggregate_table, hash_exchange_map_groups
 
-    def reduce(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(cols, as_index=False, dropna=False)[_TAG].agg(["min", "max"])
+    def reduce(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, cols, [(_TAG, "min", "lo"), (_TAG, "max", "hi")])
         if want == "intersect":
-            keep = (g["min"] == 0) & (g["max"] == 1)
+            keep = pc.and_(pc.equal(g["lo"], 0), pc.equal(g["hi"], 1))
         else:  # except: in a, never in b
-            keep = g["max"] == 0
-        return g.loc[keep, cols]
+            keep = pc.equal(g["hi"], 0)
+        return g.filter(keep).select(cols)
 
     return hash_exchange_map_groups(_tagged_union(a, b, cols), reduce, key=cols)
 

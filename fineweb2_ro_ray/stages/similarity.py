@@ -244,7 +244,7 @@ def embedding_neardup_lsh(
     # Only the distinct involved-id list touches the driver (8 B/doc,
     # linear in duplicated docs), to broadcast-filter the corpus.
     from .dedup import attach_payload_exchange, distinct_pair_ids
-    from .exchange import hash_exchange_map_groups
+    from .exchange import distinct_table, hash_exchange_map_groups
 
     empty = pa.table(
         {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
@@ -261,17 +261,13 @@ def embedding_neardup_lsh(
         ),
         bucket_pairs,
         key="bucket",
-        batch_format="pyarrow",
         out_schema=cand_schema,
     ).map_batches(
-        lambda b: pa.Table.from_pandas(
-            b.to_pandas().drop_duplicates(), preserve_index=False
-        ).replace_schema_metadata(None),
-        batch_format="pyarrow",
+        lambda b: distinct_table(b, ["vec_a", "vec_b"]), batch_format="pyarrow"
     )
     cand = hash_exchange_map_groups(
         raw,
-        lambda df: df.drop_duplicates(),
+        lambda t: distinct_table(t, ["vec_a", "vec_b"]),
         key=["vec_a", "vec_b"],
         out_schema=cand_schema,
     ).materialize()  # consumed twice (involved-id scan + attach)

@@ -25,7 +25,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
 from ..schema import from_pandas_clean
+from .exchange import exchange_aggregate, hash_exchange_map_groups, sorted_runs
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -182,8 +184,6 @@ def approx_distinct_by(
     at 100 TB this is what makes per-domain / per-language cardinality
     affordable. Same estimator/error as :func:`approx_distinct`
     (~1.04/sqrt(2^p)). Returns (key, approx_distinct)."""
-    from .exchange import hash_exchange_map_groups
-
     m = 1 << p
     sub = ds.select_columns([key, col])
 
@@ -228,27 +228,19 @@ def approx_distinct_by(
     )
 
     def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        rows = []
-        for kval, g in df.groupby(key, dropna=False, sort=False):
-            regs = np.maximum.reduce(
-                [np.asarray(r, dtype=np.uint8) for r in g["regs"]]
-            )
-            # pandas surfaces the NULL-key group as NaN; restore None
-            # so the Arrow cast back to the key type doesn't choke
-            rows.append((None if pd.isna(kval) else kval, hll_estimate(regs)))
+        st, starts = sorted_runs(t.select([key, "regs"]), [key])
+        regs = st["regs"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
+        regs = np.maximum.reduceat(regs.reshape(st.num_rows, m), starts[:-1], axis=0)
         return pa.table(
             {
-                key: pa.array([r[0] for r in rows], t[key].type),
+                key: st[key].take(pa.array(starts[:-1])),
                 "approx_distinct": pa.array(
-                    [r[1] for r in rows], pa.float64()
+                    [hll_estimate(r) for r in regs], pa.float64()
                 ),
             }
         )
 
-    return hash_exchange_map_groups(
-        partials, merge, key=key, out_schema=out_schema, batch_format="pyarrow"
-    )
+    return hash_exchange_map_groups(partials, merge, key=key, out_schema=out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +278,6 @@ def heavy_hitters_exact(
     """
     import ray as _ray
 
-    from .exchange import hash_exchange_map_groups
-
     def _flat_tokens(b: pa.Table) -> pa.Array:
         text = b[text_col]
         if isinstance(text, pa.ChunkedArray):
@@ -321,10 +311,8 @@ def heavy_hitters_exact(
     partials = ds.select_columns([text_col]).map_batches(
         cand_partial, batch_format="pyarrow"
     )
-    merged = hash_exchange_map_groups(
-        partials,
-        lambda df: df.groupby("word", as_index=False, dropna=False)["partial_n"].sum(),
-        key="word",
+    merged = exchange_aggregate(
+        partials, "word", [("partial_n", "sum", "partial_n")]
     ).to_pandas()
     total = int(merged.loc[merged["word"].isna(), "partial_n"].sum())
     cand_words = merged.loc[merged["word"].notna(), "word"].to_numpy()
@@ -350,10 +338,10 @@ def heavy_hitters_exact(
             }
         )
 
-    exact = hash_exchange_map_groups(
+    exact = exchange_aggregate(
         ds.select_columns([text_col]).map_batches(recount, batch_format="pyarrow"),
-        lambda df: df.groupby("word", as_index=False)["partial_n"].sum(),
-        key="word",
+        "word",
+        [("partial_n", "sum", "partial_n")],
     )
 
     def hh_filter(b: pa.Table) -> pa.Table:
@@ -410,8 +398,6 @@ def quantile_sketch(
     shuffled: m per batch, never the column. No RNG anywhere — the
     summary is bit-stable across batch sizes and cluster layouts.
     Output: one row per q with columns (q, value)."""
-    from .exchange import hash_exchange_map_groups
-
     def partial(b: pa.Table) -> pa.Table:
         v = b[col].to_numpy(zero_copy_only=False).astype(np.float64)
         v = v[~np.isnan(v)]
@@ -430,11 +416,13 @@ def quantile_sketch(
 
     partials = ds.select_columns([col]).map_batches(partial, batch_format="pyarrow")
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(t: pa.Table) -> pa.Table:
         vals, wts = _prune_summary(
-            df["v"].to_numpy(), df["w"].to_numpy().astype(np.int64), m
+            t["v"].to_numpy(), t["w"].to_numpy().astype(np.int64), m
         )
-        return pd.DataFrame({"v": vals, "w": wts.astype(np.int64)})
+        return pa.table(
+            {"v": pa.array(vals, pa.float64()), "w": pa.array(wts, pa.int64())}
+        )
 
     merged = hash_exchange_map_groups(partials, merge, key="salt").to_pandas()
     if len(merged) == 0 or "v" not in merged.columns:
@@ -500,13 +488,14 @@ def grouped_quantile_sketch(
         [(group_col, pa.string()), ("q", pa.float64()), ("value", pa.float64())]
     )
 
-    def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
+    def reduce_part(t: pa.Table) -> pa.Table:
         out = []
-        for g, sub in df.groupby("g", sort=False):
-            sub = sub.sort_values("v", kind="mergesort")
-            vals, wts = _prune_summary(
-                sub["v"].to_numpy(), sub["w"].to_numpy().astype(np.int64), 4 * m
-            )
+        st, starts = sorted_runs(t, ["g"], [("v", "ascending")])
+        v_all = st["v"].to_numpy()
+        w_all = st["w"].to_numpy().astype(np.int64)
+        for a, b in zip(starts[:-1], starts[1:]):
+            g = st["g"][int(a)].as_py()
+            vals, wts = _prune_summary(v_all[a:b], w_all[a:b], 4 * m)
             cum = np.cumsum(wts).astype(np.float64)
             total = cum[-1]
             for q in qs:
@@ -517,10 +506,9 @@ def grouped_quantile_sketch(
                     )
                 )
                 out.append((g, float(q), float(vals[i])))
-        o = pd.DataFrame(out, columns=[group_col, "q", "value"])
-        return o
-
-    from .exchange import hash_exchange_map_groups
+        return pa.Table.from_pylist(
+            [dict(zip([group_col, "q", "value"], r)) for r in out], schema=out_schema
+        )
 
     return (
         hash_exchange_map_groups(

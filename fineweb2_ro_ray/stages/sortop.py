@@ -147,7 +147,6 @@ def sample_sort(
         key=route,
         n_reducers=p,
         out_schema=base if isinstance(base, pa.Schema) else None,
-        batch_format="pyarrow",
     )
     if rank_col is None:
         return out

@@ -49,7 +49,7 @@ import ray.data
 
 from ..schema import from_pandas_clean
 from .boilerplate import _rebuild, _split_col
-from .exchange import hash_exchange_map_groups
+from .exchange import hash_exchange_map_groups, sorted_runs
 
 # 16-char hash keys -> two INDEPENDENT 64-bit word-hash families
 _H1_KEY = "fineweb2_spans_1"
@@ -215,7 +215,6 @@ def duplicated_grams(
             key="g1",
             n_reducers=n_reducers,
             out_schema=_DUP_SCHEMA,
-            batch_format="pyarrow",
         )
 
     id_type = ds.schema().base_schema.field(id_col).type
@@ -228,21 +227,18 @@ def duplicated_grams(
         ]
     )
 
-    def tot_canon(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["g1", "g2", "cid", "cstart"], kind="mergesort")
-        g = df.groupby(["g1", "g2"], as_index=False, sort=False).agg(
-            n=("n", "sum"), cid=("cid", "first"), cstart=("cstart", "first")
+    def tot_canon(t: pa.Table) -> pa.Table:
+        st, starts = sorted_runs(
+            t, ["g1", "g2"], [("cid", "ascending"), ("cstart", "ascending")]
         )
-        g = g[g["n"] >= min_count]
-        return g[["g1", "g2", "cid", "cstart"]].reset_index(drop=True)
+        n = np.add.reduceat(st["n"].to_numpy(), starts[:-1])
+        first = st.take(pa.array(starts[:-1]))
+        return first.filter(pa.array(n >= min_count)).select(
+            ["g1", "g2", "cid", "cstart"]
+        )
 
     return hash_exchange_map_groups(
-        cnt,
-        tot_canon,
-        key="g1",
-        n_reducers=n_reducers,
-        out_schema=out_schema,
-        batch_format="pandas",
+        cnt, tot_canon, key="g1", n_reducers=n_reducers, out_schema=out_schema
     )
 
 
@@ -452,5 +448,4 @@ def remove_duplicate_spans(
         key=id_col,
         n_reducers=n_reducers,
         out_schema=out_schema,
-        batch_format="pyarrow",
     )

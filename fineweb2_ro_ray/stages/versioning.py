@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..schema import hash_key_u64
-from .exchange import hash_exchange_map_groups
+from .exchange import hash_exchange_map_groups, sorted_runs
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -130,7 +130,6 @@ def snapshot_diff(
         thin,
         per_part,
         key="__key",
-        batch_format="pyarrow",
         n_reducers=n_reducers,
     )
     return out.map_batches(
@@ -159,8 +158,6 @@ def apply_changeset(
     A key with MULTIPLE change rows is ambiguous (which write wins is
     an upstream ordering question, not something a batch merge should
     guess) — the kernel raises with the offending keys named."""
-    import pandas as pd
-
     base_cols = base.schema().names
     payload = [c for c in base_cols if c != key]
 
@@ -189,21 +186,21 @@ def apply_changeset(
         changes.map_batches(tag(1), batch_format="pyarrow")
     )
 
-    def merge_part(df: pd.DataFrame) -> pd.DataFrame:
-        ch = df[df["__side"] == 1]
-        dup = ch[key][ch[key].duplicated()]
+    def merge_part(t: pa.Table) -> pa.Table:
+        ch, cstarts = sorted_runs(
+            t.filter(pc.equal(t["__side"], 1)).select([key]), [key]
+        )
+        dup = np.flatnonzero(np.diff(cstarts) > 1)
         if len(dup):
             raise ValueError(
                 f"apply_changeset: multiple change rows for key(s) "
-                f"{sorted(set(dup))[:5]} — resolve upstream (e.g. keep "
-                "max-seq per key) before merging"
+                f"{sorted(ch[key].take(pa.array(cstarts[dup])).to_pylist())[:5]}"
+                " — resolve upstream (e.g. keep max-seq per key) before merging"
             )
-        d = df.sort_values([key, "__side"], kind="stable")
-        d = d.drop_duplicates(subset=[key], keep="last")
-        d = d[d["__op"] != "delete"]
-        return d[base_cols]
-
-    from .exchange import hash_exchange_map_groups
+        st, starts = sorted_runs(t, [key], [("__side", "ascending")])
+        last = st.take(pa.array(starts[1:] - 1))
+        last = last.filter(pc.fill_null(pc.not_equal(last["__op"], "delete"), True))
+        return last.select(base_cols)
 
     base_arrow = pa.schema(
         [

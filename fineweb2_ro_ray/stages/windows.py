@@ -16,13 +16,12 @@ inside the partition, window with vectorized pandas.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from .analysis import grouped_counts
+from .analysis import grouped_counts, strftime_seconds
 
 
 def tumbling_counts(
@@ -81,22 +80,47 @@ def session_windows(
     """Gap-based sessions per key: a new session starts when the time
     since the previous event of the same key exceeds ``gap``.
     Output: (key, session_id, n_events, start, end) with string
-    timestamps. Hash-partitioned per-partition vectorized pandas (same
-    amortization as conversation reassembly)."""
-    gap = pd.Timedelta(minutes=gap_min)
+    timestamps. Hash-partitioned per-partition vectorized Arrow/numpy
+    (same amortization as conversation reassembly). Null keys are
+    dropped; a null timestamp joins its key's last session."""
+    gap = gap_min * 60_000_000
+    from .exchange import hash_exchange_map_groups, run_rank, sorted_runs
 
-    def sessions(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col], kind="mergesort")
-        prev_ts = df.groupby(key, sort=False)[ts_col].shift(1)
-        new_sess = (df[ts_col] - prev_ts > gap) | prev_ts.isna()
-        df["session_id"] = new_sess.groupby(df[key], sort=False).cumsum().astype(np.int64) - 1
-        g = df.groupby([key, "session_id"], sort=True)
-        out = g.agg(n_events=(ts_col, "size"), start=(ts_col, "min"), end=(ts_col, "max")).reset_index()
-        out["start"] = out["start"].dt.strftime("%Y-%m-%d %H:%M:%S")
-        out["end"] = out["end"].dt.strftime("%Y-%m-%d %H:%M:%S")
-        return out
+    def fmt(us: np.ndarray, valid: np.ndarray) -> pa.Array:
+        return strftime_seconds(pa.array(us, pa.timestamp("us"), mask=~valid))
 
-    from .exchange import hash_exchange_map_groups
+    def sessions(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[key]))
+        t, starts = sorted_runs(t, [key], [(ts_col, "ascending")])
+        tsa = pc.cast(t[ts_col], pa.timestamp("us")).combine_chunks()
+        ok = tsa.is_valid().to_numpy(zero_copy_only=False)
+        ts = tsa.fill_null(0).cast(pa.int64()).to_numpy()
+        rank = run_rank(starts)
+        prev_ok = np.zeros(len(ts), bool)
+        prev_ok[1:] = ok[:-1]
+        prev_ok &= rank > 0
+        step = np.zeros(len(ts), np.int64)
+        step[1:] = ts[1:] - ts[:-1]
+        new = ~prev_ok | (ok & (step > gap))
+        # session number = running count of starts, restarted per key
+        cum = np.cumsum(new)
+        sid = cum - np.repeat(cum[starts[:-1]], np.diff(starts))
+        # runs of equal (key, session) are contiguous: aggregate per run
+        s_starts = np.append(np.flatnonzero(new), len(ts))
+        lens = np.diff(s_starts)
+        big = np.iinfo(np.int64).max
+        lo = np.minimum.reduceat(np.where(ok, ts, big), s_starts[:-1])
+        hi = np.maximum.reduceat(np.where(ok, ts, -big), s_starts[:-1])
+        has = np.add.reduceat(ok.astype(np.int64), s_starts[:-1]) > 0
+        return pa.table(
+            {
+                key: t[key].take(pa.array(s_starts[:-1])),
+                "session_id": pa.array(sid[s_starts[:-1]], pa.int64()),
+                "n_events": pa.array(lens, pa.int64()),
+                "start": fmt(lo, has),
+                "end": fmt(hi, has),
+            }
+        )
 
     return hash_exchange_map_groups(
         ds.select_columns([key, ts_col]), sessions, key=key
@@ -178,7 +202,6 @@ def lag_lead_delta(
         ),
         shifts,
         key=key,
-        batch_format="pyarrow",
     )
 
 
@@ -276,5 +299,4 @@ def range_frame_sum(
         ),
         frame,
         key=key,
-        batch_format="pyarrow",
     )

@@ -99,7 +99,7 @@ def run(p: int, frames: list[pd.DataFrame]) -> dict:
     )
     t0 = time.perf_counter()
     res = hash_exchange_map_groups(
-        ds, timed_reduce, key="conv_id", n_reducers=p, batch_format="pyarrow"
+        ds, timed_reduce, key="conv_id", n_reducers=p
     )
     stats = (
         res.map_batches(

@@ -5,6 +5,7 @@ rebuild staleness, int and string keys."""
 from __future__ import annotations
 
 import duckdb
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -139,8 +140,7 @@ def test_bucket_map_groups_key_complete(tmp_path):
 def test_cogroup_three_sides():
     """Key-completeness across 3 sides, absent-side handling, null
     padding of other sides' columns, layout invariance."""
-    import pandas as pd
-
+    from fineweb2_ro_ray.stages.exchange import run_ids, sorted_runs
     from fineweb2_ro_ray.stages.joins import cogroup
 
     a = pa.table({"k": [1, 2], "name": ["one", "two"]})
@@ -151,17 +151,19 @@ def test_cogroup_three_sides():
          ("nb", pa.int64()), ("nc", pa.int64())]
     )
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for k, g in df.groupby("k"):
-            names = g.loc[g["__side"] == 0, "s0_name"]
-            if names.empty:
-                continue
-            rows.append(
-                (int(k), names.iloc[0],
-                 int((g["__side"] == 1).sum()), int((g["__side"] == 2).sum()))
-            )
-        return pd.DataFrame(rows, columns=["k", "name", "nb", "nc"])
+    def fn(t: pa.Table) -> pa.Table:
+        t, starts = sorted_runs(t, ["k"], [("__side", "ascending")])
+        side, rid, n = t["__side"].to_numpy(), run_ids(starts), len(starts) - 1
+        first = t.take(pa.array(starts[:-1]))
+        out = pa.table(
+            {
+                "k": first["k"],
+                "name": first["s0_name"],
+                "nb": np.bincount(rid[side == 1], minlength=n),
+                "nc": np.bincount(rid[side == 2], minlength=n),
+            }
+        )
+        return out.filter(pa.array(side[starts[:-1]] == 0))
 
     for nb_parts in (1, 2):
         got = (

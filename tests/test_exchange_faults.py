@@ -21,6 +21,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from fineweb2_ro_ray.stages import exchange
+from fineweb2_ro_ray.stages.exchange import aggregate_table
 
 
 def _flagship(tmp_in: str) -> pd.DataFrame:
@@ -118,7 +119,6 @@ def test_exchange_hot_key_skew_confined(ray_session):
             reduce_stats,
             key="conv_id",
             n_reducers=p,
-            batch_format="pyarrow",
         ).to_pandas()
 
     s16 = run(16)
@@ -162,8 +162,8 @@ def test_tree_merge_survives_merge_worker_death(
         for _ in range(24)
     ]
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False)["v"].sum()
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k"], [("v", "sum", "v")])
 
     def run() -> pd.DataFrame:
         ds = rd.from_pandas(frames)

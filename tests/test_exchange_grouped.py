@@ -8,8 +8,8 @@ auto-enables (M x P is tiny), so these tests force it via the
 ``group_width`` parameter / ``FW2_EXCHANGE_GROUP_WIDTH`` env and
 assert bit-equality with the default wiring on every shape the
 exchange supports: single string key, multi-column key, pinned and
-unpinned output schema, pyarrow and pandas batch formats, empty
-partitions, and merge-tree depth > 1 (fan-in forced to 2).
+unpinned output schema, empty partitions, and merge-tree depth > 1
+(fan-in forced to 2).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import ray.data as rd
 from fineweb2_ro_ray.stages import exchange
 from fineweb2_ro_ray.stages.exchange import (
     _auto_group_width,
+    aggregate_table,
     hash_exchange_map_groups,
 )
 
@@ -52,15 +53,10 @@ def _mk_aggs():
         g = t.group_by("k").aggregate([("v", "sum"), ("v", "count")])
         return g.select(["k", "v_sum", "v_count"]).sort_by("k")
 
-    def agg_pd(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.groupby(["k", "g"], as_index=False)["v"]
-            .sum()
-            .sort_values(["k", "g"])
-            .reset_index(drop=True)
-        )
+    def agg_kg(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k", "g"], [("v", "sum", "v")])
 
-    return agg_pa, agg_pd
+    return agg_pa, agg_kg
 
 
 def _collect(ds: rd.Dataset, by: list[str]) -> pd.DataFrame:
@@ -72,7 +68,7 @@ def test_grouped_equals_ungrouped_all_shapes(ray_session, monkeypatch):
     monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "1")
     monkeypatch.setenv("FW2_EXCHANGE_MERGE_FANIN", "2")
     ds = _mk_ds()
-    agg_pa, agg_pd = _mk_aggs()
+    agg_pa, agg_kg = _mk_aggs()
 
     # pyarrow body, pinned schema, string key
     schema = pa.schema(
@@ -80,8 +76,7 @@ def test_grouped_equals_ungrouped_all_shapes(ray_session, monkeypatch):
     )
     base = _collect(
         hash_exchange_map_groups(
-            ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-            batch_format="pyarrow", group_width=1,
+            ds, agg_pa, key="k", n_reducers=13, out_schema=schema, group_width=1,
         ),
         ["k"],
     )
@@ -89,24 +84,23 @@ def test_grouped_equals_ungrouped_all_shapes(ray_session, monkeypatch):
     for w in (2, 3, 6):  # 13 % 3 == 1 exercises the merged trailing group
         got = _collect(
             hash_exchange_map_groups(
-                ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-                batch_format="pyarrow", group_width=w,
+                ds, agg_pa, key="k", n_reducers=13, out_schema=schema, group_width=w,
             ),
             ["k"],
         )
         pd.testing.assert_frame_equal(got, base)
 
-    # pandas body, NO pinned schema (row-count sync path), multi-col key,
+    # multi-column body, NO pinned schema (row-count sync path), multi-col key,
     # empty partitions (n_reducers >> key cardinality)
     base2 = _collect(
         hash_exchange_map_groups(
-            ds, agg_pd, key=["k", "g"], n_reducers=64, group_width=1
+            ds, agg_kg, key=["k", "g"], n_reducers=64, group_width=1
         ),
         ["k", "g"],
     )
     got2 = _collect(
         hash_exchange_map_groups(
-            ds, agg_pd, key=["k", "g"], n_reducers=64, group_width=7
+            ds, agg_kg, key=["k", "g"], n_reducers=64, group_width=7
         ),
         ["k", "g"],
     )
@@ -152,8 +146,7 @@ def test_grouped_survives_split_merge_reduce_death(ray_session, monkeypatch, tmp
     def run() -> pd.DataFrame:
         return _collect(
             hash_exchange_map_groups(
-                ds, agg_pa, key="k", n_reducers=11, out_schema=schema,
-                batch_format="pyarrow", group_width=4,
+                ds, agg_pa, key="k", n_reducers=11, out_schema=schema, group_width=4,
             ),
             ["k"],
         )

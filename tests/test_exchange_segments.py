@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from fineweb2_ro_ray.stages import exchange
-from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
 
 def _mk_ds(n_rows: int = 5000, n_keys: int = 37, seed: int = 3) -> rd.Dataset:
@@ -44,15 +44,10 @@ def _mk_aggs():
         g = t.group_by("k").aggregate([("v", "sum"), ("v", "count")])
         return g.select(["k", "v_sum", "v_count"]).sort_by("k")
 
-    def agg_pd(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.groupby(["k", "g"], as_index=False)["v"]
-            .sum()
-            .sort_values(["k", "g"])
-            .reset_index(drop=True)
-        )
+    def agg_kg(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k", "g"], [("v", "sum", "v")])
 
-    return agg_pa, agg_pd
+    return agg_pa, agg_kg
 
 
 def _collect(ds: rd.Dataset, by: list[str]) -> pd.DataFrame:
@@ -62,7 +57,7 @@ def _collect(ds: rd.Dataset, by: list[str]) -> pd.DataFrame:
 def test_segment_equals_objectstore_all_shapes(ray_session, monkeypatch, tmp_path):
     monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "1")  # many map groups
     ds = _mk_ds()
-    agg_pa, agg_pd = _mk_aggs()
+    agg_pa, agg_kg = _mk_aggs()
     seg = str(tmp_path / "segs")
 
     # pyarrow body, pinned schema, single string key
@@ -72,7 +67,6 @@ def test_segment_equals_objectstore_all_shapes(ray_session, monkeypatch, tmp_pat
     base = _collect(
         hash_exchange_map_groups(
             ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-            batch_format="pyarrow",
         ),
         ["k"],
     )
@@ -80,21 +74,21 @@ def test_segment_equals_objectstore_all_shapes(ray_session, monkeypatch, tmp_pat
     got = _collect(
         hash_exchange_map_groups(
             ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-            batch_format="pyarrow", segment_dir=seg,
+            segment_dir=seg,
         ),
         ["k"],
     )
     pd.testing.assert_frame_equal(got, base)
 
-    # pandas body, NO pinned schema (row-count sync path), multi-col
+    # multi-column body, NO pinned schema (row-count sync path), multi-col
     # key, empty partitions (n_reducers >> key cardinality)
     base2 = _collect(
-        hash_exchange_map_groups(ds, agg_pd, key=["k", "g"], n_reducers=64),
+        hash_exchange_map_groups(ds, agg_kg, key=["k", "g"], n_reducers=64),
         ["k", "g"],
     )
     got2 = _collect(
         hash_exchange_map_groups(
-            ds, agg_pd, key=["k", "g"], n_reducers=64, segment_dir=seg
+            ds, agg_kg, key=["k", "g"], n_reducers=64, segment_dir=seg
         ),
         ["k", "g"],
     )
@@ -103,7 +97,7 @@ def test_segment_equals_objectstore_all_shapes(ray_session, monkeypatch, tmp_pat
     # deferred mode too (byte-auto-sized reducers)
     got3 = _collect(
         hash_exchange_map_groups(
-            ds, agg_pd, key=["k", "g"], segment_dir=seg
+            ds, agg_kg, key=["k", "g"], segment_dir=seg
         ),
         ["k", "g"],
     )
@@ -135,7 +129,6 @@ def test_segment_env_var_switches_engine(ray_session, monkeypatch, tmp_path):
     base = _collect(
         hash_exchange_map_groups(
             ds, agg_pa, key="k", n_reducers=5, out_schema=schema,
-            batch_format="pyarrow",
         ),
         ["k"],
     )
@@ -143,7 +136,6 @@ def test_segment_env_var_switches_engine(ray_session, monkeypatch, tmp_path):
     got = _collect(
         hash_exchange_map_groups(
             ds, agg_pa, key="k", n_reducers=5, out_schema=schema,
-            batch_format="pyarrow",
         ),
         ["k"],
     )
@@ -160,8 +152,8 @@ def test_segment_all_empty_partition_keeps_schema(ray_session, tmp_path):
     t = pa.table({"k": pa.array(["a", "a", "b"]), "v": [1.0, 2.0, 3.0]})
     ds = rd.from_arrow(t)
 
-    def ident(df: pd.DataFrame) -> pd.DataFrame:
-        return df
+    def ident(t: pa.Table) -> pa.Table:
+        return t
 
     out = hash_exchange_map_groups(
         ds, ident, key="k", n_reducers=32, segment_dir=str(tmp_path)
@@ -187,7 +179,7 @@ def test_segment_fault_injection(ray_session, monkeypatch, tmp_path):
         return _collect(
             hash_exchange_map_groups(
                 ds, agg_pa, key="k", n_reducers=9, out_schema=schema,
-                batch_format="pyarrow", segment_dir=seg,
+                segment_dir=seg,
             ),
             ["k"],
         )
@@ -272,20 +264,20 @@ def test_segment_pushmerge_equals_unmerged(ray_session, monkeypatch, tmp_path):
     read instead of the map segments."""
     monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "1")  # many map groups
     ds = _mk_ds()
-    agg_pa, agg_pd = _mk_aggs()
+    agg_pa, agg_kg = _mk_aggs()
     schema = pa.schema(
         [("k", pa.string()), ("v_sum", pa.float64()), ("v_count", pa.int64())]
     )
     base = _collect(
         hash_exchange_map_groups(
             ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-            batch_format="pyarrow", segment_dir=str(tmp_path / "plain"),
+            segment_dir=str(tmp_path / "plain"),
         ),
         ["k"],
     )
     base2 = _collect(
         hash_exchange_map_groups(
-            ds, agg_pd, key=["k", "g"], n_reducers=64,
+            ds, agg_kg, key=["k", "g"], n_reducers=64,
             segment_dir=str(tmp_path / "plain"),
         ),
         ["k", "g"],
@@ -297,14 +289,14 @@ def test_segment_pushmerge_equals_unmerged(ray_session, monkeypatch, tmp_path):
         got = _collect(
             hash_exchange_map_groups(
                 ds, agg_pa, key="k", n_reducers=13, out_schema=schema,
-                batch_format="pyarrow", segment_dir=seg,
+                segment_dir=seg,
             ),
             ["k"],
         )
         pd.testing.assert_frame_equal(got, base)
         got2 = _collect(
             hash_exchange_map_groups(
-                ds, agg_pd, key=["k", "g"], n_reducers=64, segment_dir=seg
+                ds, agg_kg, key=["k", "g"], n_reducers=64, segment_dir=seg
             ),
             ["k", "g"],
         )
@@ -335,8 +327,8 @@ def test_segment_pushmerge_empty_partitions_and_schema(ray_session, monkeypatch,
     t = pa.table({"k": pa.array(["a", "a", "b"]), "v": [1.0, 2.0, 3.0]})
     ds = rd.from_arrow(t)
 
-    def ident(df: pd.DataFrame) -> pd.DataFrame:
-        return df
+    def ident(t: pa.Table) -> pa.Table:
+        return t
 
     out = hash_exchange_map_groups(
         ds, ident, key="k", n_reducers=32, segment_dir=str(tmp_path)
@@ -363,7 +355,7 @@ def test_segment_pushmerge_fault_injection(ray_session, monkeypatch, tmp_path):
         return _collect(
             hash_exchange_map_groups(
                 ds, agg_pa, key="k", n_reducers=9, out_schema=schema,
-                batch_format="pyarrow", segment_dir=seg,
+                segment_dir=seg,
             ),
             ["k"],
         )

@@ -424,6 +424,98 @@ def test_queries_registry_keys_are_unique():
     assert not [k for k, c in keys.items() if c > 1]
 
 
+def test_no_exchange_call_passes_batch_format():
+    """Exchange reduce bodies take and return Arrow tables; the package
+    and the scripts never pass ``batch_format``, and any value but
+    ``"pyarrow"`` is refused."""
+    import ast
+    import os
+
+    import ray.data as rd
+
+    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    hits = []
+    for sub in ("fineweb2_ro_ray", "scripts"):
+        for dirpath, _, files in os.walk(os.path.join(root, sub)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                for n in ast.walk(ast.parse(open(path).read())):
+                    if not isinstance(n, ast.Call):
+                        continue
+                    f = n.func
+                    fname = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                    if fname == "hash_exchange_map_groups" and any(
+                        k.arg == "batch_format" for k in n.keywords
+                    ):
+                        hits.append(f"{os.path.relpath(path, root)}:{n.lineno}")
+    assert hits == []
+    ds = rd.from_items([{"k": 1}])
+    with pytest.raises(ValueError, match="batch_format"):
+        hash_exchange_map_groups(ds, lambda t: t, key="k", batch_format="pandas")
+
+
+def test_artifact_queries_use_one_directory_per_run(tmp_path, monkeypatch):
+    """Queries that persist an on-disk artifact build it in a fresh
+    directory per run and remove it afterwards: two concurrent runs of
+    one query get different paths, and both match the DuckDB oracle."""
+    import importlib.util
+    import os
+    import sys
+    import tempfile
+    from concurrent.futures import ThreadPoolExecutor
+
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as E
+
+    sf = str(tmp_path / "sf")
+    os.makedirs(sf)
+    pd.DataFrame(
+        {
+            "doc_id": np.arange(1, 41, dtype=np.int64),
+            "lang": ["ro", "en", "hu", "ro"] * 10,
+            "text": [f'doc {i}, "quoted"\nline' for i in range(40)],
+            "n_chars": np.arange(40, dtype=np.int64) * 7,
+        }
+    ).to_parquet(f"{sf}/documents.parquet", index=False)
+    made: list[str] = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*a, **kw):
+        d = real_mkdtemp(*a, **kw)
+        made.append(d)
+        return d
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    if importlib.util.find_spec("aiohttp") is None:
+        # Ray's path resolution probes fsspec's HTTP filesystem with an
+        # import that fails without aiohttp; two threads failing it at
+        # once can see each other's half-imported module. Mark it absent.
+        monkeypatch.setitem(sys.modules, "fsspec.implementations.http", None)
+    q = E.queries()["csv_roundtrip"]
+    with ThreadPoolExecutor(2) as pool:
+        outs = list(pool.map(lambda _: q(sf).to_pandas(), range(2)))
+    runs = [d for d in made if os.path.basename(d).startswith("fw2_csv_")]
+    assert len(set(runs)) == 2
+    assert not any(os.path.exists(d) for d in runs)
+
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
+    )
+    want = con.execute(E.oracle_sql()["csv_roundtrip"]).df()
+    cols = sorted(want.columns)
+    want = want[cols].astype(str).sort_values(cols, ignore_index=True)
+    for got in outs:
+        got = got[sorted(got.columns)].astype(str).sort_values(cols, ignore_index=True)
+        assert got.equals(want)
+
+
 def test_new_shapes_edge_inputs(tmp_path):
     """The five session-5 shapes on hand-built edge tables, each pinned
     against its DuckDB oracle: null/empty/boundary-length documents for
@@ -687,7 +779,7 @@ _JOIN_NATIVE_SCRIPT = """
 import sys
 sys.path.insert(0, {repo!r})
 import ray
-ray.init(address="local", num_cpus=8, _memory=2 << 30,
+ray.init(address="local", num_cpus={cpus}, _memory=2 << 30,
          object_store_memory=512 << 20, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
@@ -699,11 +791,11 @@ ray.shutdown()
 """
 
 
-def test_orders_join_native_fits_a_small_session(tmp_path):
-    """Ray's own ``Dataset.join`` reserves aggregator memory from its
-    partition size hint (without one, from the max block size: 14 GiB
-    for 16 aggregators). In a session with 2 GiB of memory resource the
-    query must still finish, with the pandas join's answer."""
+def _run_orders_join_native(tmp_path, cpus: int):
+    """Run ``q_orders_join_native`` on generated 3,000-order /
+    300-customer tables in a subprocess Ray session of ``cpus`` logical
+    CPUs and a 2 GiB memory resource (120 s timeout, whole process
+    group killed on timeout); assert it equals a pandas join."""
     import json
     import os
     import signal
@@ -733,7 +825,7 @@ def test_orders_join_native_fits_a_small_session(tmp_path):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = str(tmp_path / "join_native.py")
     with open(script, "w") as f:
-        f.write(_JOIN_NATIVE_SCRIPT.format(repo=repo))
+        f.write(_JOIN_NATIVE_SCRIPT.format(repo=repo, cpus=cpus))
     # own process group: a hung run is killed with every Ray process it
     # started, not just its driver
     p = subprocess.Popen(
@@ -762,3 +854,19 @@ def test_orders_join_native_fits_a_small_session(tmp_path):
     assert got["c_mktsegment"].tolist() == want["c_mktsegment"].tolist()
     assert got["n_orders"].tolist() == want["n_orders"].tolist()
     assert got["total_cents"].tolist() == want["total_cents"].tolist()
+
+
+def test_orders_join_native_fits_a_small_session(tmp_path):
+    """Ray's own ``Dataset.join`` reserves aggregator memory from its
+    partition size hint (without one, from the max block size: 14 GiB
+    for 16 aggregators). In a session with 2 GiB of memory resource the
+    query must still finish, with the pandas join's answer."""
+    _run_orders_join_native(tmp_path, 8)
+
+
+def test_orders_join_native_finishes_at_two_cpus(tmp_path):
+    """The join runs one aggregator per partition; with a fixed 16
+    partitions a 2-CPU session kept starting aggregator workers it
+    could not schedule and never finished. The partition count now
+    follows the session's CPUs."""
+    _run_orders_join_native(tmp_path, 2)

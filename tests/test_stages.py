@@ -1306,7 +1306,6 @@ def test_hash_exchange_multi_key_pyarrow_matches_groupby():
         per_part,
         key=["k1", "k2", "ku"],
         n_reducers=13,
-        batch_format="pyarrow",
     ).to_pandas()
     ref = (
         t.to_pandas()
@@ -1325,7 +1324,7 @@ def test_hash_exchange_multi_key_pyarrow_matches_groupby():
 def test_hash_exchange_single_int_key_routes_complete_groups():
     """A single NON-string key takes the canonical-hash route (not the
     crc32 string path); each key must still be partition-complete."""
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     t = pa.table(
         {
@@ -1334,8 +1333,8 @@ def test_hash_exchange_single_int_key_routes_complete_groups():
         }
     )
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False)["v"].count().rename(columns={"v": "n"})
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k"], [("v", "count", "n")])
 
     out = (
         hash_exchange_map_groups(rd.from_arrow(t), per_part, key="k", n_reducers=7)
@@ -1350,7 +1349,7 @@ def test_hash_exchange_key_named_part_and_part_payload_column():
     the bucketed joins key their exchange on a column literally named
     "part" (pyarrow drop_columns raises on duplicate names; regression:
     r3 asof/range joins failed with KeyError('part'))."""
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     t = pa.table(
         {
@@ -1359,8 +1358,8 @@ def test_hash_exchange_key_named_part_and_part_payload_column():
         }
     )
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("part", as_index=False)["v"].sum().rename(columns={"v": "s"})
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["part"], [("v", "sum", "s")])
 
     out = (
         hash_exchange_map_groups(rd.from_arrow(t), per_part, key="part", n_reducers=5)
@@ -1378,8 +1377,8 @@ def test_hash_exchange_key_named_part_and_part_payload_column():
         }
     )
 
-    def per_part2(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False)["part"].sum().rename(columns={"part": "s"})
+    def per_part2(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k"], [("part", "sum", "s")])
 
     out2 = (
         hash_exchange_map_groups(rd.from_arrow(t2), per_part2, key="k", n_reducers=5)
@@ -1423,7 +1422,7 @@ def test_hash_exchange_streams_lazy_upstream_and_empty_input():
 
     out = (
         hash_exchange_map_groups(
-            lazy, per_part, key="k", n_reducers=9, batch_format="pyarrow"
+            lazy, per_part, key="k", n_reducers=9
         )
         .to_pandas()
         .sort_values("k", ignore_index=True)
@@ -1440,8 +1439,7 @@ def test_hash_exchange_streams_lazy_upstream_and_empty_input():
     out_schema = pa.schema([("k", pa.int64()), ("v2_sum", pa.int64())])
     empty = rd.from_arrow(t.slice(0, 0)).filter(lambda r: False)
     got = hash_exchange_map_groups(
-        empty, per_part, key="k", n_reducers=9,
-        batch_format="pyarrow", out_schema=out_schema,
+        empty, per_part, key="k", n_reducers=9, out_schema=out_schema,
     )
     assert got.count() == 0
     assert set(got.schema().names) == {"k", "v2_sum"}
@@ -2644,7 +2642,7 @@ def test_hash_exchange_coalesced_split_groups(ray_session):
     groupby."""
     import pandas as pd
 
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     rng = np.random.default_rng(5)
     frames = []
@@ -2661,8 +2659,8 @@ def test_hash_exchange_coalesced_split_groups(ray_session):
     # from_pandas keeps per-frame blocks; override_num_blocks not needed
     ds = rd.from_pandas(frames)
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False)["v"].sum()
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k"], [("v", "sum", "v")])
 
     got = (
         hash_exchange_map_groups(ds, per_part, key="k")
@@ -2685,7 +2683,7 @@ def test_hash_exchange_split_bytes_env_override(ray_session, monkeypatch):
     upstream block — result identical."""
     import pandas as pd
 
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "0")
     frames = [
@@ -2693,8 +2691,8 @@ def test_hash_exchange_split_bytes_env_override(ray_session, monkeypatch):
     ]
     ds = rd.from_pandas(frames)
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False)["v"].sum()
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k"], [("v", "sum", "v")])
 
     got = (
         hash_exchange_map_groups(ds, per_part, key="k")
@@ -2712,7 +2710,7 @@ def test_hash_exchange_tree_merge_equals_flat(ray_session, monkeypatch):
     empty blocks included."""
     import pandas as pd
 
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     rng = np.random.default_rng(11)
     frames = []
@@ -2728,8 +2726,8 @@ def test_hash_exchange_tree_merge_equals_flat(ray_session, monkeypatch):
             )
         )
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["k", "j"], as_index=False)["v"].sum()
+    def per_part(t: pa.Table) -> pa.Table:
+        return aggregate_table(t, ["k", "j"], [("v", "sum", "v")])
 
     def run() -> pd.DataFrame:
         ds = rd.from_pandas(frames)
@@ -2744,7 +2742,7 @@ def test_hash_exchange_tree_merge_equals_flat(ray_session, monkeypatch):
         ds = rd.from_pandas(frames)
         return (
             hash_exchange_map_groups(
-                ds, lambda df: df.groupby("k", as_index=False)["v"].sum(), key="k"
+                ds, lambda t: aggregate_table(t, ["k"], [("v", "sum", "v")]), key="k"
             )
             .to_pandas()
             .sort_values("k")
@@ -2789,7 +2787,7 @@ def test_exchange_byte_sized_reducers_end_to_end(ray_session, monkeypatch):
     sync) and without one."""
     import pandas as pd
 
-    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+    from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     rng = np.random.default_rng(13)
     frames = [
@@ -2814,7 +2812,6 @@ def test_exchange_byte_sized_reducers_end_to_end(ray_session, monkeypatch):
                 per_part,
                 key="k",
                 out_schema=out_schema,
-                batch_format="pyarrow",
             )
             .to_pandas()
             .sort_values("k")
@@ -2825,7 +2822,7 @@ def test_exchange_byte_sized_reducers_end_to_end(ray_session, monkeypatch):
         return (
             hash_exchange_map_groups(
                 rd.from_pandas(frames),
-                lambda df: df.groupby("k", as_index=False)["v"].sum(),
+                lambda t: aggregate_table(t, ["k"], [("v", "sum", "v")]),
                 key="k",
             )
             .to_pandas()
