@@ -53,7 +53,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    started_ray = not ray.is_initialized()
+    if started_ray:
         ray.init(
             address="local",
             num_cpus=args.num_cpus,
@@ -102,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.output:
         summary["output"] = args.output
     print(json.dumps(summary))
-    ray.shutdown()
+    if started_ray:  # embedded callers (tests, notebooks) own the session
+        ray.shutdown()
     return 0
 
 

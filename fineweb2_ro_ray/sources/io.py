@@ -273,16 +273,18 @@ def read_csv_shards(
     ``read_csv`` with optional explicit column types (Arrow CSV
     inference can mis-type an all-digits id shard; pin with
     ``column_types={'doc_id': pa.int64()}``). Quoted fields carry
-    embedded newlines/commas/quotes correctly (RFC 4180)."""
-    import pyarrow as pa  # noqa: F401
+    embedded newlines/commas/quotes correctly (RFC 4180). A NULL
+    string round-trips from ``write_csv_shards``: Arrow writes NULL as
+    an unquoted empty field and ``""`` quoted, so only the unquoted
+    empty field reads back as NULL."""
     from pyarrow import csv as pacsv
 
-    kwargs = {}
-    if column_types:
-        kwargs["convert_options"] = pacsv.ConvertOptions(
-            column_types=column_types
-        )
-    return ray.data.read_csv(path, **kwargs)
+    convert = pacsv.ConvertOptions(
+        column_types=column_types or {},
+        strings_can_be_null=True,
+        quoted_strings_can_be_null=False,
+    )
+    return ray.data.read_csv(path, convert_options=convert)
 
 
 def write_csv_shards(ds: ray.data.Dataset, path: str) -> None:

@@ -10,11 +10,14 @@ keep-one-per-cluster).
 
 Algorithm: iterative neighbor-min label propagation. Every node starts
 labeled with its own id; each round every node takes the min of its
-label and its neighbors' labels; converged when the global label SUM
-stops decreasing (labels only ever decrease, so an unchanged sum is
-exact convergence, checked with one tiny aggregate — no driver diff).
-Rounds = graph diameter; near-dup clusters are dense (quasi-cliques),
-so 2–3 rounds in practice.
+label and its neighbors' labels, the node its label names takes the
+min as well (hooking), and every label then jumps one pointer step;
+converged when the global label SUM stops decreasing (labels only ever
+decrease, so an unchanged sum is exact convergence, checked with one
+tiny aggregate — no driver diff). Hooking plus the jump gives rounds
+logarithmic in the component size (a shuffled 1000-node chain: ~10
+rounds; neighbor-min plus the jump alone took 260-490); near-dup
+clusters are dense (quasi-cliques), so 2–3 rounds in practice.
 
 Scale shape per round: two keyed attach exchanges
 (:func:`~fineweb2_ro_ray.stages.dedup.attach_payload_exchange`) ship
@@ -135,7 +138,9 @@ def connected_components(
     converged = False
     for _ in range(max_iter):
         # attach each endpoint's current label to the edge, emit the
-        # cross-propagated candidates plus the self rows, reduce by min
+        # cross-propagated candidates, the hooks (each endpoint's label
+        # node takes the other endpoint's label — a label is always a
+        # node of the same component) and the self rows, reduce by min
         wa = attach_payload_exchange(
             edges, labels, key="a", id_col="doc_id", payload_col="lbl",
             out_col="l_a", pairs_schema=edge_schema, payload_type=pa.int64(),
@@ -154,18 +159,17 @@ def connected_components(
             lb = t["l_b"].to_numpy(zero_copy_only=False)
             return pa.table(
                 {
-                    "doc_id": pa.array(np.concatenate([a, b]), pa.int64()),
-                    "lbl": pa.array(np.concatenate([lb, la]), pa.int64()),
+                    "doc_id": pa.array(np.concatenate([a, b, la, lb]), pa.int64()),
+                    "lbl": pa.array(np.concatenate([lb, la, lb, la]), pa.int64()),
                 }
             )
 
         prop = wab.map_batches(cands, batch_format="pyarrow")
         labels = exchange_aggregate(prop.union(labels), "doc_id", lbl_min).materialize()
         # pointer jump: l(x) <- min(l(x), l(l(x))). Every label IS a
-        # node id, so the lookup always resolves; combined with the
-        # neighbor-min this gives O(log diameter) rounds instead of
-        # O(diameter) — a long transitive chain converges within the
-        # iteration budget instead of silently falling out of it.
+        # node id, so the lookup always resolves; with the hooks above
+        # a long transitive chain converges in a logarithmic number of
+        # rounds instead of falling out of the iteration budget.
         jumped = attach_payload_exchange(
             labels, labels, key="lbl", id_col="doc_id", payload_col="lbl",
             out_col="lbl2", pairs_schema=lbl_schema, payload_type=pa.int64(),

@@ -1512,7 +1512,7 @@ def near_dedup_full(
 
     Scale shape: components run over the DEDUP-RATE-BOUNDED pair graph
     (never the corpus); per-doc cluster sizes are computed inside ONE
-    keyed exchange on ``component`` (pandas ``transform('size')`` per
+    keyed exchange on ``component`` (``np.unique`` counts per
     partition — each component is wholly co-located); the corpus gets
     its annotation through ONE hash-join exchange on the doc id, never
     a corpus-wide broadcast. Docs in no pair never enter the component

@@ -22,7 +22,7 @@ tooling for):
                       engine-pinned crc32 of
                       ``state.checkpoint.add_partition_column``);
     merge levels    — per reduce partition, slices are concatenated in
-                      a tree with fan-in F (default 64): M slices →
+                      a tree with fan-in F (64): M slices →
                       ⌈M/F⌉ merged chunks → … until ≤ F chunks remain.
                       With M ≤ F (every local run) the tree is empty
                       and the wiring is identical to a flat exchange.
@@ -35,33 +35,30 @@ merge heap. Both are all-to-all pipeline BARRIERS (the input
 materializes either way — no reducer can finish before every map ran).
 
 Reducer count ``P`` auto-sizes from the STREAMED input bytes:
-``P = clamp(bytes / FW2_EXCHANGE_PARTITION_BYTES, min = max(8,
-2 x cluster CPUs), max = FW2_EXCHANGE_MAX_REDUCERS)`` with a 256 MB
-default partition target, so a reduce partition fits a worker heap at
-any input size instead of scaling with driver-visible CPU count.
-Callers with key-cardinality knowledge can still pass ``n_reducers``.
+``P = clamp(bytes / _PARTITION_BYTES, min = max(8, 2 x cluster CPUs),
+max = _MAX_REDUCERS)`` with a 256 MB partition target, so a reduce
+partition fits a worker heap at any input size instead of scaling with
+driver-visible CPU count. Callers with key-cardinality knowledge can
+still pass ``n_reducers``.
 
 Scale notes (100 TB, 256 MB partitions → P ≈ 4e5, M ≈ 1.6e6 map
 groups): the tree merge bounds every task's ref fan-in at F (the flat
 exchange handed each reducer all M slice refs — ~1.6e6 task args — and
 concatenated them in one go). The driver's transient slice-ref matrix
-is bounded by GROUPED RETURNS: past a ref budget
-(``FW2_EXCHANGE_DRIVER_REFS_MAX``, default 4e6) splits return
-⌈P/W⌉ group-objects of W consecutive-partition slices instead of P
-singles, and an ``_ungroup_merge`` level (fan-in F over group-objects,
-W returns each) restores per-partition chunks — driver peak drops from
-M x P to max(M x ⌈P/W⌉, (M/F) x P), i.e. W = F = 64 cuts the 100-TB
-point from ~6e11 refs to ~1e10 for one extra object-store copy of the
-data. FULLY collapsing the matrix — to M + P — is the disk-SEGMENT
-mode (``segment_dir`` / ``FW2_EXCHANGE_SEGMENT_DIR``): map outputs
-become Spark-ESS-style on-disk segment files with an offset index and
-reducers range-read their slice, trading Ray lineage durability for
-file-system durability (full analysis at the segment-mode block
-comment below). Skewed keys skew only their
-partition (a key's rows must land in one reducer — thinning partitions
-is the lever, and byte-based P sizing does exactly that). Map outputs
-are plain object-store objects, so Ray spills them to disk under
-memory pressure exactly as it spills sort blocks.
+is bounded by GROUPED RETURNS: past a ref budget (``_DRIVER_REFS_MAX``,
+4e6) splits return ⌈P/W⌉ group-objects of W consecutive-partition
+slices instead of P singles, and an ``_ungroup_merge`` level (fan-in F
+over group-objects, W returns each) restores per-partition chunks —
+driver peak drops from M x P to max(M x ⌈P/W⌉, (M/F) x P), i.e.
+W = F = 64 cuts the 100-TB point from ~6e11 refs to ~1e10 for one extra
+object-store copy of the data. Skewed keys skew only their partition
+(a key's rows must land in one reducer — thinning partitions is the
+lever, and byte-based P sizing does exactly that). Map outputs are
+plain object-store objects, so Ray spills them to disk under memory
+pressure exactly as it spills sort blocks.
+
+The sizing knobs are the module constants below, read by the driver
+while it wires each exchange (tests force a shape by patching them).
 
 Fault tolerance: split / merge / reduce are stateless idempotent tasks
 (``max_retries`` applies, default 3). A worker death re-runs the dead
@@ -84,6 +81,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+# Map side: coalesce upstream blocks into ~64 MB split tasks.
+_SPLIT_BYTES = 64 << 20
+# Tree-merge fan-in F: no merge or reduce task takes more than F refs.
+_MERGE_FANIN = 64
+# Auto-sized reducers: one per 256 MB of streamed input, at most 2^16.
+_PARTITION_BYTES = 256 << 20
+_MAX_REDUCERS = 1 << 16
+# Driver slice-ref budget past which splits use grouped returns.
+_DRIVER_REFS_MAX = 4_000_000
 
 def _concat_named(tabs: list[pa.Table], where: str) -> pa.Table:
     """``pa.concat_tables`` that, on schema drift between blocks (e.g. an
@@ -336,282 +342,43 @@ def _reduce_partition(
     return _reduce_core(fn, out_schema, t)
 
 
-# --- Disk-segment exchange (Magnet/Spark-ESS-style map output files) ---
-#
-# The object-store wirings above bound, but cannot fully collapse, the
-# driver's transient slice-ref matrix: even grouped returns leave
-# max(M x ceil(P/W), (M/F) x P) refs at the 100-TB point (~1e10). The
-# segment mode collapses it to M + P by taking map outputs OUT of the
-# object store entirely, the way Spark's sort-based shuffle (and its
-# Magnet push-merge evolution, SIGMOD'20) does:
-#
-#   each map task writes ONE data file — a leading schema-only Arrow
-#   IPC stream, then the P partition slices as back-to-back IPC
-#   streams (0-row slices take zero bytes) — plus a sidecar ``.idx``
-#   of P+1 little-endian int64 end-offsets, both via write-tmp +
-#   atomic rename; its task return is just the file path (a string).
-#   Each reducer receives ONE broadcast list of the M paths (`ray.put`
-#   once), and per segment does two bounded reads: 16 bytes of the
-#   index at offset 8*i, then the [lo, hi) byte range of its slice.
-#
-# Driver state: M path strings + P reduce refs — no M x P term at any
-# scale. The trade, stated honestly: (a) reducers issue M random
-# range-reads each (the seek pattern Magnet exists to consolidate;
-# fine on node-local NVMe, and a per-partition-range merge level — the
-# actual "push-merge" — is the extension point if it ever dominates);
-# (b) durability moves from Ray lineage to the file system: on one
-# node (or a shared FS) a lost reduce task simply re-reads, but a
-# multi-node deployment needs ``segment_dir`` on storage that survives
-# the producing worker (shared FS / fetch service), else a lost node's
-# segments raise FileNotFoundError and the exchange must be re-run —
-# exactly Spark's fetch-failure → stage-retry semantics. Retried split
-# tasks are idempotent by construction (fresh uuid file per attempt;
-# the attempt whose return value is consumed names the file that gets
-# read; orphans from a killed attempt are unreferenced garbage for the
-# caller's directory cleanup).
-#
-# Enable per call (``segment_dir=``) or engine-wide via the
-# ``FW2_EXCHANGE_SEGMENT_DIR`` env var (every wide operator routes
-# through this exchange, so the env var switches the whole engine);
-# the caller owns the directory's lifetime and deletes it after the
-# consuming Dataset has fully executed.
-#
-# PUSH-MERGE CONSOLIDATION (the Magnet extension, SIGMOD'20 §4): when
-# the map count M is large, each of the P reducers issuing M random
-# range-reads is the dominating seek pattern — at the 100-TB point
-# (M ~ 1.6e6, P ~ 4e5) that is ~6e11 reads of ~0.6 KB each. The
-# consolidation level inserts G = ceil(P / R) merger tasks between map
-# and reduce, each owning a CONTIGUOUS partition range [lo, hi) of
-# width R: because a segment file lays its P slices back-to-back in
-# partition order, a merger reads ONE contiguous byte range
-# [idx[lo], idx[hi]) per segment (M sequential-ish reads of R-slice
-# granularity), re-groups the slices by partition, and writes ONE
-# merged segment file — format-identical to a map segment, with R
-# local partitions — so every reducer then does exactly ONE range-read
-# from exactly one merged file. Read count drops from M x P to
-# M x P / R (mergers) + P (reducers); with R = F = 64 the 100-TB point
-# falls ~6e11 -> ~1e10 reads at 64x the granularity, and the re-encode
-# also compacts each partition's M tiny IPC streams into one stream of
-# combined record batches (faster reducer parse). Cost: one extra
-# on-disk copy of the data — so it auto-enables only when M > F (below
-# that a reducer's fan-in already meets the same bound F the
-# object-store tree enforces). ``FW2_EXCHANGE_SEGMENT_MERGE``
-# (auto|1|0) forces/disables; ``FW2_EXCHANGE_SEGMENT_MERGE_PARTS``
-# sets R (default F). Merger tasks are stateless and idempotent
-# (fresh-uuid tmp+rename writes) — a killed merger is retried by Ray
-# like any split/reduce task.
-
-
-def _write_segment(slices: list[pa.Table], seg_dir: str, prefix: str = "seg") -> str:
-    import uuid
-
-    name = uuid.uuid4().hex
-    final = os.path.join(seg_dir, f"{prefix}-{name}.data")
-    tmp = os.path.join(seg_dir, f".tmp-{name}.data")
-    offsets: list[int] = []
-    with open(tmp, "wb") as f:
-        # leading schema-only stream: reducers whose every slice is
-        # empty rebuild a 0-row table with the TRUE partition schema
-        # (the object-store path only sees whatever degenerate block
-        # reached it)
-        with pa.ipc.new_stream(f, slices[0].schema):
-            pass
-        offsets.append(f.tell())
-        for s in slices:
-            if s.num_rows:
-                with pa.ipc.new_stream(f, s.schema) as w:
-                    w.write_table(s)
-            offsets.append(f.tell())
-    tmp_i, final_i = tmp + ".idx", final + ".idx"
-    with open(tmp_i, "wb") as f:
-        f.write(np.asarray(offsets, dtype="<i8").tobytes())
-    os.rename(tmp_i, final_i)
-    os.rename(tmp, final)
-    return final
-
-
-@ray.remote
-def _split_block_segment(
-    n_reducers: int,
-    key: str | list[str],
-    seg_dir: str,
-    failpoint: tuple[str, str] | None,
-    *blocks,
-) -> str:
-    """Map side, segment mode: same split as ``_split_block`` but the
-    P slices go to ONE on-disk segment file (+ ``.idx``) instead of P
-    object-store returns; the task returns only the file path."""
-    _maybe_die(failpoint, "split")
-    return _write_segment(_split_core(n_reducers, key, blocks), seg_dir)
-
-
-def _segment_merge_parts(m: int, p: int, fanin: int) -> int:
-    """Push-merge consolidation width R (partitions per merged segment
-    file); 0 = no consolidation. Auto rule: consolidate only when the
-    per-reducer read fan-in M exceeds the merge fan-in F — below that,
-    a reducer's M range-reads already meet the same bound F the
-    object-store tree enforces on task fan-in, and the extra on-disk
-    copy buys nothing. ``FW2_EXCHANGE_SEGMENT_MERGE`` = ``1`` forces
-    consolidation at any M, ``0``/``off`` disables it;
-    ``FW2_EXCHANGE_SEGMENT_MERGE_PARTS`` overrides R (default F)."""
-    mode = os.environ.get("FW2_EXCHANGE_SEGMENT_MERGE", "auto").lower()
-    if mode in ("0", "off", "false"):
-        return 0
-    r = int(os.environ.get("FW2_EXCHANGE_SEGMENT_MERGE_PARTS", "0")) or fanin
-    if mode != "1" and m <= fanin:
-        return 0
-    return max(1, min(r, p))
-
-
-@ray.remote
-def _merge_segment_range(
-    lo: int,
-    hi: int,
-    seg_dir: str,
-    failpoint: tuple[str, str] | None,
-    paths: list[str],
-) -> str:
-    """Consolidation level (Magnet-style push-merge): own partitions
-    [lo, hi) across EVERY map segment. Slices are back-to-back in
-    partition order inside each segment, so this reads ONE contiguous
-    byte range per segment, re-groups by partition, concats each
-    partition's tables into one stream, and writes ONE merged segment
-    file (format-identical to a map segment, with hi-lo local
-    partitions). Idempotent: fresh-uuid tmp+rename write per attempt."""
-    _maybe_die(failpoint, "segmerge")
-    r = hi - lo
-    parts: list[list[pa.Table]] = [[] for _ in range(r)]
-    schema: pa.Schema | None = None
-    try:
-        for p in paths:
-            with open(p + ".idx", "rb") as f:
-                pe = int(np.frombuffer(f.read(8), dtype="<i8")[0])
-                f.seek(8 * lo)
-                offs = np.frombuffer(f.read(8 * (r + 1)), dtype="<i8")
-            if schema is None:
-                with open(p, "rb") as f:
-                    schema = pa.ipc.open_stream(
-                        pa.py_buffer(f.read(pe))
-                    ).schema
-            blo, bhi = int(offs[0]), int(offs[-1])
-            if bhi <= blo:
-                continue
-            with open(p, "rb") as f:
-                f.seek(blo)
-                buf = memoryview(f.read(bhi - blo))
-            for j in range(r):
-                a, b = int(offs[j]) - blo, int(offs[j + 1]) - blo
-                if b > a:
-                    parts[j].append(
-                        pa.ipc.open_stream(pa.py_buffer(buf[a:b])).read_all()
-                    )
-    except FileNotFoundError as e:
-        raise FileNotFoundError(
-            f"exchange segment lost: {e.filename!r} — segment files are "
-            "outside Ray lineage; if the producing node (or the segment "
-            "directory) is gone, re-run the exchange (Spark-style "
-            "fetch-failure semantics)"
-        ) from e
-    slices = [
-        _concat_named(ts, "segment consolidation").combine_chunks()
-        if ts
-        else schema.empty_table()
-        for ts in parts
-    ]
-    return _write_segment(slices, seg_dir, prefix="mseg")
-
-
-def _read_segment_range(path: str, part_idx: int) -> pa.Table | None:
-    """One reducer's slice of one segment: 16 index bytes, then the
-    byte range; ``None`` when the slice is empty (lo == hi)."""
-    with open(path + ".idx", "rb") as f:
-        f.seek(8 * part_idx)
-        lo, hi = np.frombuffer(f.read(16), dtype="<i8")
-    if hi <= lo:
-        return None
-    with open(path, "rb") as f:
-        f.seek(lo)
-        buf = f.read(int(hi - lo))
-    return pa.ipc.open_stream(pa.py_buffer(buf)).read_all()
-
-
-@ray.remote
-def _reduce_partition_segments(
-    fn: Callable,
-    out_schema: pa.Schema | None,
-    part_idx: int,
-    failpoint: tuple[str, str] | None,
-    paths: list[str] | str,
-) -> pa.Table:
-    """Reduce side, segment mode: range-read this partition's slice
-    from every segment file, concat, run ``fn`` once. ``paths`` is the
-    single `ray.put`-broadcast list of all M segment paths — or, in
-    push-merge mode, ONE merged-segment path (the merger task's return,
-    passed as a bare ObjectRef so this reducer launches the moment its
-    merger finishes, with no driver barrier on the whole level)."""
-    _maybe_die(failpoint, "reduce")
-    if isinstance(paths, str):
-        paths = [paths]
-    try:
-        tabs = [
-            t
-            for t in (_read_segment_range(p, part_idx) for p in paths)
-            if t is not None
-        ]
-        if not tabs:
-            if out_schema is not None:
-                return out_schema.empty_table()
-            # schema-only leading stream of any segment: a 0-row table
-            # with the true partition schema
-            with open(paths[0] + ".idx", "rb") as f:
-                end = int(np.frombuffer(f.read(8), dtype="<i8")[0])
-            with open(paths[0], "rb") as f:
-                buf = f.read(end)
-            return pa.ipc.open_stream(pa.py_buffer(buf)).read_all()
-    except FileNotFoundError as e:
-        raise FileNotFoundError(
-            f"exchange segment lost: {e.filename!r} — segment files are "
-            "outside Ray lineage; if the producing node (or the segment "
-            "directory) is gone, re-run the exchange (Spark-style "
-            "fetch-failure semantics)"
-        ) from e
-    t = _concat_named(tabs, "segment reduce concat").combine_chunks()
-    return _reduce_core(fn, out_schema, t)
-
-
 def _auto_reducers(total_bytes: int, cpus: int) -> int:
-    """Byte-based reducer count: one reducer per
-    ``FW2_EXCHANGE_PARTITION_BYTES`` (default 256 MB) of map input, so
-    a reduce partition fits a worker heap at any scale, clamped below
-    by the parallelism floor ``max(8, 2 x CPUs)`` (small inputs) and
-    above by ``FW2_EXCHANGE_MAX_REDUCERS`` (ref-matrix guard)."""
-    part_bytes = int(os.environ.get("FW2_EXCHANGE_PARTITION_BYTES", str(256 << 20)))
-    cap = int(os.environ.get("FW2_EXCHANGE_MAX_REDUCERS", str(1 << 16)))
+    """Byte-based reducer count: one reducer per ``_PARTITION_BYTES``
+    of map input, so a reduce partition fits a worker heap at any
+    scale, clamped below by the parallelism floor ``max(8, 2 x CPUs)``
+    (small inputs) and above by ``_MAX_REDUCERS`` (ref-matrix guard)."""
     floor = max(8, 2 * cpus)
-    by_bytes = -(-total_bytes // part_bytes) if total_bytes > 0 else 0
-    return max(2, min(cap, max(floor, by_bytes)))
+    by_bytes = -(-total_bytes // _PARTITION_BYTES) if total_bytes > 0 else 0
+    return max(2, min(_MAX_REDUCERS, max(floor, by_bytes)))
 
 
 def _auto_group_width(n_groups: int, p: int, fanin: int) -> int:
     """Grouped-returns width W: 1 (ungrouped) while the driver's
-    transient slice-ref matrix M x P stays under
-    ``FW2_EXCHANGE_DRIVER_REFS_MAX`` (default 4e6 refs ~ a few hundred
-    MB of driver heap); beyond that, the smallest W that brings
-    M x ⌈P/W⌉ back under budget, capped at the merge fan-in (a wider W
-    buys nothing once the ungroup level's output matrix (M/F) x P
-    dominates) and at P/2 (at least two groups, so grouped splits can
-    use ``num_returns``). ``FW2_EXCHANGE_GROUP_WIDTH`` forces a width
-    (0 = auto)."""
-    forced = int(os.environ.get("FW2_EXCHANGE_GROUP_WIDTH", "0"))
-    if forced:
-        return max(1, min(forced, p // 2))
-    max_refs = int(
-        os.environ.get("FW2_EXCHANGE_DRIVER_REFS_MAX", str(4_000_000))
-    )
+    transient slice-ref matrix M x P stays under ``_DRIVER_REFS_MAX``
+    (~ a few hundred MB of driver heap); beyond that, the smallest W
+    that brings M x ⌈P/W⌉ back under budget, capped at the merge
+    fan-in (a wider W buys nothing once the ungroup level's output
+    matrix (M/F) x P dominates) and at P/2 (at least two groups, so
+    grouped splits can use ``num_returns``)."""
     refs = n_groups * p
-    if refs <= max_refs:
+    if refs <= _DRIVER_REFS_MAX:
         return 1
-    return max(2, min(-(-refs // max_refs), fanin, p // 2))
+    return max(2, min(-(-refs // _DRIVER_REFS_MAX), fanin, p // 2))
+
+
+def _group_bounds(p: int, width: int) -> tuple | None:
+    """Partition bounds of the grouped-returns wiring (group ``c`` holds
+    partitions ``b[c]:b[c+1]``) for ``p`` reducers at ``width`` clamped
+    to [1, P/2]; ``None`` when the clamped width is 1 (ungrouped). A
+    trailing width-1 group folds into its neighbour, since grouped
+    splits and ungroup merges need ``num_returns`` >= 2."""
+    w = max(1, min(width, p // 2))
+    if w < 2:
+        return None
+    b = list(range(0, p, w)) + [p]
+    if p % w == 1:
+        del b[-2]
+    return tuple(b)
 
 
 def hash_exchange_map_groups(
@@ -623,7 +390,6 @@ def hash_exchange_map_groups(
     out_schema: pa.Schema | None = None,
     batch_format: str = "pyarrow",
     group_width: int | None = None,
-    segment_dir: str | None = None,
 ) -> ray.data.Dataset:
     """Hash-partition ``ds`` by ``key`` (one column or several) and
     apply ``fn`` once per partition (all rows of any key value
@@ -652,31 +418,19 @@ def hash_exchange_map_groups(
     ``_auto_reducers``); pass it explicitly only when key cardinality
     is known to be small. ``group_width=None`` auto-selects the
     grouped-returns width from the driver-ref budget (see
-    ``_auto_group_width``; 1 = today's ungrouped wiring); pass it only
-    in tests/benchmarks that force a specific wiring.
-
-    ``segment_dir`` (or the ``FW2_EXCHANGE_SEGMENT_DIR`` env var)
-    switches map outputs to on-disk segment files (Spark-ESS-style; see
-    the segment-mode block comment above): driver state M + P instead
-    of any M x P term, at the cost of file-system durability semantics.
-    A per-exchange subdirectory is created under it; the caller owns
-    cleanup after the consuming Dataset has fully executed."""
+    ``_auto_group_width``; 1 = the ungrouped wiring) when ``n_reducers``
+    is auto-sized and stays ungrouped otherwise; pass it only in tests
+    that force a specific wiring. Map outputs always live in the object
+    store; the module constants above fix the split size, merge fan-in
+    and sizing budgets."""
     if batch_format != "pyarrow":
         raise ValueError(
             f"hash_exchange_map_groups: reduce bodies take and return Arrow "
             f"tables; batch_format={batch_format!r} is not supported"
         )
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    target = int(os.environ.get("FW2_EXCHANGE_SPLIT_BYTES", str(64 << 20)))
     fp = _TEST_FAILPOINT
-    fanin = max(2, int(os.environ.get("FW2_EXCHANGE_MERGE_FANIN", "64")))
-    seg_root = segment_dir or os.environ.get("FW2_EXCHANGE_SEGMENT_DIR") or None
-    seg_dir: str | None = None
-    if seg_root:
-        import uuid
-
-        seg_dir = os.path.join(seg_root, f"exch-{uuid.uuid4().hex}")
-        os.makedirs(seg_dir, exist_ok=True)
+    fanin = _MERGE_FANIN
 
     # Two launch modes for the map side:
     #   EAGER (n_reducers explicit): the reducer count — and therefore
@@ -685,9 +439,8 @@ def hash_exchange_map_groups(
     #   are handed to its split task and dropped immediately, so
     #   upstream blocks are freed/spilled incrementally and split CPU
     #   overlaps the upstream stage. The grouped-returns width comes
-    #   from the ``group_width`` param / FW2_EXCHANGE_GROUP_WIDTH env
-    #   only (the ref-budget auto-width needs the final map-group
-    #   count).
+    #   from the ``group_width`` param only (the ref-budget auto-width
+    #   needs the final map-group count).
     #   DEFERRED (n_reducers=None): byte-based reducer auto-sizing
     #   needs the TOTAL streamed bytes, so block refs are held until
     #   the stream ends, then every split launches. The deferral costs
@@ -699,36 +452,24 @@ def hash_exchange_map_groups(
     eager = n_reducers is not None
     p = 0
     gb: tuple | None = None
-    n_g = 0
 
     def _resolve_wiring(n_red: int, n_groups_hint: int) -> None:
-        nonlocal p, gb, n_g
+        nonlocal p, gb
         p = max(2, n_red)  # num_returns >= 2 so splits return ref tuples
-        if seg_dir is not None:
-            return  # segment mode: no grouped returns, no merge tree
         if group_width is not None:
             gw = group_width
         elif eager:
-            gw = int(os.environ.get("FW2_EXCHANGE_GROUP_WIDTH", "0")) or 1
+            gw = 1
         else:
             gw = _auto_group_width(n_groups_hint, p, fanin)
-        gw = max(1, min(gw, p // 2))
-        if gw >= 2:
-            b = list(range(0, p, gw)) + [p]
-            if p % gw == 1:  # no width-1 trailing group (num_returns >= 2)
-                del b[-2]
-            gb, n_g = tuple(b), len(b) - 1
+        gb = _group_bounds(p, gw)
 
     splits: list = []
 
     def _launch(blocks: list) -> None:
-        if seg_dir is not None:
+        if gb is not None:
             splits.append(
-                _split_block_segment.remote(p, key, seg_dir, fp, *blocks)
-            )
-        elif gb is not None:
-            splits.append(
-                _split_block_grouped.options(num_returns=n_g).remote(
+                _split_block_grouped.options(num_returns=len(gb) - 1).remote(
                     p, gb, key, fp, *blocks
                 )
             )
@@ -759,7 +500,7 @@ def hash_exchange_map_groups(
             b = meta.size_bytes or 0
             pend_bytes += b
             total_bytes += b
-            if pend_bytes >= target or len(pend) >= 128:
+            if pend_bytes >= _SPLIT_BYTES or len(pend) >= 128:
                 _flush()
     _flush()
     if not splits and not groups:
@@ -775,50 +516,7 @@ def hash_exchange_map_groups(
         del groups
 
     outs = []
-    if seg_dir is not None:
-        # Segment mode: the splits' returns are just M path strings —
-        # wait for them (the exchange is a barrier regardless: no
-        # reducer can start before every map ran), broadcast the list
-        # once, and launch one range-reading reducer per partition.
-        # Driver-held refs: M strings + P reduce outputs; no M x P
-        # term, no merge tree. Past M > F maps, a push-merge
-        # consolidation level (see the segment-mode block comment)
-        # rewrites the M segments as ceil(P/R) per-partition-range
-        # merged files so each reducer does ONE range-read instead of M.
-        paths = ray.get(splits)
-        paths_ref = ray.put(paths)
-        r_parts = _segment_merge_parts(len(paths), p, fanin)
-        if r_parts:
-            bounds = list(range(0, p, r_parts))
-            bounds.append(p)
-            merged = [
-                _merge_segment_range.remote(
-                    bounds[g], bounds[g + 1], seg_dir, fp, paths_ref
-                )
-                for g in range(len(bounds) - 1)
-            ]
-            # each reducer takes its merger's return as a BARE ref:
-            # group g's reducers launch the moment merger g finishes
-            # (no driver barrier across the consolidation level)
-            for i in range(p):
-                g = i // r_parts
-                outs.append(
-                    _reduce_partition_segments.remote(
-                        fn,
-                        out_schema,
-                        i - bounds[g],
-                        fp,
-                        merged[g],
-                    )
-                )
-        else:
-            for i in range(p):
-                outs.append(
-                    _reduce_partition_segments.remote(
-                        fn, out_schema, i, fp, paths_ref
-                    )
-                )
-    elif gb is not None:
+    if gb is not None:
         # Grouped-returns wiring: splits returned ⌈P/W⌉ GROUP-OBJECTS
         # of W consecutive-partition slices each, cutting the driver's
         # transient ref matrix from M x P to max(M x ⌈P/W⌉, (M/F) x P).
@@ -829,7 +527,7 @@ def hash_exchange_map_groups(
         # auto-enables only past the driver-ref budget
         # (_auto_group_width); output is ref-for-ref equal to the
         # ungrouped wiring (tests/test_exchange_grouped.py).
-        for c in range(n_g):
+        for c in range(len(gb) - 1):
             grefs = [s[c] for s in splits]
             w = gb[c + 1] - gb[c]
             cols: list[list] = [[] for _ in range(w)]

@@ -9,7 +9,7 @@ as conversation reassembly.
 
 Exactness note: every join body here is POSITIONS-ONLY — each side is
 extracted from the bucket as an Arrow table (filter its ``_side`` tag,
-select only its own null-free columns), pandas/numpy only ever sees the
+select only its own null-free columns), numpy only ever sees the
 thin (key, ts, row-index) arrays needed to resolve matches, and the
 output composes with Arrow ``take`` on the matched index pairs.  Payload
 columns never convert, so int64 never round-trips through float64 (a
@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -148,7 +147,7 @@ def _split_sides_arrow(
 ) -> tuple[pa.Table, pa.Table]:
     """Bucket table → (left, right) ARROW tables, each holding only its
     own (null-free) columns.  The join bodies below are positions-only:
-    pandas/numpy ever sees just the thin (key, ts, row-index) arrays,
+    numpy ever sees just the thin (key, ts, row-index) arrays,
     and payload columns compose with Arrow ``take`` — so int64 payloads
     never round-trip through float64 and wide rows never convert."""
     side = g["_side"]
@@ -160,6 +159,54 @@ def _split_sides_arrow(
 def _col_np(t: pa.Table, c: str) -> np.ndarray:
     """One column as a numpy array (copy allowed: timestamps/strings)."""
     return t[c].combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def _asof_positions(
+    lk: np.ndarray,
+    rk: np.ndarray,
+    lts: np.ndarray,
+    rts: np.ndarray,
+    direction: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched (left, right) row positions of an as-of join on key
+    codes ``lk``/``rk`` and timestamps ``lts``/``rts`` (no nulls), in
+    left-timestamp order (stable) with unmatched left rows dropped —
+    ``pd.merge_asof(..., by=key, direction=direction)``'s pairs and tie
+    rules: among equal right timestamps ``backward`` takes the last row
+    and ``forward`` the first; at an equal distance ``nearest`` takes
+    the backward match.
+
+    Both sides' timestamps get dense ranks on one scale, so each row's
+    (key code, rank) packs into one sortable int64; a ``searchsorted``
+    of the left composites into the sorted right composites gives the
+    backward (``side="right"`` - 1) and forward (``side="left"``)
+    candidates, valid when they land on the same key."""
+    nl, nr = len(lts), len(rts)
+    ranks = np.unique(np.concatenate([lts, rts]), return_inverse=True)[1].ravel()
+    nu = int(ranks.max()) + 1
+    l_ord = np.argsort(lts, kind="stable")
+    lk = lk[l_ord]
+    lc = lk * nu + ranks[:nl][l_ord]
+    rc = rk * nu + ranks[nl:]
+    r_ord = np.argsort(rc, kind="stable")
+    rc, rk = rc[r_ord], rk[r_ord]
+    back = np.searchsorted(rc, lc, "right") - 1
+    fwd = np.searchsorted(rc, lc, "left")
+    back_ok = (back >= 0) & (rk[np.maximum(back, 0)] == lk)
+    fwd_ok = (fwd < nr) & (rk[np.minimum(fwd, nr - 1)] == lk)
+    if direction == "backward":
+        pos, ok = back, back_ok
+    elif direction == "forward":
+        pos, ok = fwd, fwd_ok
+    elif direction == "nearest":
+        lt_s, rt_s = lts[l_ord], rts[r_ord]
+        b_dist = lt_s - rt_s[np.maximum(back, 0)]
+        f_dist = rt_s[np.minimum(fwd, nr - 1)] - lt_s
+        use_back = back_ok & (~fwd_ok | (b_dist <= f_dist))
+        pos, ok = np.where(use_back, back, fwd), back_ok | fwd_ok
+    else:
+        raise ValueError(f"asof_join: unknown direction {direction!r}")
+    return l_ord[ok], r_ord[pos[ok]]
 
 
 def asof_join(
@@ -176,12 +223,15 @@ def asof_join(
     """For each left row, attach the greatest ``right_ts <= left_ts`` row
     of the same key (``direction="backward"``, the default — DuckDB
     ``ASOF JOIN ... >=`` equivalent) or the smallest ``right_ts >=
-    left_ts`` row (``direction="forward"``, the ``<=`` variant). Inner
-    semantics: unmatched left rows are dropped.
+    left_ts`` row (``direction="forward"``, the ``<=`` variant), or the
+    closer of the two (``direction="nearest"``). Inner semantics:
+    unmatched left rows, and rows with a NULL key or timestamp, are
+    dropped.
 
-    One keyed shuffle (see :func:`_bucket_union`); each bucket runs a
-    POSITIONS-ONLY sorted ``pd.merge_asof``: pandas sees just the thin
-    (key, ts, row-index) frames, the matched (left_pos, right_pos)
+    One keyed shuffle (see :func:`_bucket_union`); each bucket resolves
+    every key at once with one POSITIONS-ONLY sort-and-searchsorted
+    (:func:`_asof_positions`, ``pd.merge_asof``'s tie rules) over the
+    thin (key code, ts) arrays; the matched (left_pos, right_pos)
     pairs compose the output with Arrow ``take`` — payload columns
     never convert, so dtypes are exact by construction (VERDICT r1:
     the full-frame variant emitted event_id as double). Skewed keys
@@ -192,24 +242,23 @@ def asof_join(
 
     def per_part(g: pa.Table) -> pa.Table:
         lt, rt = _split_sides_arrow(g, l_cols, r_cols)
+        # a NULL timestamp never matches (SQL ASOF semantics)
+        lt = lt.filter(pc.is_valid(lt[left_ts]))
+        rt = rt.filter(pc.is_valid(rt[right_ts]))
         if lt.num_rows == 0 or rt.num_rows == 0:
             return out_schema.empty_table()
-        lpos = pd.DataFrame({"k": _col_np(lt, key), "t": _col_np(lt, left_ts)})
-        lpos["li"] = np.arange(lt.num_rows, dtype=np.int64)
-        rpos = pd.DataFrame({"k": _col_np(rt, right_key), "t": _col_np(rt, right_ts)})
-        rpos["ri"] = np.arange(rt.num_rows, dtype=np.int64)
-        lpos = lpos.sort_values("t", kind="mergesort")
-        rpos = rpos.sort_values("t", kind="mergesort")
-        pairs = pd.merge_asof(lpos, rpos, on="t", by="k", direction=direction)
-        pairs = pairs[pairs["ri"].notna()]  # inner semantics
-        li = pa.array(pairs["li"].to_numpy(), type=pa.int64())
-        ri = pa.array(pairs["ri"].to_numpy(np.int64), type=pa.int64())
+        li, ri = map(pa.array, _asof_positions(
+            *key_codes(lt, [key], rt, [right_key]),
+            _col_np(lt, left_ts),
+            _col_np(rt, right_ts),
+            direction,
+        ))
         cols = {c: pc.take(lt[c], li) for c in l_cols}
         cols.update({c: pc.take(rt[c], ri) for c in r_cols})
         return pa.table(cols).cast(out_schema)
 
-    # per_part is key-generic (merge_asof ``by=`` resolves every key in
-    # the partition), so it runs once per raw-hash-exchange partition —
+    # per_part is key-generic (the shared key codes resolve every key
+    # in the partition), so it runs once per raw-hash-exchange partition —
     # no sort-based groupby, no per-part-value task granularity
     from .exchange import hash_exchange_map_groups
 

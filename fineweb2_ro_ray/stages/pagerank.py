@@ -90,29 +90,28 @@ def pagerank(
         ewd.map_batches(nodes_local, batch_format="pyarrow"), "id"
     ).materialize()  # thin (id) rows; re-joined every iteration
 
+    # Rank rows are (_rs, r) between rounds: already named as the
+    # join's right key, so every hash_join below gets materialized or
+    # exchange-output sides whose schema Ray knows without executing
+    # anything. A lazy rename map on a join side would make the join's
+    # schema probe run that map and cancel its in-flight tasks. The
+    # last round names the column ``id`` for the caller.
+    def rank_table(ids, r, last: bool) -> pa.Table:
+        return pa.table({"id" if last else "_rs": ids, "r": r})
+
     def init(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "r", pa.array(np.full(b.num_rows, SCALE, np.int64), pa.int64())
-        )
+        r = pa.array(np.full(b.num_rows, SCALE, np.int64), pa.int64())
+        return rank_table(b["id"], r, n_iters == 0)
 
     ranks = nodes.map_batches(init, batch_format="pyarrow").materialize()
     base = 15 * SCALE // 100
 
     from .joins import hash_join
 
-    for _ in range(n_iters):
+    for i in range(n_iters):
         # contributions: edges ⋈ ranks on src (one thin exchange join),
         # then map-side partial sums on dst + one thin keyed sum
-        def rank_src(b: pa.Table) -> pa.Table:
-            return pa.table({"_rs": b["id"], "r": b["r"]})
-
-        j = hash_join(
-            ewd,
-            ranks.map_batches(rank_src, batch_format="pyarrow"),
-            key=src,
-            right_key="_rs",
-            how="inner",
-        )
+        j = hash_join(ewd, ranks, key=src, right_key="_rs", how="inner")
 
         def contrib_partial(b: pa.Table) -> pa.Table:
             r = b["r"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -120,29 +119,18 @@ def pagerank(
             c = (85 * r) // (100 * d)
             ids = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
             return aggregate_table(
-                pa.table({"id": ids, "c": c}), ["id"], [("c", "sum", "c")]
+                pa.table({"_cs": ids, "c": c}), ["_cs"], [("c", "sum", "c")]
             )
 
         partials = j.map_batches(contrib_partial, batch_format="pyarrow")
-        sums = exchange_aggregate(partials, "id", [("c", "sum", "c")])
+        sums = exchange_aggregate(partials, "_cs", [("c", "sum", "c")])
+        merged = hash_join(nodes, sums, key="id", right_key="_cs", how="left")
 
-        def csum(b: pa.Table) -> pa.Table:
-            return pa.table({"_cs": b["id"], "c": b["c"]})
-
-        merged = hash_join(
-            nodes,
-            sums.map_batches(csum, batch_format="pyarrow"),
-            key="id",
-            right_key="_cs",
-            how="left",
-        )
-
-        def new_rank(b: pa.Table) -> pa.Table:
+        def new_rank(b: pa.Table, last: bool = i == n_iters - 1) -> pa.Table:
             import pyarrow.compute as pc
 
             c = pc.fill_null(b["c"], 0).cast(pa.int64())
-            r = pc.add(pc.cast(c, pa.int64()), base)
-            return pa.table({"id": b["id"], "r": r})
+            return rank_table(b["id"], pc.add(c, base), last)
 
         ranks = merged.map_batches(new_rank, batch_format="pyarrow").materialize()
 

@@ -280,3 +280,86 @@ def test_asof_nearest_direction():
     )
     # 10 -> 0 (|10|<|50|); 55 -> 60 (|5|); 300 -> 200
     assert got[["lid", "rid"]].values.tolist() == [[1, 7], [2, 8], [3, 9]]
+
+
+def test_asof_positions_match_pandas_merge_asof():
+    """The sort-and-searchsorted as-of kernel against ``pd.merge_asof``
+    (the reference) on seeded random inputs: all three directions,
+    heavily tied right timestamps, keys present on one side only,
+    int and float timestamps."""
+    import pandas as pd
+
+    from fineweb2_ro_ray.stages.exchange import key_codes
+    from fineweb2_ro_ray.stages.joins import _asof_positions
+
+    rng = np.random.default_rng(20)
+    for trial in range(200):
+        nl, nr = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        # keys 0..5 left, 2..8 right: some keys on one side only
+        lk = rng.integers(0, 6, nl)
+        rk = rng.integers(2, 9, nr)
+        lts = rng.integers(0, 15, nl)
+        rts = rng.integers(0, 15, nr)  # few distinct values: many ties
+        if trial % 2:
+            lts, rts = lts * 0.5, rts * 0.5
+        lcode, rcode = key_codes(
+            pa.table({"k": lk}), ["k"], pa.table({"k": rk}), ["k"]
+        )
+        lpos = pd.DataFrame({"k": lk, "t": lts, "li": np.arange(nl)})
+        rpos = pd.DataFrame({"k": rk, "t": rts, "ri": np.arange(nr)})
+        lpos = lpos.sort_values("t", kind="mergesort")
+        rpos = rpos.sort_values("t", kind="mergesort")
+        for direction in ("backward", "forward", "nearest"):
+            want = pd.merge_asof(lpos, rpos, on="t", by="k", direction=direction)
+            want = want[want["ri"].notna()]
+            li, ri = _asof_positions(lcode, rcode, lts, rts, direction)
+            assert li.tolist() == want["li"].tolist(), (trial, direction)
+            assert ri.tolist() == want["ri"].astype(np.int64).tolist(), (
+                trial,
+                direction,
+            )
+
+
+def test_asof_join_matches_pandas_merge_asof_end_to_end():
+    """``asof_join`` through the exchange on a random table with string
+    keys, tied timestamps and one-sided keys: the same matched pairs
+    as ``pd.merge_asof`` for every direction."""
+    import pandas as pd
+
+    from fineweb2_ro_ray.stages.joins import asof_join
+
+    rng = np.random.default_rng(21)
+    left = pa.table(
+        {
+            "lid": np.arange(300),
+            "k": [f"u{i}" for i in rng.integers(0, 12, 300)],
+            "lts": rng.integers(0, 50, 300),
+        }
+    )
+    right = pa.table(
+        {
+            "rid": np.arange(200) + 1000,
+            "rk": [f"u{i}" for i in rng.integers(4, 16, 200)],
+            "rts": rng.integers(0, 50, 200),
+        }
+    )
+    lp = left.to_pandas().sort_values("lts", kind="mergesort")
+    rp = right.to_pandas().sort_values("rts", kind="mergesort")
+    for direction in ("backward", "forward", "nearest"):
+        want = pd.merge_asof(
+            lp, rp, left_on="lts", right_on="rts", left_by="k", right_by="rk",
+            direction=direction,
+        ).dropna(subset=["rid"])
+        got = asof_join(
+            ray.data.from_arrow(left),
+            ray.data.from_arrow(right),
+            key="k",
+            right_key="rk",
+            left_ts="lts",
+            right_ts="rts",
+            direction=direction,
+            n_partitions=7,
+        ).to_pandas()
+        assert len(got) == len(want) > 0
+        pairs = sorted(zip(got["lid"], got["rid"]))
+        assert pairs == sorted(zip(want["lid"], want["rid"].astype(np.int64)))

@@ -148,8 +148,8 @@ def test_tree_merge_survives_merge_worker_death(
     2) and kill one _merge_slices worker; the keyed aggregate must be
     unchanged. Also covers lineage reconstruction: the dead merge's
     retry re-fetches (or re-creates) its input slices."""
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "0")
-    monkeypatch.setenv("FW2_EXCHANGE_MERGE_FANIN", "2")
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(exchange, "_MERGE_FANIN", 2)
 
     rng = np.random.default_rng(3)
     frames = [

@@ -5,7 +5,7 @@ path, auto-width selection, and fault tolerance through the new
 The grouped wiring exists to bound the driver's transient slice-ref
 matrix (M x P → max(M x ⌈P/W⌉, (M/F) x P)); locally it never
 auto-enables (M x P is tiny), so these tests force it via the
-``group_width`` parameter / ``FW2_EXCHANGE_GROUP_WIDTH`` env and
+``group_width`` parameter or a lowered ``exchange._DRIVER_REFS_MAX`` and
 assert bit-equality with the default wiring on every shape the
 exchange supports: single string key, multi-column key, pinned and
 unpinned output schema, empty partitions, and merge-tree depth > 1
@@ -25,6 +25,8 @@ import ray.data as rd
 from fineweb2_ro_ray.stages import exchange
 from fineweb2_ro_ray.stages.exchange import (
     _auto_group_width,
+    _auto_reducers,
+    _group_bounds,
     aggregate_table,
     hash_exchange_map_groups,
 )
@@ -65,8 +67,8 @@ def _collect(ds: rd.Dataset, by: list[str]) -> pd.DataFrame:
 
 def test_grouped_equals_ungrouped_all_shapes(ray_session, monkeypatch):
     # deep merge tree + many map groups through both wirings
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "1")
-    monkeypatch.setenv("FW2_EXCHANGE_MERGE_FANIN", "2")
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(exchange, "_MERGE_FANIN", 2)
     ds = _mk_ds()
     agg_pa, agg_kg = _mk_aggs()
 
@@ -108,8 +110,9 @@ def test_grouped_equals_ungrouped_all_shapes(ray_session, monkeypatch):
 
 
 def test_grouped_env_forced_flagship_identical(ray_session, monkeypatch, tmp_path):
-    """FW2_EXCHANGE_GROUP_WIDTH routes EVERY wide op in the flagship
-    through the grouped wiring; output must equal the default run."""
+    """A 1-ref driver budget makes every auto-sized exchange in the
+    flagship pick the grouped wiring (W >= 2); output must equal the
+    default run."""
     from fineweb2_ro_ray.pipelines.quality_filter import (
         annotate,
         read_transcripts,
@@ -126,17 +129,25 @@ def test_grouped_env_forced_flagship_identical(ray_session, monkeypatch, tmp_pat
 
     clean = run()
     assert len(clean) == 150
-    monkeypatch.setenv("FW2_EXCHANGE_GROUP_WIDTH", "3")
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "65536")
+    widths: list[int] = []
+
+    def spy(n_groups: int, p: int, fanin: int) -> int:
+        widths.append(_auto_group_width(n_groups, p, fanin))
+        return widths[-1]
+
+    monkeypatch.setattr(exchange, "_DRIVER_REFS_MAX", 1)
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 65536)
+    monkeypatch.setattr(exchange, "_auto_group_width", spy)
     pd.testing.assert_frame_equal(run(), clean)
+    assert widths and min(widths) >= 2
 
 
 def test_grouped_survives_split_merge_reduce_death(ray_session, monkeypatch, tmp_path):
     """SIGKILL one worker per stage (split / ungroup-merge / reduce)
     mid-run through the grouped wiring; retries must reproduce the
     clean output exactly."""
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "1")
-    monkeypatch.setenv("FW2_EXCHANGE_MERGE_FANIN", "2")
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(exchange, "_MERGE_FANIN", 2)
     ds = _mk_ds(2000, 23, seed=9)
     agg_pa, _ = _mk_aggs()
     schema = pa.schema(
@@ -165,17 +176,46 @@ def test_grouped_survives_split_merge_reduce_death(ray_session, monkeypatch, tmp
 
 
 def test_auto_group_width_rules(monkeypatch):
-    monkeypatch.delenv("FW2_EXCHANGE_GROUP_WIDTH", raising=False)
-    monkeypatch.delenv("FW2_EXCHANGE_DRIVER_REFS_MAX", raising=False)
     # under budget: ungrouped
     assert _auto_group_width(100, 64, fanin=64) == 1
     # 100-TB shape: M=1.6e6, P=4e5 => W caps at fan-in
     assert _auto_group_width(1_600_000, 400_000, fanin=64) == 64
     # just over budget: smallest sufficient W
-    monkeypatch.setenv("FW2_EXCHANGE_DRIVER_REFS_MAX", "1000")
+    monkeypatch.setattr(exchange, "_DRIVER_REFS_MAX", 1000)
     assert _auto_group_width(100, 30, fanin=64) == 3
     # never more than P/2 (num_returns needs >= 2 groups)
     assert _auto_group_width(10_000, 8, fanin=64) == 4
-    # env force wins, still clamped to P/2
-    monkeypatch.setenv("FW2_EXCHANGE_GROUP_WIDTH", "50")
-    assert _auto_group_width(10, 12, fanin=64) == 6
+    # a forced group_width is clamped to P/2 as well
+    assert _group_bounds(12, 50) == (0, 6, 12)
+    # width 1 is the ungrouped wiring; no width-1 trailing group
+    assert _group_bounds(12, 1) is None
+    assert _group_bounds(13, 3) == (0, 3, 6, 9, 13)
+
+
+def test_exchange_sizing_constants_keep_their_defaults():
+    """The sizing constants carry the defaults the former environment
+    overrides had, so the default wiring is unchanged."""
+    assert exchange._SPLIT_BYTES == 64 << 20
+    assert exchange._MERGE_FANIN == 64
+    assert exchange._PARTITION_BYTES == 256 << 20
+    assert exchange._MAX_REDUCERS == 1 << 16
+    assert exchange._DRIVER_REFS_MAX == 4_000_000
+
+
+def test_auto_reducers_rules(monkeypatch):
+    mib = 1 << 20
+    # parallelism floor max(8, 2 x CPUs) for small or empty inputs
+    assert _auto_reducers(0, 1) == 8
+    assert _auto_reducers(10 * mib, 4) == 8
+    assert _auto_reducers(10 * mib, 16) == 32
+    # one reducer per 256 MiB of streamed input, rounded up
+    assert _auto_reducers(12 * (256 * mib) + 1, 4) == 13
+    # capped by _MAX_REDUCERS, never below 2 (splits need num_returns >= 2)
+    monkeypatch.setattr(exchange, "_MAX_REDUCERS", 5)
+    assert _auto_reducers(12 * (256 * mib), 4) == 5
+    monkeypatch.setattr(exchange, "_MAX_REDUCERS", 1)
+    assert _auto_reducers(12 * (256 * mib), 4) == 2
+    # the partition target is read on every call
+    monkeypatch.setattr(exchange, "_MAX_REDUCERS", 1 << 16)
+    monkeypatch.setattr(exchange, "_PARTITION_BYTES", 1000)
+    assert _auto_reducers(50_500, 4) == 51

@@ -247,6 +247,31 @@ def test_ops_cli_list_and_run(tmp_path, capsys):
     assert t.num_rows >= 1 and set(t.schema.names) == {"lang", "n"}
 
 
+def test_ops_cli_keeps_an_embedded_ray_session(ray_session, tmp_path, capsys):
+    """Run in-process inside a caller's Ray session, the ops CLI leaves
+    that session running: it shuts down only a session it started."""
+    import ray
+
+    from fineweb2_ro_ray.ops_cli import main
+
+    import pyarrow.parquet as pq
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(
+        pa.table({"lang": ["ro", "en", "ro", None, "ro"]}),
+        str(sf / "documents.parquet"),
+    )
+    node = ray.get_runtime_context().get_node_id()
+    dst = str(tmp_path / "out.parquet")
+    assert main(["--op", "lang_counts", "--sf-dir", str(sf), "--output", dst]) == 0
+    got = pq.read_table(dst).to_pylist()
+    assert {(r["lang"], r["n"]) for r in got} == {("ro", 3), ("en", 1), (None, 1)}
+    assert ray.is_initialized()
+    assert ray.get_runtime_context().get_node_id() == node
+    assert rd.range(3).count() == 3
+
+
 def test_ingest_stale_shards_flagged(tmp_path):
     """A replayed stream SHORTER than the spool must surface the
     uncovered shards; dataset_from_stream refuses to read them."""
@@ -268,6 +293,32 @@ def test_ingest_stale_shards_flagged(tmp_path):
     ]
     with pytest.raises(ValueError, match="not covered"):
         dataset_from_stream(stream(1500), out, shard_rows=1000)
+
+
+def test_csv_shards_round_trip_null_and_empty_text(tmp_path):
+    """``write_csv_shards`` → ``read_csv_shards`` keeps NULL text NULL
+    and empty text empty, and a pinned all-digits id stays int64."""
+    import pyarrow as pa
+
+    from fineweb2_ro_ray.sources.io import read_csv_shards, write_csv_shards
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([10, 20, 30, 40], pa.int64()),
+            "code": pa.array(["007", "123", "", None]),
+            "text": pa.array(["a", None, "", 'x, "y"\nz']),
+        }
+    )
+    out = str(tmp_path / "csv")
+    write_csv_shards(rd.from_arrow(t), out)
+    ds = read_csv_shards(
+        out, column_types={"doc_id": pa.int64(), "code": pa.string()}
+    )
+    got = pa.concat_tables(ds.iter_batches(batch_format="pyarrow")).sort_by("doc_id")
+    assert got.schema.field("doc_id").type == pa.int64()
+    assert got["doc_id"].to_pylist() == [10, 20, 30, 40]
+    assert got["code"].to_pylist() == ["007", "123", "", None]
+    assert got["text"].to_pylist() == ["a", None, "", 'x, "y"\nz']
 
 
 def test_publish_dataset_layout_and_integrity(tmp_path):
@@ -456,6 +507,28 @@ def test_no_exchange_call_passes_batch_format():
     ds = rd.from_items([{"k": 1}])
     with pytest.raises(ValueError, match="batch_format"):
         hash_exchange_map_groups(ds, lambda t: t, key="k", batch_format="pandas")
+
+
+def test_exchange_reads_no_environment():
+    """The exchange's sizing knobs are module constants: no module of
+    the package reads an ``FW2_EXCHANGE_*`` variable, and map outputs
+    have no disk-segment switch."""
+    import inspect
+    import os
+
+    from fineweb2_ro_ray.stages.exchange import hash_exchange_map_groups
+
+    pkg = os.path.join(os.path.dirname(__file__), "..", "fineweb2_ro_ray")
+    hits = []
+    for dirpath, _, files in os.walk(pkg):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                if "FW2_EXCHANGE_" in open(path).read():
+                    hits.append(os.path.relpath(path, pkg))
+    assert hits == []
+    params = inspect.signature(hash_exchange_map_groups).parameters
+    assert "segment_dir" not in params
 
 
 def test_artifact_queries_use_one_directory_per_run(tmp_path, monkeypatch):

@@ -72,6 +72,101 @@ def test_near_dedup_full_no_pairs(ray_session):
     assert out["kept"].all()
 
 
+def _random_pair_graph(seed: int) -> tuple[pd.DataFrame, np.ndarray]:
+    """(pairs, doc ids of ``ds``): random edges, a shuffled 40-node
+    chain, self-loops (one on a node in no other pair), duplicate and
+    reversed edges, and pair ids absent from ``ds``; ids spread over a
+    wide range so every component hashes across partitions."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10**6, 140, replace=False).astype(np.int64)
+    chain = rng.permutation(ids[:40])
+    a = [chain[:-1]]
+    b = [chain[1:]]
+    pool = ids[40:120]
+    ra, rb = rng.choice(pool, 50), rng.choice(pool, 50)
+    a += [ra, rb[:5], ids[:3], ids[120:121]]
+    b += [rb, ra[:5], ids[:3], ids[120:121]]
+    pairs = pd.DataFrame({"doc_a": np.concatenate(a), "doc_b": np.concatenate(b)})
+    pairs = pairs.sample(frac=1.0, random_state=seed, ignore_index=True)
+    # ds: all but 15 of the pair ids, plus 10 docs in no pair
+    in_pairs = np.unique(pairs.to_numpy())
+    absent = rng.choice(in_pairs, 15, replace=False)
+    docs = np.concatenate([np.setdiff1d(in_pairs, absent), ids[130:140]])
+    return pairs, rng.permutation(docs)
+
+
+def _duckdb_components(pairs: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id, component = min id of its connected component) by a
+    recursive-CTE reachability closure."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("pairs", pairs)
+    return con.execute(
+        """
+        WITH RECURSIVE edges(a, b) AS (
+            SELECT doc_a, doc_b FROM pairs UNION SELECT doc_b, doc_a FROM pairs
+        ),
+        reach(node, src) AS (
+            SELECT a, a FROM edges
+            UNION
+            SELECT e.b, r.src FROM reach r JOIN edges e ON r.node = e.a
+        )
+        SELECT node AS doc_id, min(src) AS component
+        FROM reach GROUP BY node ORDER BY node
+        """
+    ).df()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
+    """``connected_components`` and ``near_dedup_full`` against a DuckDB
+    recursive-CTE component oracle on random pair graphs, through both
+    component paths: the driver union-find and label propagation."""
+    import functools
+
+    from fineweb2_ro_ray.stages import components
+
+    pairs, doc_ids = _random_pair_graph(seed)
+    want = _duckdb_components(pairs)
+    size = want.groupby("component")["doc_id"].transform("size")
+    cluster = dict(zip(want["doc_id"], zip(want["component"], size)))
+    want_docs = pd.DataFrame(
+        {
+            "doc_id": np.sort(doc_ids),
+            "cluster_size": [cluster.get(d, (d, 1))[1] for d in np.sort(doc_ids)],
+            "kept": [cluster.get(d, (d, 1))[0] == d for d in np.sort(doc_ids)],
+        }
+    )
+    docs = ray.data.from_arrow(
+        pa.table({"doc_id": doc_ids, "text": [f"t{d}" for d in doc_ids]})
+    ).repartition(6)
+    real_cc = components.connected_components
+    for limit in (2_000_000, 0):  # driver union-find, then label propagation
+        ds_pairs = ray.data.from_pandas(pairs).repartition(5)
+        got = (
+            real_cc(ds_pairs, driver_edge_limit=limit)
+            .to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+        monkeypatch.setattr(
+            components,
+            "connected_components",
+            functools.partial(real_cc, driver_edge_limit=limit),
+        )
+        out = (
+            near_dedup_full(docs, ds_pairs, keep_all=True, n_partitions=7)
+            .to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+        )
+        pd.testing.assert_frame_equal(
+            out[["doc_id", "cluster_size", "kept"]], want_docs, check_dtype=False
+        )
+        assert (out["text"] == "t" + out["doc_id"].astype(str)).all()
+
+
 def test_minhash_dedup_full_end_to_end(ray_session):
     # two exact-duplicate families + distinct docs: LSH must pair the
     # identical texts (identical signatures collide in every band)

@@ -69,3 +69,40 @@ def test_pagerank_dangling_and_sources(ray_session):
     assert got[1] == base and got[4] == base
     # dangling node 3 still accumulates from 2
     assert got[3] > base
+
+
+def test_pagerank_zero_and_many_iterations(ray_session):
+    """``n_iters=0`` returns every node at SCALE; a longer run still
+    equals the reference. Output columns are ``(id, r)`` either way."""
+    edges = [(1, 2), (2, 3), (3, 1), (3, 4), (5, 1), (4, 6)]
+    t = pa.table(
+        {
+            "src": pa.array([s for s, _ in edges], pa.int64()),
+            "dst": pa.array([d for _, d in edges], pa.int64()),
+        }
+    )
+    got0 = pagerank(rd.from_arrow(t), n_iters=0).to_pandas()
+    assert list(got0.columns) == ["id", "r"]
+    assert dict(zip(got0["id"].astype(int), got0["r"].astype(int))) == {
+        v: SCALE for v in range(1, 7)
+    }
+    assert _run(edges, 7, 3) == _ref(edges, 7)
+
+
+def test_pagerank_joins_never_probe_a_lazy_side(ray_session, monkeypatch):
+    """Every side pagerank hands to ``hash_join`` has a schema Ray knows
+    without executing anything. A lazy side makes the join's schema
+    probe run it to its first block and cancel the rest of its tasks."""
+    from fineweb2_ro_ray.stages import joins
+
+    real = joins._arrow_schema
+    probed: list = []
+
+    def checked(ds):
+        probed.append(ds.schema(fetch_if_missing=False))
+        return real(ds)
+
+    monkeypatch.setattr(joins, "_arrow_schema", checked)
+    edges = [(1, 2), (2, 3), (4, 2), (3, 1)]
+    assert _run(edges, 2, 2) == _ref(edges, 2)
+    assert probed and all(s is not None for s in probed)

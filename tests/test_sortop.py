@@ -89,22 +89,6 @@ def test_constant_key_and_parallelism_invariance(ray_session):
         )
 
 
-def test_sample_sort_through_segment_exchange(ray_session, tmp_path, monkeypatch):
-    """Callable (range) routing composes with the disk-segment
-    exchange: same total order."""
-    monkeypatch.setenv("FW2_EXCHANGE_SEGMENT_DIR", str(tmp_path))
-    t = _mk(n=900, seed=8)
-    ds = rd.from_arrow(t).repartition(11)
-    out = _stream_rows(
-        sample_sort(ds, ["a", "b", "s"], n_reducers=6, rank_col="rn"),
-        ["s", "rn"],
-    )
-    monkeypatch.delenv("FW2_EXCHANGE_SEGMENT_DIR")
-    exp = t.to_pandas().sort_values(["a", "b", "s"]).reset_index(drop=True)
-    assert list(out["s"]) == list(exp["s"])
-    assert list(out["rn"]) == list(range(1, 901))
-
-
 def test_write_sorted_parquet_and_range_read(ray_session, tmp_path):
     import json
     import os as _os

@@ -2679,13 +2679,14 @@ def test_hash_exchange_coalesced_split_groups(ray_session):
 
 
 def test_hash_exchange_split_bytes_env_override(ray_session, monkeypatch):
-    """FW2_EXCHANGE_SPLIT_BYTES=0 degenerates to one split task per
+    """``exchange._SPLIT_BYTES = 0`` degenerates to one split task per
     upstream block — result identical."""
     import pandas as pd
 
+    from fineweb2_ro_ray.stages import exchange
     from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "0")
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 0)
     frames = [
         pd.DataFrame({"k": ["a", "b"], "v": [i, 2 * i]}) for i in range(6)
     ]
@@ -2710,6 +2711,7 @@ def test_hash_exchange_tree_merge_equals_flat(ray_session, monkeypatch):
     empty blocks included."""
     import pandas as pd
 
+    from fineweb2_ro_ray.stages import exchange
     from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     rng = np.random.default_rng(11)
@@ -2750,8 +2752,8 @@ def test_hash_exchange_tree_merge_equals_flat(ray_session, monkeypatch):
         )
 
     flat, flat_str = run(), run_str()
-    monkeypatch.setenv("FW2_EXCHANGE_SPLIT_BYTES", "0")  # M = 40 map groups
-    monkeypatch.setenv("FW2_EXCHANGE_MERGE_FANIN", "2")  # log2(40) merge levels
+    monkeypatch.setattr(exchange, "_SPLIT_BYTES", 0)  # M = 40 map groups
+    monkeypatch.setattr(exchange, "_MERGE_FANIN", 2)  # log2(40) merge levels
     tree, tree_str = run(), run_str()
     pd.testing.assert_frame_equal(tree, flat)
     pd.testing.assert_frame_equal(tree_str, flat_str)
@@ -2787,6 +2789,7 @@ def test_exchange_byte_sized_reducers_end_to_end(ray_session, monkeypatch):
     sync) and without one."""
     import pandas as pd
 
+    from fineweb2_ro_ray.stages import exchange
     from fineweb2_ro_ray.stages.exchange import aggregate_table, hash_exchange_map_groups
 
     rng = np.random.default_rng(13)
@@ -2831,8 +2834,8 @@ def test_exchange_byte_sized_reducers_end_to_end(ray_session, monkeypatch):
         )
 
     base, base_ns = run(), run_noschema()
-    monkeypatch.setenv("FW2_EXCHANGE_PARTITION_BYTES", "1")
-    monkeypatch.setenv("FW2_EXCHANGE_MAX_REDUCERS", "23")
+    monkeypatch.setattr(exchange, "_PARTITION_BYTES", 1)
+    monkeypatch.setattr(exchange, "_MAX_REDUCERS", 23)
     wide, wide_ns = run(), run_noschema()
     pd.testing.assert_frame_equal(wide, base)
     pd.testing.assert_frame_equal(wide_ns, base_ns)
