@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.exchange import aggregate_table, hash_exchange_map_groups
+from ..stages.exchange import exchange_aggregate
 
 
 def pseudonymize(
@@ -56,22 +56,15 @@ def k_anonymity_report(
     ds: ray.data.Dataset, qi_cols: list[str], k: int
 ) -> ray.data.Dataset:
     """Quasi-identifier groups with FEWER than ``k`` rows (the rows a
-    release would need to suppress or generalize): per-batch partial
-    counts, one keyed exchange sum, under-k filter inside the reduce.
-    Output ``(*qi_cols, n)``."""
-
-    parts = ds.select_columns(qi_cols).map_batches(
-        lambda b: aggregate_table(b, qi_cols, [(None, "size", "pn")]),
-        batch_format="pyarrow",
-    )
+    release would need to suppress or generalize): ``exchange_aggregate``
+    counts each group, then the under-k groups are kept. Output
+    ``(*qi_cols, n)``."""
     out_schema = pa.schema(
         [(c, pa.string()) for c in qi_cols] + [("n", pa.int64())]
     )
-
-    def reduce_part(t: pa.Table) -> pa.Table:
-        g = aggregate_table(t, qi_cols, [("pn", "sum", "n")])
-        return g.filter(pc.less(g["n"], k))
-
-    return hash_exchange_map_groups(
-        parts, reduce_part, key=qi_cols, out_schema=out_schema
+    counts = exchange_aggregate(
+        ds.select_columns(qi_cols), qi_cols, [(None, "size", "n")], out_schema=out_schema
+    )
+    return counts.map_batches(
+        lambda t: t.filter(pc.less(t["n"], k)), batch_format="pyarrow"
     )

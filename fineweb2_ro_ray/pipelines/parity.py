@@ -42,7 +42,6 @@ from ..stages.dedup import (
 )
 from ..stages.similarity import knn_bruteforce, knn_lsh
 from ..functions.textstats import SYMBOL_PATTERN
-from ..schema import from_pandas_clean
 from ..stages.exchange import (
     aggregate_table,
     distinct_table,
@@ -92,24 +91,44 @@ def _run_dir(prefix: str):
         shutil.rmtree(d, ignore_errors=True)
 
 
-def _exchange_sum(
-    partials: ray.data.Dataset,
-    keys: str | list[str],
-    renames: dict[str, str],
-    out_schema: pa.Schema | None = None,
-) -> ray.data.Dataset:
-    """Merge map-side partial-sum rows on the raw hash exchange (no
-    sort): one ``exchange_aggregate`` sum per reduce partition.
-    ``renames`` maps partial column → output alias, in output order.
-    Pass ``out_schema`` when the result can be EMPTY (every partial
-    filtered out): without it an all-empty exchange yields a
-    schema-less block and the driver compare sees zero columns."""
-    return exchange_aggregate(
-        partials,
-        keys,
-        [(c, "sum", alias) for c, alias in renames.items()],
-        out_schema=out_schema,
+def _int_scaled(col, scale: float = 100) -> pa.Array:
+    """SQL ``CAST(round(col * scale) AS BIGINT)`` of a double column
+    (``round_half_away``); a null stays null."""
+    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    x = pc.fill_null(a, 0.0).to_numpy(zero_copy_only=False)
+    null = a.is_null().to_numpy(zero_copy_only=False)
+    return pa.array(round_half_away(x * scale), pa.int64(), mask=null)
+
+
+def _valid(t: pa.Table, *cols: str) -> pa.Table:
+    """``t`` without the rows where any of ``cols`` is null."""
+    m = pc.is_valid(t[cols[0]])
+    for c in cols[1:]:
+        m = pc.and_(m, pc.is_valid(t[c]))
+    return t.filter(m)
+
+
+def _rev_cbp(t: pa.Table) -> pa.Array:
+    """Line revenue in cents x basis points, SQL ``round(price * 100) *
+    (100 - round(discount * 100))``; null if either input is."""
+    return pc.multiply(
+        _int_scaled(t["l_extendedprice"]), pc.subtract(100, _int_scaled(t["l_discount"]))
     )
+
+
+def _dim(sf_dir: str, table: str, key: str, value: str):
+    """A small dimension table's ``(key, value)`` columns, broadcast
+    once (``ray.put``) for ``_lookup``."""
+    refs = _read(sf_dir, table, [key, value]).to_arrow_refs()
+    return ray.put(pa.concat_tables(ray.get(refs)).combine_chunks())
+
+
+def _lookup(keys, dim_ref):
+    """Broadcast join: the dimension value whose key equals each of
+    ``keys``; null for a null or missing key."""
+    d = ray.get(dim_ref)
+    vs = d.column(0).combine_chunks().cast(keys.type)
+    return d.column(1).take(pc.index_in(keys, value_set=vs, skip_nulls=True))
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +333,14 @@ def q_events_type_counts(sf_dir: str):
     """G1 + integer-scaled SUM over doubles (deterministic value hash)."""
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["value_cents"] = round_half_away(df["value"].to_numpy() * 100)
-        out = (
-            df.groupby("event_type")
-            .agg(partial_n=("value_cents", "size"), partial_cents=("value_cents", "sum"))
-            .reset_index()
-        )
-        return from_pandas_clean(out)
+    def cents(b: pa.Table) -> pa.Table:
+        t = pa.table({"event_type": b["event_type"], "value_cents": _int_scaled(b["value"])})
+        return _valid(t, "event_type")
 
-    return _exchange_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow"),
         ["event_type"],
-        {"partial_n": "n", "partial_cents": "value_cents"},
+        [(None, "size", "n"), ("value_cents", "sum", "value_cents")],
     )
 
 
@@ -354,32 +367,27 @@ def q_lineitem_pricing(sf_dir: str):
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["qty"] = df["l_quantity"].astype(np.int64)
-        df["price_cents"] = round_half_away(df["l_extendedprice"].to_numpy() * 100)
-        df["disc_bp"] = round_half_away(df["l_discount"].to_numpy() * 100)
-        out = (
-            df.groupby(["l_returnflag", "l_linestatus"])
-            .agg(
-                partial_qty=("qty", "sum"),
-                partial_cents=("price_cents", "sum"),
-                partial_disc=("disc_bp", "sum"),
-                partial_n=("qty", "size"),
-            )
-            .reset_index()
+    def scaled(b: pa.Table) -> pa.Table:
+        t = pa.table(
+            {
+                "l_returnflag": b["l_returnflag"],
+                "l_linestatus": b["l_linestatus"],
+                "qty": _int_scaled(b["l_quantity"], 1),
+                "price_cents": _int_scaled(b["l_extendedprice"]),
+                "disc_bp": _int_scaled(b["l_discount"]),
+            }
         )
-        return from_pandas_clean(out)
+        return _valid(t, "l_returnflag", "l_linestatus")
 
-    return _exchange_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        ds.map_batches(scaled, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
-        {
-            "partial_qty": "sum_qty",
-            "partial_cents": "sum_price_cents",
-            "partial_disc": "sum_disc_bp",
-            "partial_n": "count_order",
-        },
+        [
+            ("qty", "sum", "sum_qty"),
+            ("price_cents", "sum", "sum_price_cents"),
+            ("disc_bp", "sum", "sum_disc_bp"),
+            (None, "size", "count_order"),
+        ],
     )
 
 
@@ -387,40 +395,32 @@ def q_orders_by_segment(sf_dir: str):
     """J-family broadcast join (small side ``ray.put`` once, dict lookup
     per batch — ``taxonomy.py`` J2 pattern at relational scale; no
     shuffle join)."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    lookup_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+    seg = _dim(sf_dir, "customer", "c_custkey", "c_mktsegment")
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
-        lut = ray.get(lookup_ref)
-        df = b.to_pandas()
-        df["c_mktsegment"] = df["o_custkey"].map(lut)
-        df["price_cents"] = round_half_away(df["o_totalprice"].to_numpy() * 100)
-        out = (
-            df.groupby("c_mktsegment")
-            .agg(partial_n=("price_cents", "size"), partial_cents=("price_cents", "sum"))
-            .reset_index()
+        t = pa.table(
+            {
+                "c_mktsegment": _lookup(b["o_custkey"], seg),
+                "price_cents": _int_scaled(b["o_totalprice"]),
+            }
         )
-        return from_pandas_clean(out)
+        return _valid(t, "c_mktsegment")
 
-    return _exchange_sum(
+    return exchange_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["c_mktsegment"],
-        {"partial_n": "n_orders", "partial_cents": "total_cents"},
+        [(None, "size", "n_orders"), ("price_cents", "sum", "total_cents")],
     )
 
 
 def q_supplier_nations(sf_dir: str):
     """Second broadcast join: supplier → nation names."""
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    lookup_ref = ray.put(dict(zip(nat["n_nationkey"], nat["n_name"])))
+    nat = _dim(sf_dir, "nation", "n_nationkey", "n_name")
     ds = _read(sf_dir, "supplier", ["s_nationkey"])
 
     def f(b: pa.Table) -> pa.Table:
-        lut = ray.get(lookup_ref)
-        df = b.to_pandas()
-        df["n_name"] = df["s_nationkey"].map(lut)
-        return from_pandas_clean(df[["n_name"]])
+        return pa.table({"n_name": _lookup(b["s_nationkey"], nat)})
 
     return grouped_counts(ds.map_batches(f, batch_format="pyarrow"), ["n_name"])
 
@@ -850,20 +850,16 @@ def q_orders_join_native(sf_dir: str):
         partition_size_hint=max(1, size // n_parts),
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["price_cents"] = round_half_away(df["o_totalprice"].to_numpy() * 100)
-        out = (
-            df.groupby("c_mktsegment")
-            .agg(partial_n=("price_cents", "size"), partial_cents=("price_cents", "sum"))
-            .reset_index()
+    def cents(b: pa.Table) -> pa.Table:
+        t = pa.table(
+            {"c_mktsegment": b["c_mktsegment"], "price_cents": _int_scaled(b["o_totalprice"])}
         )
-        return from_pandas_clean(out)
+        return _valid(t, "c_mktsegment")
 
-    return _exchange_sum(
-        joined.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        joined.map_batches(cents, batch_format="pyarrow"),
         ["c_mktsegment"],
-        {"partial_n": "n_orders", "partial_cents": "total_cents"},
+        [(None, "size", "n_orders"), ("price_cents", "sum", "total_cents")],
     )
 
 
@@ -1352,14 +1348,10 @@ def q_orders_top_revenue(sf_dir: str):
     )
 
     def li_revenue(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.greater(b["l_shipdate"], pa.scalar(cutoff)))
-        df = t.select(["l_orderkey", "l_extendedprice", "l_discount"]).to_pandas()
-        cents = round_half_away(df["l_extendedprice"].to_numpy() * 100)
-        disc = round_half_away(df["l_discount"].to_numpy() * 100)
-        df["rev_cbp"] = cents * (100 - disc)
+        t = _valid(b.filter(pc.greater(b["l_shipdate"], pa.scalar(cutoff))), "l_orderkey")
+        rev = pa.table({"l_orderkey": t["l_orderkey"], "rev_cbp": _rev_cbp(t)})
         # map-side combiner: one partial row per orderkey in the batch
-        out = df.groupby("l_orderkey", as_index=False)["rev_cbp"].sum()
-        return from_pandas_clean(out)
+        return aggregate_table(rev, ["l_orderkey"], [("rev_cbp", "sum", "rev_cbp")])
 
     rev = bloom_filter_ids(li, bm, id_col="l_orderkey").map_batches(
         li_revenue, batch_format="pyarrow"
@@ -1372,15 +1364,10 @@ def q_orders_top_revenue(sf_dir: str):
     joined = hash_join(rev, o, key="l_orderkey", right_key="o_orderkey")
 
     # merge partials per (orderkey, date, priority), then global top-10
-    merged = _exchange_sum(
-        joined.map_batches(
-            lambda t: t.select(
-                ["l_orderkey", "o_orderdate", "o_orderpriority", "rev_cbp"]
-            ),
-            batch_format="pyarrow",
-        ),
+    merged = exchange_aggregate(
+        joined,
         ["l_orderkey", "o_orderdate", "o_orderpriority"],
-        {"rev_cbp": "revenue_cbp"},
+        [("rev_cbp", "sum", "revenue_cbp")],
     )
     out = top_k(merged, "revenue_cbp", 10, tiebreak="l_orderkey")
     return out[["l_orderkey", "o_orderdate", "o_orderpriority", "revenue_cbp"]]
@@ -1507,51 +1494,33 @@ def q_label_centroid_sums(sf_dir: str):
     """Per-label centroid sufficient statistics over the embedding
     column — (label, dim pos, exact ppm-scaled coordinate sum, count).
     The distributed mean-embedding building block (cluster centroids,
-    class prototypes): per-batch label-masked matrix sums (one
-    reshape + per-label vectorized column sum, no Python over rows),
-    one thin exchange of (labels x dims) partial rows. Integer ppm
+    class prototypes): one (label, pos, ppm) row per coordinate, no
+    Python over rows; ``exchange_aggregate``'s combine thins each batch
+    to (labels x dims) partial rows before the one exchange. Integer ppm
     scaling keeps the value hash engine-independent; a consumer divides
     sum_ppm / n / 1e6 for the mean."""
 
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table(
-                {
-                    "label": pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int64()),
-                    "partial_sum": pa.array([], pa.int64()),
-                    "partial_n": pa.array([], pa.int64()),
-                }
-            )
-        emb = b["embedding"]
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        d = len(emb[0])
-        mat = pc.list_flatten(emb).to_numpy(zero_copy_only=False).astype(np.float64)
-        mat = round_half_away(mat.reshape(-1, d) * 1e6)
-        labels = b["label"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        rows = []
-        for i, lab in enumerate(uniq):
-            mask = inv == i
-            rows.append(
-                pd.DataFrame(
-                    {
-                        "label": np.full(d, lab, dtype=np.int64),
-                        "pos": np.arange(1, d + 1, dtype=np.int64),
-                        "partial_sum": mat[mask].sum(axis=0).astype(np.int64),
-                        "partial_n": np.full(d, int(mask.sum()), dtype=np.int64),
-                    }
-                )
-            )
-        return from_pandas_clean(pd.concat(rows, ignore_index=True))
+    def coords(b: pa.Table) -> pa.Table:
+        # one (label, 1-based position, ppm value) row per coordinate
+        emb = b["embedding"].combine_chunks()
+        lens = pc.fill_null(pc.list_value_length(emb), 0).to_numpy(zero_copy_only=False)
+        v = pc.list_flatten(emb).to_numpy(zero_copy_only=False).astype(np.float64)
+        first = np.repeat(np.cumsum(lens) - lens, lens)
+        label = np.repeat(b["label"].to_numpy(zero_copy_only=False), lens)
+        return pa.table(
+            {
+                "label": pa.array(label, pa.int64()),
+                "pos": pa.array(np.arange(len(v)) - first + 1, pa.int64()),
+                "ppm": pa.array(round_half_away(v * 1e6), pa.int64()),
+            }
+        )
 
-    return _exchange_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        ds.map_batches(coords, batch_format="pyarrow"),
         ["label", "pos"],
-        {"partial_sum": "sum_ppm", "partial_n": "n"},
+        [("ppm", "sum", "sum_ppm"), (None, "size", "n")],
     )
 
 
@@ -1590,16 +1559,10 @@ def q_customer_order_counts(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey"])
     joined = hash_join(cust, orders, key="c_custkey", right_key="o_custkey", how="left")
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["m"] = df["o_custkey"].notna().astype(np.int64)
-        out = df.groupby("c_custkey", as_index=False)["m"].sum()
-        return from_pandas_clean(out.rename(columns={"m": "partial_n"}))
-
-    return _exchange_sum(
-        joined.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        joined.map_batches(lambda t: _valid(t, "c_custkey"), batch_format="pyarrow"),
         ["c_custkey"],
-        {"partial_n": "n_orders"},
+        [("o_custkey", "count", "n_orders")],
     )
 
 
@@ -1641,26 +1604,17 @@ def q_cust_sales_opportunity(sf_dir: str):
     )
     dormant = hash_join(cust, orders, key="c_custkey", right_key="o_custkey", how="anti")
 
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nref = ray.put(dict(zip(nat["n_nationkey"], nat["n_name"])))
+    nat = _dim(sf_dir, "nation", "n_nationkey", "n_name")
 
-    def grp(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        c100 = round_half_away(df["c_acctbal"].to_numpy() * 100.0)
-        name = df["c_nationkey"].map(ray.get(nref))
-        keep = (c100 * cnt > sum_c) & name.notna().to_numpy()
-        d = pd.DataFrame({"cntrycode": name[keep], "bal_c": c100[keep]})
-        out = d.groupby("cntrycode", as_index=False).agg(
-            pn=("bal_c", "size"), ps=("bal_c", "sum")
-        )
-        out["pn"] = out["pn"].astype(np.int64)
-        out["ps"] = out["ps"].astype(np.int64)
-        return from_pandas_clean(out)
+    def above_avg(b: pa.Table) -> pa.Table:
+        c100 = _int_scaled(b["c_acctbal"])
+        t = pa.table({"cntrycode": _lookup(b["c_nationkey"], nat), "bal_c": c100})
+        return _valid(t.filter(pc.greater(pc.multiply(c100, cnt), sum_c)), "cntrycode")
 
-    return _exchange_sum(
-        dormant.map_batches(grp, batch_format="pyarrow"),
+    return exchange_aggregate(
+        dormant.map_batches(above_avg, batch_format="pyarrow"),
         ["cntrycode"],
-        {"pn": "numcust", "ps": "totacctbal_c"},
+        [(None, "size", "numcust"), ("bal_c", "sum", "totacctbal_c")],
         out_schema=pa.schema(
             [
                 ("cntrycode", pa.string()),
@@ -1679,20 +1633,12 @@ def q_customer_distribution(sf_dir: str):
     level 2 re-keys those rows on the count value itself — a second
     thin exchange over (n_orders, partial) rows."""
     per_cust = q_customer_order_counts(sf_dir)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("n_orders").aggregate([("n_orders", "count")])
-        return pa.table(
-            {
-                "c_count": g["n_orders"],
-                "pn": g["n_orders_count"].cast(pa.int64()),
-            }
-        )
-
-    return _exchange_sum(
-        per_cust.map_batches(partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        per_cust.map_batches(
+            lambda t: pa.table({"c_count": t["n_orders"]}), batch_format="pyarrow"
+        ),
         ["c_count"],
-        {"pn": "custdist"},
+        [(None, "size", "custdist")],
         out_schema=pa.schema([("c_count", pa.int64()), ("custdist", pa.int64())]),
     )
 
@@ -1709,9 +1655,9 @@ def q_user_retention(sf_dir: str):
     their FIRST active day; count distinct users per (cohort_day,
     day_offset). Self-referential per-entity anchor + offset
     histogram: a per-batch (user, day) distinct combiner thins events,
-    ONE user-keyed exchange computes each user's anchor and emits
-    per-partition (cohort, offset) partial counts, then a thin
-    final-key exchange sums them. Raw events never cross a shuffle."""
+    ONE user-keyed exchange computes each user's anchor and emits one
+    (cohort, offset) row per active user-day, then ``exchange_aggregate``
+    counts them. Raw events never cross a shuffle."""
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -1733,19 +1679,17 @@ def q_user_retention(sf_dir: str):
         day = pc.cast(t["day"], pa.timestamp("us"))
         us = day.cast(pa.int64()).to_numpy(zero_copy_only=False)
         first = np.repeat(starts[:-1], np.diff(starts))
-        out = pa.table(
+        return pa.table(
             {
                 "cohort_day": pc.strftime(day.take(pa.array(first)), format="%Y-%m-%d"),
                 "day_offset": pa.array((us - us[first]) // 86_400_000_000, pa.int64()),
             }
         )
-        return aggregate_table(out, ["cohort_day", "day_offset"], [(None, "size", "pn")])
 
-    counts = hash_exchange_map_groups(per, per_user, key="user_id")
-    return _exchange_sum(
-        counts,
+    return exchange_aggregate(
+        hash_exchange_map_groups(per, per_user, key="user_id"),
         ["cohort_day", "day_offset"],
-        {"pn": "n_users"},
+        [(None, "size", "n_users")],
         out_schema=pa.schema(
             [
                 ("cohort_day", pa.string()),
@@ -1818,20 +1762,16 @@ def q_supplier_sole_returner(sf_dir: str):
     )
     cand = hash_join(per_ord, f_orders, key="l_orderkey", right_key="o_orderkey", how="semi")
 
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
-    name_ref = ray.put(dict(zip(sup["s_suppkey"], sup["s_name"])))
+    sup = _dim(sf_dir, "supplier", "s_suppkey", "s_name")
 
     def to_name(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["s_name"] = df["l_suppkey"].map(ray.get(name_ref))
-        out = df.groupby("s_name", as_index=False)["n_ret"].sum()
-        out["n_ret"] = out["n_ret"].astype(np.int64)
-        return from_pandas_clean(out)
+        name = _lookup(b["l_suppkey"], sup)
+        return _valid(pa.table({"s_name": name, "n_ret": b["n_ret"]}), "s_name")
 
-    return _exchange_sum(
+    return exchange_aggregate(
         cand.map_batches(to_name, batch_format="pyarrow"),
         ["s_name"],
-        {"n_ret": "numwait"},
+        [("n_ret", "sum", "numwait")],
         out_schema=pa.schema([("s_name", pa.string()), ("numwait", pa.int64())]),
     )
 
@@ -1847,34 +1787,19 @@ def q_orders_exists_late(sf_dir: str):
     from ..stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-
-    def max_partial(b: pa.Table) -> pa.Table:
-        return aggregate_table(b, ["l_orderkey"], [("l_shipdate", "max", "max_ship")])
-
-    per_order = exchange_aggregate(
-        li.map_batches(max_partial, batch_format="pyarrow"),
-        "l_orderkey",
-        [("max_ship", "max", "max_ship")],
-    )
+    per_order = exchange_aggregate(li, "l_orderkey", [("l_shipdate", "max", "max_ship")])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = hash_join(per_order, orders, key="l_orderkey", right_key="o_orderkey")
+    days60 = pa.scalar(60 * 86_400_000_000, pa.duration("us"))
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        late = df["max_ship"] > df["o_orderdate"] + pd.Timedelta(days=60)
-        out = (
-            df[late]
-            .groupby("o_orderpriority", as_index=False)
-            .size()
-            .rename(columns={"size": "partial_n"})
-        )
-        out["partial_n"] = out["partial_n"].astype(np.int64)
-        return from_pandas_clean(out)
+    def late(b: pa.Table) -> pa.Table:
+        t = b.filter(pc.greater(b["max_ship"], pc.add(b["o_orderdate"], days60)))
+        return _valid(t, "o_orderpriority")
 
-    return _exchange_sum(
-        joined.map_batches(count_partial, batch_format="pyarrow"),
+    return exchange_aggregate(
+        joined.map_batches(late, batch_format="pyarrow"),
         ["o_orderpriority"],
-        {"partial_n": "n_orders"},
+        [(None, "size", "n_orders")],
     )
 
 
@@ -1892,32 +1817,30 @@ def q_promo_revenue_ratio(sf_dir: str):
     lo, hi = _dt.datetime(1997, 1, 1), _dt.datetime(1998, 1, 1)
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"])
 
-    def rev_partial(b: pa.Table) -> pa.Table:
+    def rev(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
                 pc.less(b["l_shipdate"], pa.scalar(hi)),
             )
         )
-        cents = round_half_away(t["l_extendedprice"].to_numpy() * 100)
-        disc = round_half_away(t["l_discount"].to_numpy() * 100)
-        rev = pa.table({"l_partkey": t["l_partkey"], "rev_cbp": cents * (100 - disc)})
-        return aggregate_table(rev, ["l_partkey"], [("rev_cbp", "sum", "rev_cbp")])
+        return pa.table({"l_partkey": t["l_partkey"], "rev_cbp": _rev_cbp(t)})
 
-    per_part = _exchange_sum(
-        li.map_batches(rev_partial, batch_format="pyarrow"),
+    per_part = exchange_aggregate(
+        li.map_batches(rev, batch_format="pyarrow"),
         "l_partkey",
-        {"rev_cbp": "rev_cbp"},
+        [("rev_cbp", "sum", "rev_cbp")],
     )
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
     joined = hash_join(per_part, part, key="l_partkey", right_key="p_partkey")
 
     def split_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        promo = df.loc[df["p_type"] == "PROMO", "rev_cbp"].sum()
-        total = df["rev_cbp"].sum()
-        return from_pandas_clean(
-            pd.DataFrame({"promo_cbp": [np.int64(promo)], "total_cbp": [np.int64(total)]})
+        promo = b.filter(pc.equal(b["p_type"], "PROMO"))["rev_cbp"]
+        return pa.table(
+            {
+                "promo_cbp": [pc.sum(promo, min_count=0).as_py()],
+                "total_cbp": [pc.sum(b["rev_cbp"], min_count=0).as_py()],
+            }
         )
 
     parts = joined.map_batches(split_partial, batch_format="pyarrow").to_pandas()
@@ -1949,18 +1872,15 @@ def q_small_qty_revenue(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
-    def agg_partial(b: pa.Table) -> pa.Table:
-        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
-        return aggregate_table(
-            pa.table({"l_partkey": b["l_partkey"], "q100": q100}),
-            ["l_partkey"],
-            [("q100", "sum", "sum_q100"), (None, "size", "cnt")],
-        )
-
-    per_part = _exchange_sum(
-        li.map_batches(agg_partial, batch_format="pyarrow"),
+    per_part = exchange_aggregate(
+        li.map_batches(
+            lambda b: pa.table(
+                {"l_partkey": b["l_partkey"], "q100": _int_scaled(b["l_quantity"])}
+            ),
+            batch_format="pyarrow",
+        ),
         "l_partkey",
-        {"sum_q100": "sum_q100", "cnt": "cnt"},
+        [("q100", "sum", "sum_q100"), (None, "size", "cnt")],
     ).map_batches(
         lambda t: t.rename_columns(["pk", "sum_q100", "cnt"]), batch_format="pyarrow"
     )
@@ -1968,17 +1888,11 @@ def q_small_qty_revenue(sf_dir: str):
     joined = hash_join(li, per_part, key="l_partkey", right_key="pk")
 
     def small_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        q100 = round_half_away(df["l_quantity"].to_numpy() * 100)
-        small = 5 * q100 * df["cnt"].to_numpy() < df["sum_q100"].to_numpy()
-        cents = round_half_away(df.loc[small, "l_extendedprice"].to_numpy() * 100)
-        return from_pandas_clean(
-            pd.DataFrame(
-                {
-                    "revenue_cents": [np.int64(cents.sum())],
-                    "n_small": [np.int64(small.sum())],
-                }
-            )
+        q5 = pc.multiply(_int_scaled(b["l_quantity"]), 5)
+        t = b.filter(pc.less(pc.multiply(q5, b["cnt"]), b["sum_q100"]))
+        cents = _int_scaled(t["l_extendedprice"])
+        return pa.table(
+            {"revenue_cents": [pc.sum(cents, min_count=0).as_py()], "n_small": [t.num_rows]}
         )
 
     parts = joined.map_batches(small_partial, batch_format="pyarrow").to_pandas()
@@ -2267,21 +2181,15 @@ def q_userday_click_purchase(sf_dir: str):
     def day_counts(event_type: str, kcols: tuple[str, str], ncol: str):
         ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-        def partial(b: pa.Table) -> pa.Table:
+        def user_days(b: pa.Table) -> pa.Table:
             t = b.filter(pc.equal(b["event_type"], event_type))
             day = pc.strftime(pc.floor_temporal(t["ts"], unit="day"), format="%Y-%m-%d")
-            df = pd.DataFrame(
-                {
-                    kcols[0]: t["user_id"].to_numpy(zero_copy_only=False),
-                    kcols[1]: day.to_pandas(),
-                }
-            )
-            out = df.groupby(list(kcols), as_index=False).size()
-            out[ncol] = out.pop("size").astype(np.int64)
-            return from_pandas_clean(out)
+            return _valid(pa.table({kcols[0]: t["user_id"], kcols[1]: day}), *kcols)
 
-        return _exchange_sum(
-            ds.map_batches(partial, batch_format="pyarrow"), list(kcols), {ncol: ncol}
+        return exchange_aggregate(
+            ds.map_batches(user_days, batch_format="pyarrow"),
+            list(kcols),
+            [(None, "size", ncol)],
         )
 
     clicks = day_counts("click", ("cu", "cd"), "n_clicks")
@@ -2310,7 +2218,7 @@ def q_events_props_extract(sf_dir: str):
     ``pc.extract_regex`` kernel per batch, no Python row loop."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def extract_partial(b: pa.Table) -> pa.Table:
+    def extract(b: pa.Table) -> pa.Table:
         col = b["props"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -2323,27 +2231,16 @@ def q_events_props_extract(sf_dir: str):
             pc.less_equal(pc.utf8_length(ks), 18), ks, pa.nulls(len(ks), pa.string())
         )
         k = pc.cast(ks, pa.int64())
-        df = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_pandas(),
-                "k": k.to_pandas(),
-            }
-        )
-        out = df.groupby("event_type", as_index=False).agg(
-            sum_k=("k", "sum"), n_extracted=("k", "count")
-        )
-        out["sum_k"] = out["sum_k"].astype(np.int64)
-        out["n_extracted"] = out["n_extracted"].astype(np.int64)
-        return from_pandas_clean(out)
+        return _valid(pa.table({"event_type": b["event_type"], "k": k}), "event_type")
 
-    merged = _exchange_sum(
-        ds.map_batches(extract_partial, batch_format="pyarrow"),
+    merged = exchange_aggregate(
+        ds.map_batches(extract, batch_format="pyarrow"),
         ["event_type"],
-        {"sum_k": "sum_k", "n_extracted": "n_extracted"},
+        [("k", "sum", "sum_k"), ("k", "count", "n_extracted")],
     )
 
     def nullify_empty(b: pa.Table) -> pa.Table:
-        # SQL sum() over zero non-null inputs is NULL, pandas' is 0 —
+        # SQL sum() over zero non-null inputs is NULL, the engine's 0 —
         # reconcile from the count (exact, keeps int64 partials)
         sum_k = pc.if_else(
             pc.equal(b["n_extracted"], 0),
@@ -2591,47 +2488,34 @@ def q_region_nation_revenue(sf_dir: str):
         pos = np.searchsorted(skeys, sk)
         pos_c = np.minimum(pos, max(0, len(skeys) - 1))
         hit = (len(skeys) > 0) & (skeys[pos_c] == sk)
-        t = b.filter(pa.array(hit))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "s_nat": pa.array([], pa.int64()),
-                    "rev_cbp": pa.array([], pa.int64()),
-                }
-            )
+        t = _valid(b.filter(pa.array(hit)), "l_orderkey")
         snat = snats[np.searchsorted(skeys, t["l_suppkey"].to_numpy(zero_copy_only=False))]
-        from ..stages.analysis import round_half_away
-
-        cents = round_half_away(t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100)
-        disc = round_half_away(t["l_discount"].to_numpy(zero_copy_only=False) * 100)
-        df = pd.DataFrame(
+        rev = pa.table(
             {
-                "l_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                "s_nat": snat,
-                "rev_cbp": cents * (100 - disc),
+                "l_orderkey": t["l_orderkey"],
+                "s_nat": pa.array(snat, pa.int64()),
+                "rev_cbp": _rev_cbp(t),
             }
         )
-        out = df.groupby(["l_orderkey", "s_nat"], as_index=False)["rev_cbp"].sum()
-        return from_pandas_clean(out)
+        return aggregate_table(rev, ["l_orderkey", "s_nat"], [("rev_cbp", "sum", "rev_cbp")])
 
     rev = li.map_batches(li_partials, batch_format="pyarrow")
     j = hash_join(rev, oc, key="l_orderkey", right_key="o_orderkey")
 
-    def nation_partials(b: pa.Table) -> pa.Table:
-        """Apply the co-nation condition, map nation names, combine."""
-        m = pc.equal(b["s_nat"], b["c_nationkey"])
-        t = b.filter(m)
-        nats = t["s_nat"].to_numpy(zero_copy_only=False)
-        names = pd.Series(nats).map(n_name).to_numpy()
-        df = pd.DataFrame(
-            {"n_name": names, "rev_cbp": t["rev_cbp"].to_numpy(zero_copy_only=False)}
-        )
-        out = df.groupby("n_name", as_index=False)["rev_cbp"].sum()
-        return from_pandas_clean(out)
+    nat_keys = pa.array(list(n_name), pa.int64())
+    nat_names = pa.array(list(n_name.values()), pa.string())
 
-    partials = j.map_batches(nation_partials, batch_format="pyarrow")
-    out = _exchange_sum(partials, ["n_name"], {"rev_cbp": "revenue_cbp"}).to_pandas()
+    def co_nation(b: pa.Table) -> pa.Table:
+        """Apply the co-nation condition, map nation names."""
+        t = b.filter(pc.equal(b["s_nat"], b["c_nationkey"]))
+        names = nat_names.take(pc.index_in(t["s_nat"], value_set=nat_keys))
+        return pa.table({"n_name": names, "rev_cbp": t["rev_cbp"]})
+
+    out = exchange_aggregate(
+        j.map_batches(co_nation, batch_format="pyarrow"),
+        ["n_name"],
+        [("rev_cbp", "sum", "revenue_cbp")],
+    ).to_pandas()
     return out.sort_values("revenue_cbp", ascending=False, ignore_index=True)
 
 
@@ -2716,14 +2600,11 @@ def q_events_funnel(sf_dir: str):
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def thin(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.is_in(b["event_type"], value_set=pa.array(["view", "click", "purchase"])))
-        df = t.to_pandas()
-        views = df[df["event_type"] == "view"]
-        vmin = views.groupby("user_id", as_index=False)["ts"].min()
-        vmin["event_type"] = "view"
-        rest = df[df["event_type"] != "view"]
-        cols = ["user_id", "event_type", "ts"]
-        return from_pandas_clean(pd.concat([vmin[cols], rest[cols]], ignore_index=True))
+        t = b.filter(pc.is_in(b["event_type"], value_set=pa.array(["click", "purchase"])))
+        views = _valid(b.filter(pc.equal(b["event_type"], "view")), "user_id")
+        vmin = aggregate_table(views, ["user_id"], [("ts", "min", "ts")])
+        vmin = vmin.append_column("event_type", pa.array(["view"] * vmin.num_rows, pa.string()))
+        return pa.concat_tables([vmin, t.select(["user_id", "ts", "event_type"])])
 
     def funnel(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.is_valid(t["user_id"]), pc.is_valid(t["ts"])))
@@ -2906,20 +2787,12 @@ def q_top_supplier_revenue(sf_dir: str):
             pc.less(b["l_shipdate"], pa.scalar(hi, pa.timestamp("us"))),
         )
         t = b.filter(m)
-        cents = round_half_away(t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100)
-        disc = round_half_away(t["l_discount"].to_numpy(zero_copy_only=False) * 100)
-        df = pd.DataFrame(
-            {
-                "l_suppkey": t["l_suppkey"].to_numpy(zero_copy_only=False),
-                "rev": cents * (100 - disc),
-            }
-        )
-        return from_pandas_clean(df.groupby("l_suppkey", as_index=False)["rev"].sum())
+        return _valid(pa.table({"l_suppkey": t["l_suppkey"], "rev": _rev_cbp(t)}), "l_suppkey")
 
-    totals = _exchange_sum(
+    totals = exchange_aggregate(
         li.map_batches(partial, batch_format="pyarrow"),
         ["l_suppkey"],
-        {"rev": "total_rev_e4"},
+        [("rev", "sum", "total_rev_e4")],
         out_schema=pa.schema([("l_suppkey", pa.int64()), ("total_rev_e4", pa.int64())]),
     )
     best = totals.max("total_rev_e4")
@@ -3237,18 +3110,14 @@ def q_url_domain_counts(sf_dir: str):
     (regdom) exchange sum — document rows never shuffle."""
     from ..functions.url import parse_urls
 
-    def partial(b: pa.Table) -> pa.Table:
+    def domains(b: pa.Table) -> pa.Table:
         p = parse_urls(b["url"])
-        return aggregate_table(
-            pa.table({"regdom": p["regdom"], "https": pc.equal(p["scheme"], "https")}),
-            ["regdom"],
-            [(None, "size", "partial_n"), ("https", "sum", "partial_https")],
-        )
+        return pa.table({"regdom": p["regdom"], "https": pc.equal(p["scheme"], "https")})
 
-    partials = _with_urls(sf_dir).map_batches(partial, batch_format="pyarrow")
-
-    return _exchange_sum(
-        partials, "regdom", {"partial_n": "n_docs", "partial_https": "n_https"}
+    return exchange_aggregate(
+        _with_urls(sf_dir).map_batches(domains, batch_format="pyarrow"),
+        "regdom",
+        [(None, "size", "n_docs"), ("https", "sum", "n_https")],
     )
 
 
@@ -3572,7 +3441,7 @@ def q_link_hosts(sf_dir: str):
     scheme://host (mailto, malformed) are excluded on both sides."""
     from ..functions.html import extract_links
 
-    def partial(b: pa.Table) -> pa.Table:
+    def hosts(b: pa.Table) -> pa.Table:
         links = extract_links(b)
         st = pc.extract_regex(
             links["href"].combine_chunks()
@@ -3581,12 +3450,14 @@ def q_link_hosts(sf_dir: str):
             r"^[a-z]+://(?P<h>[^/]+)",
         )
         host = pc.struct_field(st, "h")
-        t = pa.table({"host": host}).filter(pc.is_valid(host))
-        return aggregate_table(t, ["host"], [(None, "size", "partial_n")])
+        return pa.table({"host": host}).filter(pc.is_valid(host))
 
-    parts = _with_linked_html(sf_dir).map_batches(partial, batch_format="pyarrow")
-    out_schema = pa.schema([("host", pa.string()), ("n_links", pa.int64())])
-    return _exchange_sum(parts, "host", {"partial_n": "n_links"}, out_schema)
+    return exchange_aggregate(
+        _with_linked_html(sf_dir).map_batches(hosts, batch_format="pyarrow"),
+        "host",
+        [(None, "size", "n_links")],
+        out_schema=pa.schema([("host", pa.string()), ("n_links", pa.int64())]),
+    )
 
 
 def q_bucket_join_orders(sf_dir: str):
@@ -3746,24 +3617,17 @@ def q_url_canonical_dedup(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def canonical(b: pa.Table) -> pa.Table:
         canon = canonicalize_urls(build_colliding_urls(b))
-        t = pa.table({"canon_url": canon, "doc_id": b["doc_id"]})
-        return aggregate_table(
-            t.filter(pc.is_valid(t["canon_url"])),
-            ["canon_url"],
-            [(None, "size", "pn"), ("doc_id", "min", "pmin")],
-        )
+        return _valid(pa.table({"canon_url": canon, "doc_id": b["doc_id"]}), "canon_url")
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
     out_schema = pa.schema(
         [("canon_url", pa.string()), ("n_docs", pa.int64()), ("keep_id", pa.int64())]
     )
-
     return exchange_aggregate(
-        parts,
+        ds.map_batches(canonical, batch_format="pyarrow"),
         "canon_url",
-        [("pn", "sum", "n_docs"), ("pmin", "min", "keep_id")],
+        [(None, "size", "n_docs"), ("doc_id", "min", "keep_id")],
         out_schema=out_schema,
     )
 
@@ -3843,26 +3707,13 @@ def q_domain_quality_filter(sf_dir: str):
         thin, batch_format="pyarrow"
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        return aggregate_table(
-            b, ["regdom"], [(None, "size", "pn"), ("n_chars", "sum", "ps")]
-        )
-
-    out_schema = pa.schema([("regdom", pa.string())])
-
-    def qualifying(t: pa.Table) -> pa.Table:
-        g = aggregate_table(t, ["regdom"], [("pn", "sum", "pn"), ("ps", "sum", "ps")])
-        keep = g["ps"].to_numpy() >= 300 * g["pn"].to_numpy()
-        return g.filter(pa.array(keep)).select(["regdom"])
-
-    good = hash_exchange_map_groups(
-        thin_ds.map_batches(partial, batch_format="pyarrow"),
-        qualifying,
-        key="regdom",
-        out_schema=out_schema,
+    dom = exchange_aggregate(
+        thin_ds, "regdom", [(None, "size", "pn"), ("n_chars", "sum", "ps")]
     ).to_pandas()
     vals = (
-        sorted(good["regdom"].dropna()) if "regdom" in good.columns else []
+        sorted(dom.loc[dom["ps"] >= 300 * dom["pn"], "regdom"].dropna())
+        if "regdom" in dom.columns
+        else []
     )
     good_ref = _ray.put(pa.array(vals, pa.string()))
 
@@ -4376,60 +4227,34 @@ def q_nchars_zscore_by_lang(sf_dir: str):
 def q_lang_source_cube(sf_dir: str):
     """GROUP BY CUBE(lang, source) with GROUPING ids — the full
     grouping-sets lattice in ONE scan (unlike the rollup query's
-    three-plan union): each batch pre-aggregates its detail counts and
-    DERIVES the three coarser sets from them map-side, emitting one
-    thin (lang, source, gid, pn) partial stream; one keyed exchange
-    sums. gid = GROUPING(lang)*2 + GROUPING(source), matching the SQL
+    three-plan union): each batch emits its rows once per grouping set,
+    and ``exchange_aggregate``'s map-side combine thins that to one
+    (lang, source, gid) count per batch before the one keyed exchange. gid = GROUPING(lang)*2 + GROUPING(source), matching the SQL
     function."""
-    import pandas as pd
-
     ds = _read(sf_dir, "documents", ["lang", "source"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select(["lang", "source"]).to_pandas()
-        detail = df.groupby(["lang", "source"], as_index=False, dropna=False).size()
-        detail.columns = ["lang", "source", "pn"]
-        per_lang = detail.groupby("lang", as_index=False, dropna=False)["pn"].sum()
-        per_lang["source"] = None
-        per_src = detail.groupby("source", as_index=False, dropna=False)["pn"].sum()
-        per_src["lang"] = None
-        total = pd.DataFrame(
-            {"lang": [None], "source": [None], "pn": [int(detail["pn"].sum())]}
-        )
-        detail["gid"] = 0
-        per_lang["gid"] = 1   # GROUPING(source) = 1
-        per_src["gid"] = 2    # GROUPING(lang) = 1
-        total["gid"] = 3
-        out = pd.concat(
-            [detail, per_lang, per_src, total], ignore_index=True
-        )[["lang", "source", "gid", "pn"]]
-        return pa.Table.from_pandas(out, preserve_index=False).cast(
-            pa.schema(
-                [
-                    ("lang", pa.string()),
-                    ("source", pa.string()),
-                    ("gid", pa.int64()),
-                    ("pn", pa.int64()),
-                ]
-            )
+    def grouping_sets(b: pa.Table) -> pa.Table:
+        # every row once per grouping set: gid 1 nulls source, 2 lang, 3 both
+        lang, src = b["lang"].cast(pa.string()), b["source"].cast(pa.string())
+        none = pa.nulls(b.num_rows, pa.string())
+        gid = [pa.array(np.full(b.num_rows, g, np.int64)) for g in range(4)]
+        sets = [(lang, src), (lang, none), (none, src), (none, none)]
+        return pa.concat_tables(
+            pa.table({"lang": l, "source": s, "gid": g}) for (l, s), g in zip(sets, gid)
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    out_schema = pa.schema(
-        [
-            ("lang", pa.string()),
-            ("source", pa.string()),
-            ("gid", pa.int64()),
-            ("n", pa.int64()),
-        ]
-    )
-
-    keys = ["gid", "lang", "source"]
-    return hash_exchange_map_groups(
-        parts,
-        lambda t: aggregate_table(t, keys, [("pn", "sum", "n")]).select(out_schema.names),
-        key=keys,
-        out_schema=out_schema,
+    return exchange_aggregate(
+        ds.map_batches(grouping_sets, batch_format="pyarrow"),
+        ["lang", "source", "gid"],
+        [(None, "size", "n")],
+        out_schema=pa.schema(
+            [
+                ("lang", pa.string()),
+                ("source", pa.string()),
+                ("gid", pa.int64()),
+                ("n", pa.int64()),
+            ]
+        ),
     )
 
 

@@ -84,36 +84,6 @@ def from_pandas_clean(df, **kwargs) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def from_pandas_like(df, like: pa.Table, **kwargs) -> pa.Table:
-    """``from_pandas_clean`` with column types PINNED to ``like`` for
-    every column the two share. Guards the all-null-key batch: a block
-    whose (say) string key column is entirely null round-trips through
-    pandas as all-NaN object, which Arrow re-infers as ``double`` — and
-    the first schema-mismatched block poisons any downstream exchange
-    concat. Columns absent from ``like`` (derived aggregates) keep
-    their inferred type."""
-    t = from_pandas_clean(df, **kwargs)
-    fields = []
-    for f in t.schema:
-        idx = like.schema.get_field_index(f.name)
-        if idx < 0:
-            fields.append(f)
-            continue
-        # pin ONLY where the pandas round-trip is ambiguous — an
-        # all-null/empty column (object all-NaN re-infers as double) or
-        # an integer column upcast to float by null padding. A column
-        # the function deliberately re-typed (e.g. strftime to string)
-        # must keep its new type, not be cast back.
-        lt = like.schema.field(idx).type
-        col = t.column(f.name)
-        all_null = col.null_count == len(t)
-        lossy = pa.types.is_null(f.type) or (
-            pa.types.is_floating(f.type) and pa.types.is_integer(lt)
-        )
-        fields.append(pa.field(f.name, lt) if (all_null or lossy) else f)
-    return t.cast(pa.schema(fields))
-
-
 def strip_metadata(t: pa.Table) -> pa.Table:
     """Zero-copy schema-metadata strip — applied at every Parquet read
     boundary (files written by pandas embed the ``b'pandas'`` blob in

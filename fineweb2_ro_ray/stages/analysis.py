@@ -28,7 +28,6 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..schema import from_pandas_like
 from .exchange import (
     aggregate_table,
     exchange_aggregate,
@@ -119,22 +118,12 @@ def strftime_seconds(ts) -> pa.Array:
 
 
 def grouped_counts(ds: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
-    """G1: grouped counts with a map-side combiner — each batch emits
-    one partial-count row per key combo, then a small groupby sums
-    partials (the reference's per-shard-counter + driver-merge shape,
-    ``full_dataset_analysis/main.py:8-39``)."""
-
-    # SQL GROUP BY keeps the NULL group (and so does Ray's native
-    # groupby); key types stay the block's own
-    partials = ds.map_batches(
-        lambda b: aggregate_table(b, keys, [(None, "size", "partial_n")]),
-        batch_format="pyarrow",
-    )
-    # the residual after the combiner is tiny (batches × distinct key
-    # combos), but Ray's sort-based groupby still pays its fixed floor
-    # (boundary sampling + per-block sort + merge) — the raw hash
-    # exchange sums the partials with no sort at all
-    return exchange_aggregate(partials, list(keys), [("partial_n", "sum", "n")])
+    """G1: grouped counts through ``exchange_aggregate``, whose map-side
+    combine emits one partial-count row per key combo per batch and
+    whose reduce sums them (the reference's per-shard-counter +
+    driver-merge shape, ``full_dataset_analysis/main.py:8-39``). SQL
+    GROUP BY keeps the NULL group; key types stay the block's own."""
+    return exchange_aggregate(ds, list(keys), [(None, "size", "n")])
 
 
 def value_counts(ds: ray.data.Dataset, col: str) -> pd.DataFrame:
@@ -409,37 +398,22 @@ def word_counts(
     top: int | None = None,
 ) -> ray.data.Dataset | pd.DataFrame:
     """Corpus word-frequency table (single-space tokenization — matches
-    SQL ``unnest(string_split(text, ' '))``): per-batch counts over the
-    dictionary-encoded flat token array (one bincount per batch, no
-    Python over tokens), then a (word → partial) groupby sum. With
-    ``top``, a deterministic (count DESC, word ASC) head is applied
+    SQL ``unnest(string_split(text, ' '))``): one row per token, counted
+    by ``exchange_aggregate`` (its map-side combine counts each batch).
+    With ``top``, a deterministic (count DESC, word ASC) head is applied
     driver-side over the merged table."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        text = b[text_col]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+    def words(b: pa.Table) -> pa.Table:
         # DROP nulls (don't fill ""): string_split(NULL) is NULL and
         # unnest emits nothing for it, while a filled "" would add one
         # empty-string token per null doc and diverge from the oracle
-        text = text.drop_null()
-        flat = pc.list_flatten(pc.split_pattern(text, " "))
-        if len(flat) == 0:
-            return pa.table(
-                {"word": pa.array([], pa.string()), "partial_n": pa.array([], pa.int64())}
-            )
-        dic = flat.dictionary_encode()
-        cnt = np.bincount(
-            dic.indices.to_numpy(zero_copy_only=False), minlength=len(dic.dictionary)
-        )
-        return pa.table(
-            {"word": dic.dictionary, "partial_n": pa.array(cnt.astype(np.int64), pa.int64())}
-        )
+        text = b[text_col].drop_null()
+        return pa.table({"word": pc.list_flatten(pc.split_pattern(text, " "))})
 
     merged = exchange_aggregate(
-        ds.select_columns([text_col]).map_batches(partial, batch_format="pyarrow"),
+        ds.select_columns([text_col]).map_batches(words, batch_format="pyarrow"),
         "word",
-        [("partial_n", "sum", "n")],
+        [(None, "size", "n")],
         # schema pin: an all-empty corpus otherwise yields a column-less
         # frame and the top-k sort below KeyErrors (empty-input sweep)
         out_schema=pa.schema([("word", pa.string()), ("n", pa.int64())]),
@@ -565,26 +539,21 @@ def grouped_mode(
 ) -> ray.data.Dataset:
     """Most frequent ``value_col`` per key, ties broken by MIN value so
     the result is deterministic and oracle-comparable (SQL: row_number
-    over count DESC, value ASC). Map-side (key, value) count partials
-    per batch, then ONE thin exchange keyed on ``key`` merges partials
-    and argmaxes — the shuffle moves (key, value, partial_n) rows,
-    never documents."""
+    over count DESC, value ASC). ``exchange_aggregate`` counts each
+    (key, value), then a thin exchange keyed on ``key`` argmaxes — the
+    shuffles move (key, value, n) rows, never documents."""
 
     kv = [key, value_col]
-    partials = ds.map_batches(
-        lambda b: aggregate_table(b, kv, [(None, "size", "n")]),
-        batch_format="pyarrow",
-    )
+    counts = exchange_aggregate(ds.select_columns(kv), kv, [(None, "size", "n")])
 
-    def argmax(t: pa.Table) -> pa.Table:
-        tot = aggregate_table(t, kv, [("n", "sum", "n")])
+    def argmax(tot: pa.Table) -> pa.Table:
         tot, starts = sorted_runs(
             tot, [key], [("n", "descending"), (value_col, "ascending")]
         )
         out = tot.take(pa.array(starts[:-1]))
         return pa.table({key: out[key], out_col: out[value_col]})
 
-    return hash_exchange_map_groups(partials, argmax, key=key)
+    return hash_exchange_map_groups(counts, argmax, key=key)
 
 
 def per_key_interarrival(
@@ -802,9 +771,8 @@ def top_k(
     local top-k, then driver merge (no global sort shuffle)."""
 
     def local(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df.sort_values([col, tiebreak], ascending=[not descending, True]).head(k)
-        return from_pandas_like(df, b)
+        order = [(col, "descending" if descending else "ascending"), (tiebreak, "ascending")]
+        return b.sort_by(order).slice(0, k)
 
     cand = ds.map_batches(local, batch_format="pyarrow").to_pandas()
     cand = cand.sort_values([col, tiebreak], ascending=[not descending, True]).head(k)

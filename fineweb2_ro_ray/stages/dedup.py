@@ -30,7 +30,6 @@ import ray.data
 
 from .bloom import _mix64
 from .exchange import (
-    aggregate_table,
     exchange_aggregate,
     hash_exchange_map_groups,
     run_rank,
@@ -70,27 +69,16 @@ def add_md5(batch: pa.Table, col: str = "text", out: str = "text_md5") -> pa.Tab
     return batch.append_column(out, pa.array(h, pa.string()))
 
 
-def _batch_min_by_key(batch: pa.Table, key: str, id_col: str) -> pa.Table:
-    """Map-side combiner: one (key, min id) row per distinct key per
-    batch — thins the shuffle input (ray_guide 'pre-aggregate first').
-    dropna=False: the NULL-text group is a real group (SQL GROUP BY
-    keeps it; so does Ray's groupby)."""
-    return aggregate_table(batch, [key], [(id_col, "min", id_col)])
-
-
 def dedup_exact(
     ds: ray.data.Dataset, text_col: str = "text", id_col: str = "doc_id"
 ) -> ray.data.Dataset:
     """Exact dedup: canonical row per distinct text = the MIN id.
-    hash → map-side partial min → small groupby shuffle → global min.
-    Returns columns (text_md5, doc_id)."""
-    ds = ds.map_batches(
-        lambda b: _batch_min_by_key(add_md5(b, text_col), "text_md5", id_col),
-        batch_format="pyarrow",
-    )
-    # global min over the per-batch partials on the hash exchange (no
-    # sort floor; the shuffled rows are the thinned (key, min-id) set)
-    return exchange_aggregate(ds, "text_md5", [(id_col, "min", id_col)])
+    hash → ``exchange_aggregate`` min, whose map-side combine thins
+    each batch to one (text_md5, min id) row per distinct text; the
+    NULL-text group is a real group (SQL GROUP BY keeps it). Returns
+    columns (text_md5, doc_id)."""
+    hashed = ds.map_batches(lambda b: add_md5(b, text_col), batch_format="pyarrow")
+    return exchange_aggregate(hashed, "text_md5", [(id_col, "min", id_col)])
 
 
 def dedup_keep_best(

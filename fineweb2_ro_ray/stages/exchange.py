@@ -183,8 +183,9 @@ def _split_core(
     per *unique* key — cheap for multi-turn conversations); other keys
     via the canonical hash.
 
-    Accepts pandas-backed blocks too (Ray stores ``from_pandas``
-    outputs as DataFrames): converted to Arrow here, metadata-stripped."""
+    No engine stage emits pandas blocks, but a caller's own
+    ``ray.data.from_pandas`` input arrives as DataFrame blocks: those
+    are converted to Arrow here, metadata-stripped."""
     tabs = [
         pa.Table.from_pandas(b, preserve_index=False).replace_schema_metadata(None)
         if isinstance(b, pd.DataFrame)
@@ -666,8 +667,9 @@ def key_codes(
 def aggregate_table(
     t: pa.Table, keys: list[str], aggs: list[tuple[str, str, str]]
 ) -> pa.Table:
-    """In-process body of ``exchange_aggregate``: keys then one column
-    per ``(column, function, output_name)`` aggregate, one row per key,
+    """Keyed aggregate of one table (``exchange_aggregate`` runs it as
+    both its map-side combine and its reduce): keys then one column per
+    ``(column, function, output_name)`` aggregate, one row per key,
     sorted by key. ``function`` is an Arrow hash-aggregate name
     (``sum``, ``min``, ``max``, ``count``, ``mean``, ``count_distinct``
     …) or ``size`` (rows per key, nulls included). ``sum`` counts an
@@ -680,14 +682,17 @@ def aggregate_table(
             spec.append((col, "sum", pc.ScalarAggregateOptions(min_count=0)))
         else:
             spec.append((col, func))
-    g = t.group_by(keys, use_threads=False).aggregate(spec)
+    # fixed-width keys first: Arrow 16 splits the null group of a
+    # string key that precedes an integer key into several groups
+    order = sorted(keys, key=lambda k: not pa.types.is_primitive(t.schema.field(k).type))
+    g = t.group_by(order, use_threads=False).aggregate(spec)
     # Arrow puts the aggregates and the keys at either end depending on
     # the version; pick each by position
     na = len(aggs)
-    lead_keys = g.column_names[: len(keys)] == list(keys)
+    lead_keys = g.column_names[: len(keys)] == order
     kcols = g.columns[: len(keys)] if lead_keys else g.columns[na:]
     acols = g.columns[len(keys):] if lead_keys else g.columns[:na]
-    cols, names = list(kcols), list(keys)
+    cols, names = [kcols[order.index(k)] for k in keys], list(keys)
     for (col, func, name), c in zip(aggs, acols):
         if func == "sum" and pa.types.is_boolean(t.schema.field(col).type):
             c = c.cast(pa.int64())
@@ -703,6 +708,10 @@ def distinct_table(t: pa.Table, keys: list[str]) -> pa.Table:
     return st.take(pa.array(starts[:-1]))
 
 
+# how ``exchange_aggregate`` merges each function's per-batch partials
+_MERGE = {"size": "sum", "count": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
 def exchange_aggregate(
     ds: ray.data.Dataset,
     keys: str | list[str],
@@ -710,17 +719,31 @@ def exchange_aggregate(
     *,
     out_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
-    """Keyed aggregate through the hash exchange (SQL ``GROUP BY keys``
-    with the ``aggregate_table`` functions): one ``Table.group_by``
-    per reduce partition. ``keys`` routes as ``hash_exchange_map_groups``'
-    ``key`` does (a single string column named bare routes by its
-    crc32). Pass ``out_schema`` when the input can be empty, so the
-    result is a typed empty table."""
+    """Keyed aggregate through the hash exchange (SQL ``GROUP BY keys``):
+    pass raw rows. Each batch is first combined map-side
+    (``aggregate_table``, one partial row per key), then every reduce
+    partition merges the partials with one ``Table.group_by``. Only the
+    decomposable functions are accepted: ``size`` and ``count`` merge
+    by sum, ``sum`` by sum, ``min`` by min and ``max`` by max; anything
+    else raises ``ValueError``. Null keys form a group. ``keys`` routes
+    as ``hash_exchange_map_groups``' ``key`` does (a single string
+    column named bare routes by its crc32). Pass ``out_schema`` when
+    the input can be empty, so the result is a typed empty table."""
     cols = [keys] if isinstance(keys, str) else list(keys)
     aggs = [tuple(a) for a in aggs]
+    bad = sorted({f for _, f, _ in aggs} - set(_MERGE))
+    if bad:
+        raise ValueError(
+            f"exchange_aggregate: {bad} do not merge from partials; "
+            f"use one of {sorted(_MERGE)}"
+        )
+    merge = [(name, _MERGE[f], name) for _, f, name in aggs]
+    partials = ds.map_batches(
+        lambda b: aggregate_table(b, cols, aggs), batch_format="pyarrow"
+    )
     return hash_exchange_map_groups(
-        ds,
-        lambda t: aggregate_table(t, cols, aggs),
+        partials,
+        lambda t: aggregate_table(t, cols, merge),
         key=keys,
         out_schema=out_schema,
     )

@@ -36,7 +36,6 @@ import ray
 import ray.data
 
 from .exchange import (
-    aggregate_table,
     exchange_aggregate,
     exchange_distinct,
     hash_exchange_map_groups,
@@ -110,20 +109,18 @@ def pagerank(
 
     for i in range(n_iters):
         # contributions: edges ⋈ ranks on src (one thin exchange join),
-        # then map-side partial sums on dst + one thin keyed sum
+        # then one keyed sum on dst
         j = hash_join(ewd, ranks, key=src, right_key="_rs", how="inner")
 
-        def contrib_partial(b: pa.Table) -> pa.Table:
+        def contrib(b: pa.Table) -> pa.Table:
             r = b["r"].to_numpy(zero_copy_only=False).astype(np.int64)
             d = b["d"].to_numpy(zero_copy_only=False).astype(np.int64)
-            c = (85 * r) // (100 * d)
             ids = b[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-            return aggregate_table(
-                pa.table({"_cs": ids, "c": c}), ["_cs"], [("c", "sum", "c")]
-            )
+            return pa.table({"_cs": ids, "c": (85 * r) // (100 * d)})
 
-        partials = j.map_batches(contrib_partial, batch_format="pyarrow")
-        sums = exchange_aggregate(partials, "_cs", [("c", "sum", "c")])
+        sums = exchange_aggregate(
+            j.map_batches(contrib, batch_format="pyarrow"), "_cs", [("c", "sum", "c")]
+        )
         merged = hash_join(nodes, sums, key="id", right_key="_cs", how="left")
 
         def new_rank(b: pa.Table, last: bool = i == n_iters - 1) -> pa.Table:

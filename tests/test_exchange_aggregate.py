@@ -37,17 +37,19 @@ AGGS = [
     ("v", "max", "hi"),
     ("v", "count", "n"),
     (None, "size", "rows"),
+    ("b", "sum", "nb"),
 ]
 SQL_AGGS = (
     "COALESCE(SUM(v), 0) AS s, MIN(v) AS lo, MAX(v) AS hi, "
-    "COUNT(v) AS n, COUNT(*) AS rows"
+    "COUNT(v) AS n, COUNT(*) AS rows, COALESCE(SUM(b::INTEGER), 0) AS nb"
 )
 
 
 def _table(seed: int, n: int, n_keys: int) -> pa.Table:
-    """Random (k_int, k_str, v) rows: ~10% null keys per key column,
+    """Random (k_int, k_str, v, b) rows: ~10% null keys per key column,
     ~30% null values, and the keys >= n_keys - 2 (string form
-    ``z<key>``) with only null values."""
+    ``z<key>``) with only null values; ``b`` is a boolean with ~20%
+    nulls."""
     rng = np.random.default_rng(seed)
     ki = rng.integers(0, n_keys, n)
     v = rng.integers(-50, 50, n)
@@ -61,6 +63,7 @@ def _table(seed: int, n: int, n_keys: int) -> pa.Table:
                 mask=rng.random(n) < 0.1,
             ),
             "v": pa.array(v, pa.int64(), mask=v_null),
+            "b": pa.array(rng.random(n) < 0.5, pa.bool_(), mask=rng.random(n) < 0.2),
         }
     )
 
@@ -83,30 +86,41 @@ def _duckdb(t: pa.Table, sql: str) -> dict:
     return con.execute(sql).arrow().to_pydict()
 
 
-KEYS = {"int": ["k_int"], "str": ["k_str"], "multi": ["k_int", "k_str"]}
+# "str_int" puts a nullable string key before an integer key: Arrow 16's
+# group_by splits that null group unless the integer key goes first
+KEYS = {
+    "int": ["k_int"],
+    "str": ["k_str"],
+    "multi": ["k_int", "k_str"],
+    "str_int": ["k_str", "k_int"],
+}
 
 
 @pytest.mark.parametrize("kind", list(KEYS))
 def test_exchange_aggregate_matches_duckdb_group_by(kind):
     keys = KEYS[kind]
     t = _table(seed=len(kind), n=3000, n_keys=40)
-    key = keys if kind == "multi" else keys[0]
-    got = _collect(exchange_aggregate(_blocks(t), key, AGGS))
+    key = keys if len(keys) > 1 else keys[0]
     k = ", ".join(keys)
     want = _duckdb(t, f"SELECT {k}, {SQL_AGGS} FROM t GROUP BY {k}")
-    assert got.column_names == keys + ["s", "lo", "hi", "n", "rows"]
-    assert got.schema.field("s").type == pa.int64()
     # the null-key groups and the all-null-value groups are present
     assert any(r[0] is None for r in _rows(want))
     assert any(r[len(keys)] == 0 and r[len(keys) + 1] is None for r in _rows(want))
-    assert _rows(got) == _rows(want)
+    # the combine runs per input block: a few large blocks, an empty
+    # one, and the same rows spread over 7 blocks
+    for ds in (_blocks(t), _blocks(t).repartition(7)):
+        got = _collect(exchange_aggregate(ds, key, AGGS))
+        assert got.column_names == keys + ["s", "lo", "hi", "n", "rows", "nb"]
+        assert got.schema.field("s").type == pa.int64()
+        assert got.schema.field("nb").type == pa.int64()
+        assert _rows(got) == _rows(want)
 
 
 @pytest.mark.parametrize("kind", list(KEYS))
 def test_exchange_distinct_matches_duckdb_distinct(kind):
     keys = KEYS[kind]
     t = _table(seed=10 + len(kind), n=2000, n_keys=25)
-    key = keys if kind == "multi" else keys[0]
+    key = keys if len(keys) > 1 else keys[0]
     got = _collect(exchange_distinct(_blocks(t), key))
     want = _duckdb(t, f"SELECT DISTINCT {', '.join(keys)} FROM t")
     assert got.column_names == keys
@@ -121,7 +135,8 @@ def test_exchange_aggregate_empty_partitions_and_empty_input():
     t = _table(seed=7, n=300, n_keys=3)
     schema = pa.schema(
         [("k_int", pa.int64()), ("s", pa.int64()), ("lo", pa.int64()),
-         ("hi", pa.int64()), ("n", pa.int64()), ("rows", pa.int64())]
+         ("hi", pa.int64()), ("n", pa.int64()), ("rows", pa.int64()),
+         ("nb", pa.int64())]
     )
     want = _rows(_duckdb(t, f"SELECT k_int, {SQL_AGGS} FROM t GROUP BY k_int"))
     assert len(want) == 4
@@ -136,6 +151,16 @@ def test_exchange_aggregate_empty_partitions_and_empty_input():
     assert all(b.schema.equals(schema) for b in tabs)
     got = exchange_aggregate(rd.from_arrow(empty), "k_int", AGGS)
     assert got.count() == 0
+
+
+def test_exchange_aggregate_refuses_non_decomposable():
+    """Only functions whose partials merge (size, count, sum, min, max)
+    pass through the map-side combine; ``mean`` is refused up front,
+    while ``aggregate_table`` still computes it in process."""
+    t = _table(seed=5, n=100, n_keys=5)
+    with pytest.raises(ValueError, match="mean"):
+        exchange_aggregate(_blocks(t), "k_int", [("v", "mean", "m")])
+    assert "m" in aggregate_table(t, ["k_int"], [("v", "mean", "m")]).column_names
 
 
 def _blocks_of(ds: rd.Dataset) -> list[pa.Table]:

@@ -531,6 +531,62 @@ def test_exchange_reads_no_environment():
     assert "segment_dir" not in params
 
 
+def test_keyed_aggregates_leave_the_combine_to_the_exchange():
+    """``exchange_aggregate`` combines each batch itself, so the parity
+    queries define no partial-sum helper and import no pandas
+    converter, ``schema`` has no pandas type pin, and no package call
+    hands ``exchange_aggregate`` a ``map_batches`` of ``aggregate_table``
+    partials."""
+    import ast
+    import os
+
+    pkg = os.path.join(os.path.dirname(__file__), "..", "fineweb2_ro_ray")
+
+    def tree(rel: str) -> ast.Module:
+        return ast.parse(open(os.path.join(pkg, rel)).read())
+
+    parity = tree("pipelines/parity.py")
+    defs = {n.name for n in ast.walk(parity) if isinstance(n, ast.FunctionDef)}
+    assert "_exchange_sum" not in defs
+    imported = {
+        a.name for n in ast.walk(parity) if isinstance(n, ast.ImportFrom) for a in n.names
+    }
+    assert "from_pandas_clean" not in imported
+    assert "from_pandas_like" not in {
+        n.name for n in ast.walk(tree("schema.py")) if isinstance(n, ast.FunctionDef)
+    }
+
+    def name(f) -> str:
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+    hits = []
+    for dirpath, _, files in os.walk(pkg):
+        for fname in files:
+            if not fname.endswith(".py"):
+                continue
+            rel = os.path.relpath(os.path.join(dirpath, fname), pkg)
+            mod = tree(rel)
+            funcs = {n.name: n for n in ast.walk(mod) if isinstance(n, ast.FunctionDef)}
+            bound = {
+                n.targets[0].id: n.value
+                for n in ast.walk(mod)
+                if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)
+            }
+            for n in ast.walk(mod):
+                if not (isinstance(n, ast.Call) and name(n.func) == "exchange_aggregate"):
+                    continue
+                src = n.args[0] if n.args else None
+                if isinstance(src, ast.Name):
+                    src = bound.get(src.id)
+                if not (isinstance(src, ast.Call) and name(src.func) == "map_batches"):
+                    continue
+                fn = src.args[0] if src.args else None
+                body = funcs.get(fn.id) if isinstance(fn, ast.Name) else fn
+                if body is not None and "aggregate_table" in ast.unparse(body):
+                    hits.append(f"{rel}:{n.lineno}")
+    assert hits == []
+
+
 def test_artifact_queries_use_one_directory_per_run(tmp_path, monkeypatch):
     """Queries that persist an on-disk artifact build it in a fresh
     directory per run and remove it afterwards: two concurrent runs of
@@ -735,42 +791,160 @@ def test_adaptive_filter_and_retention_null_edges(tmp_path):
     assert 6 in kept["doc_id"].tolist()
 
 
-def test_from_pandas_like_pins_only_lossy_columns():
-    """The type pin must restore all-null / int-upcast columns to the
-    source block's types but NOT undo a deliberate re-type (e.g. a
-    strftime'd timestamp — the events_rolling regression)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
+def _write_null_tables(sf: str) -> list[str]:
+    """A tiny sf dir with null and dangling keys and null money values:
+    customers with a NULL key, NULL segment, NULL nation or one missing
+    from ``nation``; orders with a NULL or absent customer; lineitems
+    with NULL order / supplier / flag / status keys, NULL price,
+    discount and quantity; events with NULL types and values. Some
+    groups hold only NULL money values."""
+    import datetime as dt
 
-    from fineweb2_ro_ray.schema import from_pandas_like
+    import pyarrow.parquet as pq
 
-    like = pa.table(
-        {
-            "k": pa.array(["a", "b"], pa.string()),
-            "n": pa.array([1, 2], pa.int64()),
-            "ts": pa.array([1, 2], pa.timestamp("us")),
-        }
-    )
-    df = pd.DataFrame(
-        {
-            "k": [None, None],  # all-null object -> must pin back to string
-            "n": [1.0, np.nan],  # int null-padded to float -> pin to int64
-            "ts": ["2024-01-17 14:58:50", "2024-01-18 00:00:00"],  # re-typed
-            "extra": [0.5, 1.5],  # not in like -> keep inferred
-        }
-    )
-    t = from_pandas_like(df, like)
-    assert t.schema.field("k").type == pa.string()
-    assert t.schema.field("n").type == pa.int64()
-    assert t.schema.field("ts").type == pa.string()  # NOT cast back
-    assert t.schema.field("extra").type == pa.float64()
-    assert t.column("ts").to_pylist() == ["2024-01-17 14:58:50", "2024-01-18 00:00:00"]
+    def day(s: str):
+        return dt.datetime.fromisoformat(s)
 
-    # empty frame: every shared column pins to the source type
-    t0 = from_pandas_like(df.iloc[:0], like)
-    assert t0.schema.field("k").type == pa.string()
-    assert t0.schema.field("n").type == pa.int64()
+    tables = {
+        "customer": pa.table({
+            "c_custkey": pa.array([1, 2, 3, 4, 5, 6, None, 8], pa.int64()),
+            "c_name": pa.array([f"c{i}" for i in range(8)]),
+            "c_nationkey": pa.array([0, 1, None, 0, 1, 7, 0, 2], pa.int32()),
+            "c_acctbal": pa.array([100.0, None, 50.0, 300.25, 10.5, 400.0, 500.0, 900.5]),
+            "c_mktsegment": pa.array(["A", "B", None, "A", None, "B", "A", "C"]),
+        }),
+        "orders": pa.table({
+            "o_orderkey": pa.array(range(1, 11), pa.int64()),
+            "o_custkey": pa.array([1, 1, 2, 3, 99, None, 4, 5, 8, 8], pa.int64()),
+            "o_orderstatus": pa.array(["F", "F", "O", "F", "F", "F", None, "F", "F", "O"]),
+            "o_totalprice": pa.array(
+                [10.25, None, 5.5, 7.0, 3.0, 4.0, 12.345, 1.005, None, None]
+            ),
+            "o_orderdate": pa.array(
+                [day(f"1996-01-{i:02d}") for i in range(1, 11)], pa.timestamp("us")
+            ),
+            "o_orderpriority": pa.array(
+                ["1-URGENT", "2-HIGH", "3-MEDIUM", None, "1-URGENT", "2-HIGH",
+                 "5-LOW", "1-URGENT", "2-HIGH", "2-HIGH"]
+            ),
+        }),
+        "lineitem": pa.table({
+            "l_orderkey": pa.array([1, 1, 1, 4, 4, 8, 8, 5, None, 2, 3], pa.int64()),
+            "l_partkey": pa.array([1] * 11, pa.int64()),
+            "l_suppkey": pa.array([1, 2, 3, 1, 2, 1, None, 1, 2, 3, 9], pa.int64()),
+            "l_linenumber": pa.array(range(1, 12), pa.int32()),
+            "l_quantity": pa.array([1.0, 2.0, 3.0, 4.0, None, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]),
+            "l_extendedprice": pa.array(
+                [10.5, None, 3.25, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 1.125, 2.5]
+            ),
+            "l_discount": pa.array(
+                [0.05, 0.1, None, 0.0, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.01]
+            ),
+            "l_tax": pa.array([0.0] * 11),
+            "l_returnflag": pa.array(["R", "N", "N", "R", "R", "R", "R", None, "R", "A", "R"]),
+            "l_linestatus": pa.array(["F", "O", None, "F", "F", "O", "O", "F", "F", "O", "O"]),
+            "l_shipdate": pa.array([day("1996-02-01")] * 11, pa.timestamp("us")),
+        }),
+        "events": pa.table({
+            "event_id": pa.array(range(1, 10), pa.int64()),
+            "ts": pa.array([day(f"2024-01-01 0{i}:00") for i in range(9)], pa.timestamp("us")),
+            "user_id": pa.array([1, 1, 2, 2, 3, 3, 4, 4, 5], pa.int64()),
+            "event_type": pa.array(
+                ["view", "view", None, "click", "click", None, "buy", "buy", "view"]
+            ),
+            "value": pa.array([1.25, None, 2.5, None, None, 3.0, 0.5, 0.125, -2.5]),
+            "props": pa.array(
+                ['{"k": 3}', None, '{"k": 4}', '{"x": 1}', '{"k": 12}', None,
+                 '{"x": 2}', None, '{"k": 5}']
+            ),
+        }),
+        "supplier": pa.table({
+            "s_suppkey": pa.array([1, 2, 3], pa.int64()),
+            "s_name": pa.array(["S1", "S2", "S3"]),
+            "s_nationkey": pa.array([0, 1, 0], pa.int32()),
+            "s_acctbal": pa.array([1.0, 2.0, 3.0]),
+        }),
+        "nation": pa.table({
+            "n_nationkey": pa.array([0, 1, 2], pa.int32()),
+            "n_name": pa.array(["N0", "N1", None]),
+            "n_regionkey": pa.array([0, 0, 0], pa.int32()),
+        }),
+    }
+    for name, t in tables.items():
+        pq.write_table(t, f"{sf}/{name}.parquet")
+    return list(tables)
+
+
+# queries that drop a NULL group key where SQL keeps a NULL group: they
+# are compared against their SQL with ``WHERE key IS NOT NULL``
+_DROPS_NULL_KEYS = {
+    "orders_by_segment": ["c_mktsegment"],
+    "events_type_counts": ["event_type"],
+    "lineitem_pricing": ["l_returnflag", "l_linestatus"],
+    "customer_order_counts": ["c_custkey"],
+    "cust_sales_opportunity": ["cntrycode"],
+    "events_props_extract": ["event_type"],
+}
+# the engine's sum over a group whose values are all NULL is 0 (as in
+# ``exchange_aggregate``), SQL's is NULL: these sums compare as 0
+_ZERO_SUMS = {
+    "orders_by_segment": ["total_cents"],
+    "events_type_counts": ["value_cents"],
+    "lineitem_pricing": ["sum_qty", "sum_price_cents", "sum_disc_bp"],
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "orders_by_segment",
+        "events_type_counts",
+        "lineitem_pricing",
+        "customer_order_counts",
+        "cust_sales_opportunity",
+        "supplier_sole_returner",
+        "events_props_extract",
+    ],
+)
+def test_null_keys_and_values_match_oracle(tmp_path, name):
+    """Keyed aggregates on NULL and dangling keys and NULL money values,
+    against each query's DuckDB oracle: a NULL value is skipped by the
+    sums and counted by ``count(*)``, a dangling join key drops its row,
+    and a NULL group key follows the rule named in ``_DROPS_NULL_KEYS``."""
+    import math
+
+    import duckdb
+
+    import __ray_entry__ as E
+
+    sf = str(tmp_path)
+    con = duckdb.connect()
+    for t in _write_null_tables(sf):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+    sql = E.oracle_sql()[name]
+    if name in _DROPS_NULL_KEYS:
+        cond = " AND ".join(f"{k} IS NOT NULL" for k in _DROPS_NULL_KEYS[name])
+        sql = f"SELECT * FROM ({sql}) WHERE {cond}"
+    want = con.execute(sql).df()
+    for c in _ZERO_SUMS.get(name, []):
+        want[c] = want[c].fillna(0)
+    res = E.queries()[name](sf)
+    got = res.to_pandas() if hasattr(res, "to_pandas") else res
+
+    def rows(df) -> list[tuple]:
+        def norm(v):
+            if v is None or (isinstance(v, float) and math.isnan(v)):
+                return None
+            if isinstance(v, (float, np.floating)) and float(v).is_integer():
+                return int(v)
+            return v.item() if isinstance(v, np.generic) else v
+
+        cols = sorted(df.columns)
+        out = [tuple(norm(v) for v in r) for r in df[cols].itertuples(index=False)]
+        return sorted(out, key=lambda r: tuple((x is not None, str(x)) for x in r))
+
+    assert sorted(got.columns) == sorted(want.columns)
+    assert rows(got) == rows(want)
 
 
 def test_ingest_jsonl_quarantine(tmp_path):

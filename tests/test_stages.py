@@ -127,6 +127,15 @@ def test_top_k_deterministic_ties():
     df = pd.DataFrame({"doc_id": [5, 1, 3, 2], "n": [9, 9, 9, 1]})
     out = top_k(rd.from_pandas(df), "n", 2, tiebreak="doc_id")
     assert out["doc_id"].tolist() == [1, 3]
+    # a block whose string column is entirely null keeps the string
+    # type, so the blocks still concatenate
+    blocks = [
+        pa.table({"doc_id": [5, 1], "n": [9, 9], "lang": pa.array([None, None], pa.string())}),
+        pa.table({"doc_id": [3, 2], "n": [9, 1], "lang": pa.array(["ro", "en"], pa.string())}),
+    ]
+    out = top_k(rd.from_arrow(blocks), "n", 2, tiebreak="doc_id")
+    assert out["doc_id"].tolist() == [1, 3]
+    assert out["lang"].tolist() == [None, "ro"]
 
 
 def test_knn_bruteforce_exact():
