@@ -1631,7 +1631,7 @@ def q_customer_distribution(sf_dir: str):
     orders, zero included). Level 1 is the LEFT-join count exchange of
     q_customer_order_counts (already thin: one row per customer);
     level 2 re-keys those rows on the count value itself — a second
-    thin exchange over (n_orders, partial) rows."""
+    thin ``exchange_aggregate`` count over the per-customer rows."""
     per_cust = q_customer_order_counts(sf_dir)
     return exchange_aggregate(
         per_cust.map_batches(
