@@ -1107,8 +1107,11 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations)
     """Map-side precombine + the Arrow reduce together equal the
     by-definition conversation table (pandas, one conversation at a
     time) on randomized partitions: multi-batch precombine partials
-    per conversation, null timestamps, all-dropped and all-kept convs,
-    unsorted arrival order."""
+    per conversation, null timestamps, null ``keep`` (counts as
+    dropped), all-dropped and all-kept convs, one long conversation
+    spread over every batch, unsorted arrival order. The batches are
+    slices of one table, so a kernel that mishandles sliced offsets
+    fails here."""
     from fineweb2_ro_ray.pipelines.quality_filter import (
         _precombine_dropped,
         _reassemble_partition,
@@ -1117,18 +1120,23 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations)
     rng = np.random.default_rng(31)
     for trial in range(8):
         rows = []
-        for c in range(rng.integers(1, 12)):
-            n = int(rng.integers(1, 9))
+        # c99 is the long conversation: 200+ turns, in every batch below
+        n_turns = [int(rng.integers(1, 9)) for _ in range(rng.integers(1, 12))]
+        n_turns.append(int(rng.integers(200, 260)))
+        for c, n in enumerate(n_turns):
+            cid = "c99" if c == len(n_turns) - 1 else f"c{c:02d}"
             for ti in range(n):
                 rows.append(
                     {
-                        "conv_id": f"c{c:02d}",
+                        "conv_id": cid,
                         "turn_idx": ti,
                         "ts": None
                         if rng.random() < 0.3
                         else pd.Timestamp("2025-01-01")
                         + pd.Timedelta(minutes=int(rng.integers(0, 5000))),
-                        "keep": bool(rng.random() < 0.55),
+                        "keep": None
+                        if rng.random() < 0.1
+                        else bool(rng.random() < 0.55),
                         "scrubbed_text": f"t{c}-{ti}",
                     }
                 )
@@ -1140,11 +1148,14 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations)
         # several precombine batches, concatenated = one exchange partition
         nb = int(rng.integers(1, 4))
         cuts = np.linspace(0, t.num_rows, nb + 1).astype(int)
-        parts = [
-            _precombine_dropped(t.slice(cuts[i], cuts[i + 1] - cuts[i]))
+        batches = [
+            t.slice(cuts[i], cuts[i + 1] - cuts[i])
             for i in range(nb)
             if cuts[i + 1] > cuts[i]
         ]
+        assert t["keep"].null_count > 0
+        assert all("c99" in b["conv_id"].to_pylist() for b in batches)
+        parts = [_precombine_dropped(b) for b in batches]
         part_t = pa.concat_tables(parts).combine_chunks()
         assert_conversations(_reassemble_partition(part_t).to_pandas(), df)
 
