@@ -1412,19 +1412,23 @@ def q_events_cumsum(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
     def to_cents(b: pa.Table) -> pa.Table:
-        cents = round_half_away(b["value"].to_numpy(zero_copy_only=False) * 100)
         return b.select(["user_id", "event_id", "ts"]).append_column(
-            "cents", pa.array(cents, pa.int64())
+            "cents", _int_scaled(b["value"])
         )
 
+    def run_cumsum(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        cum = np.cumsum(x)
+        return cum - np.repeat(cum[starts[:-1]] - x[starts[:-1]], np.diff(starts))
+
     def cumsum(t: pa.Table) -> pa.Table:
+        # SQL SUM skips a NULL: it adds 0, and a row whose frame holds
+        # no value yet is NULL
         t, starts = _user_event_runs(t)
-        cents = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cum = np.cumsum(cents)
-        base = cum[starts[:-1]] - cents[starts[:-1]]
-        cum -= np.repeat(base, np.diff(starts))
+        cents = t["cents"].combine_chunks()
+        seen = run_cumsum(cents.is_valid().to_numpy(zero_copy_only=False), starts)
+        cum = run_cumsum(pc.fill_null(cents, 0).to_numpy(zero_copy_only=False), starts)
         return t.select(["user_id", "event_id"]).append_column(
-            "cum_cents", pa.array(cum, pa.int64())
+            "cum_cents", pa.array(cum, pa.int64(), mask=seen == 0)
         )
 
     return hash_exchange_map_groups(
@@ -1915,9 +1919,8 @@ def q_orders_big_qty(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def q_partial(b: pa.Table) -> pa.Table:
-        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
         return aggregate_table(
-            pa.table({"l_orderkey": b["l_orderkey"], "q100": q100}),
+            pa.table({"l_orderkey": b["l_orderkey"], "q100": _int_scaled(b["l_quantity"])}),
             ["l_orderkey"],
             [("q100", "sum", "q100")],
         )
@@ -2666,9 +2669,10 @@ def q_supplier_dominant_parts(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(b: pa.Table) -> pa.Table:
-        q100 = round_half_away(b["l_quantity"].to_numpy() * 100)
         return aggregate_table(
-            b.select(["l_partkey", "l_suppkey"]).append_column("q100", pa.array(q100)),
+            b.select(["l_partkey", "l_suppkey"]).append_column(
+                "q100", _int_scaled(b["l_quantity"])
+            ),
             ["l_partkey", "l_suppkey"],
             [("q100", "sum", "q100")],
         )
@@ -2750,12 +2754,10 @@ def q_disjunctive_revenue(sf_dir: str):
             for brand, lo, hi, qlo, qhi in _Q19_RULES:
                 m |= (br == brand) & (sz >= lo) & (sz <= hi) & (q >= qlo) & (q <= qhi)
             keep[np.flatnonzero(found)] = m
-        cents = round_half_away(b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep] * 100)
-        disc = round_half_away(b["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100)
-        rev = cents * (100 - disc)
+        rev = _rev_cbp(b.filter(pa.array(keep)))
         return pa.table(
             {
-                "r": pa.array([int(rev.sum())], pa.int64()),
+                "r": pa.array([pc.sum(rev, min_count=0).as_py()], pa.int64()),
                 "n": pa.array([int(keep.sum())], pa.int64()),
             }
         )

@@ -8,8 +8,9 @@ conjunctive filter → join → parquet) as ONE streaming DAG
     read_parquet(transcripts, pruned columns)
       → map_batches(Annotator, fixed actor pool)   # stats → LID → ppl →
                                                    # scrub → decide, fused
-      → map_batches(_precombine_dropped)           # dropped turns → meta rows
-      → hash exchange on conv_id + Arrow reduce    # the only wide op
+      → map_batches(_thin_dropped)                 # dropped turns lose text
+      → hash exchange on conv_id + Arrow reduce    # the only wide op:
+                                                   # one sort, run boundaries
       → write_parquet (or partitioned and resumable — state/checkpoint.py)
 
 Unlike the reference, no stage materializes the corpus to disk between
@@ -19,7 +20,6 @@ steps; the streaming executor pipelines blocks with backpressure.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -163,225 +163,63 @@ def annotate(
     )
 
 
-def _precombine_dropped(b: pa.Table) -> pa.Table:
-    """Map-side combiner for the reassembly exchange: DROPPED turns'
-    scrubbed text never needs to cross the shuffle — a dropped turn
-    contributes only its count and its (turn_idx, ts) boundary to the
-    conversation row. Each batch's dropped rows collapse to ONE meta
-    row per conversation (columns d_n / d_min_ti / d_min_ts / d_max_ti
-    / d_max_ts, text null); kept rows pass through (meta columns null).
-    At a 40% drop rate this removes ~40% of the text bytes from the
-    only all-to-all exchange in the pipeline.
-
-    Assumption (schema contract): ``turn_idx`` is unique per
-    conversation — first/last reduce to min/max over turn_idx."""
-    import pyarrow.compute as pc
-
-    keep = b["keep"]
-    kept = b.filter(keep)
-    dropped = b.filter(pc.invert(pc.fill_null(keep, False)))
-    null_i32 = pa.nulls(kept.num_rows, pa.int32())
-    null_i64 = pa.nulls(kept.num_rows, pa.int64())
-    null_ts = pa.nulls(kept.num_rows, b.schema.field("ts").type)
-    kept_t = pa.table(
+def _thin_dropped(b: pa.Table) -> pa.Table:
+    """Map side of the reassembly exchange: every turn crosses as one
+    thin row ``(conv_id, turn_idx, ts, keep, scrubbed_text)``. A dropped
+    turn (``keep`` false or null) keeps its key and boundary columns but
+    loses its text, so its scrubbed bytes never enter the shuffle."""
+    keep = pc.fill_null(b["keep"], False)
+    text = b["scrubbed_text"]
+    # the else-branch is an ARRAY of nulls: a null scalar there gives a
+    # sliced string column out-of-bounds offsets on Arrow 16.1
+    text = pc.if_else(keep, text, pa.nulls(b.num_rows, text.type))
+    return pa.table(
         {
-            "conv_id": kept["conv_id"],
-            "turn_idx": kept["turn_idx"],
-            "ts": kept["ts"],
-            "scrubbed_text": kept["scrubbed_text"],
-            "d_n": null_i64,
-            "d_min_ti": null_i32.cast(kept.schema.field("turn_idx").type),
-            "d_min_ts": null_ts,
-            "d_max_ti": null_i32.cast(kept.schema.field("turn_idx").type),
-            "d_max_ts": null_ts,
+            "conv_id": b["conv_id"],
+            "turn_idx": b["turn_idx"],
+            "ts": b["ts"],
+            "keep": keep,
+            "scrubbed_text": text,
         }
     )
-    if dropped.num_rows:
-        df = dropped.select(["conv_id", "turn_idx", "ts"]).to_pandas()
-        df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-        d_n = df.groupby("conv_id", sort=False).size()
-        # first/last ts follow pandas groupby.first/last semantics
-        # (SKIP nulls): boundaries are computed over the NON-NULL-ts
-        # subset only, so a dropped turn with null ts contributes its
-        # count but never a NaT boundary
-        nn = df[df["ts"].notna()]
-        gn = nn.groupby("conv_id", sort=False)
-        agg = pd.DataFrame(
-            {
-                "d_n": d_n.astype(np.int64),
-                "d_min_ti": gn["turn_idx"].first().reindex(d_n.index),
-                "d_min_ts": gn["ts"].first().reindex(d_n.index),
-                "d_max_ti": gn["turn_idx"].last().reindex(d_n.index),
-                "d_max_ts": gn["ts"].last().reindex(d_n.index),
-            }
-        ).reset_index()
-        ti_type = kept.schema.field("turn_idx").type
-        ts_type = b.schema.field("ts").type
-        meta_t = pa.table(
-            {
-                "conv_id": pa.array(agg["conv_id"], kept_t.schema.field("conv_id").type),
-                "turn_idx": pa.nulls(len(agg), ti_type),
-                "ts": pa.nulls(len(agg), ts_type),
-                "scrubbed_text": pa.nulls(len(agg), pa.string()),
-                "d_n": pa.array(agg["d_n"], pa.int64()),
-                "d_min_ti": pa.array(agg["d_min_ti"], ti_type, from_pandas=True),
-                "d_min_ts": pa.array(agg["d_min_ts"], ts_type, from_pandas=True),
-                "d_max_ti": pa.array(agg["d_max_ti"], ti_type, from_pandas=True),
-                "d_max_ts": pa.array(agg["d_max_ts"], ts_type, from_pandas=True),
-            }
-        )
-        return pa.concat_tables([kept_t, meta_t]).combine_chunks()
-    return kept_t
-
-
-def _as_array(ca) -> pa.Array:
-    """ChunkedArray → single Array (empty-safe)."""
-    if isinstance(ca, pa.Array):
-        return ca
-    ca = ca.combine_chunks()
-    return ca if isinstance(ca, pa.Array) else (
-        ca.chunk(0) if ca.num_chunks else pa.array([], ca.type)
-    )
-
-
-def _segment_starts(conv: pa.Array) -> np.ndarray:
-    """Start offsets of equal-conv_id runs in a (conv_id, …)-sorted
-    array."""
-    n = len(conv)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    neq = pc.not_equal(conv.slice(1), conv.slice(0, n - 1))
-    change = np.concatenate(
-        [[True], pc.fill_null(neq, True).to_numpy(zero_copy_only=False)]
-    )
-    return np.flatnonzero(change).astype(np.int64)
 
 
 def _reassemble_partition(t: pa.Table) -> pa.Table:
     """Reduce side of the reassembly exchange: every conversation of one
-    hash partition of :func:`_precombine_dropped` output. Kept rows
-    rebuild the text (newline-joined in ``turn_idx`` order — the single
-    ordering contract, never positional); dropped-side partials merge
-    by min/max over ``turn_idx``. ``first_ts``/``last_ts`` are the
-    first/last NON-NULL ts. One ``sort_indices`` + run-boundary numpy
-    over the kept side, with the per-conversation text join done by the
-    single vectorized ``binary_join`` kernel over a ListArray view — no
-    pandas object columns, no per-group Python."""
-    is_meta = pc.is_null(t["turn_idx"])
-    meta = t.filter(is_meta)
-    kept = t.filter(pc.invert(is_meta))
-    ti_type = t.schema.field("turn_idx").type
-    ts_type = t.schema.field("ts").type
-    cid_type = t.schema.field("conv_id").type
-    empty_c = pa.array([], cid_type)
+    hash partition of :func:`_thin_dropped` rows, ``conv_id`` ascending.
+    One sort by (conv_id, turn_idx), then run boundaries: ``n_turns`` is
+    the run length, ``n_kept`` counts kept rows, the kept rows' text is
+    newline-joined in ``turn_idx`` order (the single ordering contract,
+    never positional) by one ``binary_join`` over a ListArray view, and
+    ``first_ts``/``last_ts`` are the first/last NON-NULL ts of the run."""
+    from ..stages.exchange import run_ids, sorted_runs
 
-    # ---- kept side: one sort, run boundaries, list-view text join ----
-    if kept.num_rows:
-        kept = kept.take(
-            pc.sort_indices(
-                kept,
-                sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")],
-            )
-        )
-        conv = _as_array(kept["conv_id"])
-        starts = _segment_starts(conv)
-        k_convs = conv.take(pa.array(starts, pa.int64()))
-        k_n = np.diff(np.append(starts, len(conv))).astype(np.int64)
-        offsets = np.append(starts, len(conv))
-        txt = _as_array(kept["scrubbed_text"])
-        lst = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), txt)
-        k_text = pc.binary_join(lst, "\n")
-        # ts boundaries over the NON-NULL-ts kept rows only (pandas
-        # first()/last() skip nulls); rows stay (conv, turn_idx)-sorted
-        knn = kept.filter(pc.is_valid(kept["ts"]))
-        conv_nn = _as_array(knn["conv_id"])
-        s_nn = _segment_starts(conv_nn)
-        e_nn = np.append(s_nn[1:], len(conv_nn)) - 1
-        knn_convs = conv_nn.take(pa.array(s_nn, pa.int64()))
-        k_min_ti = _as_array(knn["turn_idx"]).take(pa.array(s_nn, pa.int64()))
-        k_min_ts = _as_array(knn["ts"]).take(pa.array(s_nn, pa.int64()))
-        k_max_ti = _as_array(knn["turn_idx"]).take(pa.array(e_nn, pa.int64()))
-        k_max_ts = _as_array(knn["ts"]).take(pa.array(e_nn, pa.int64()))
-    else:
-        k_convs, k_n, k_text = empty_c, np.zeros(0, np.int64), pa.array([], pa.string())
-        knn_convs = empty_c
-        k_min_ti = k_max_ti = pa.array([], ti_type)
-        k_min_ts = k_max_ts = pa.array([], ts_type)
-
-    # ---- meta side: merge per-batch dropped partials ----
-    if meta.num_rows:
-        g = meta.group_by("conv_id").aggregate([("d_n", "sum")])
-        m_convs = _as_array(g["conv_id"])
-        m_n = _as_array(g["d_n_sum"]).cast(pa.int64())
-        # min: nulls sort last, take first row per run (row-wise
-        # null-together d_*_ti/d_*_ts — see _precombine_dropped)
-        ms = meta.take(
-            pc.sort_indices(
-                meta,
-                sort_keys=[("conv_id", "ascending"), ("d_min_ti", "ascending")],
-                null_placement="at_end",
-            )
-        )
-        cmin = _as_array(ms["conv_id"])
-        smin = _segment_starts(cmin)
-        m_min_convs = cmin.take(pa.array(smin, pa.int64()))
-        m_min_ti = _as_array(ms["d_min_ti"]).take(pa.array(smin, pa.int64()))
-        m_min_ts = _as_array(ms["d_min_ts"]).take(pa.array(smin, pa.int64()))
-        # max: nulls sort FIRST, take last row per run
-        mx = meta.take(
-            pc.sort_indices(
-                meta,
-                sort_keys=[("conv_id", "ascending"), ("d_max_ti", "ascending")],
-                null_placement="at_start",
-            )
-        )
-        cmax = _as_array(mx["conv_id"])
-        smax = _segment_starts(cmax)
-        emax = np.append(smax[1:], len(cmax)) - 1
-        m_max_convs = cmax.take(pa.array(smax, pa.int64()))
-        m_max_ti = _as_array(mx["d_max_ti"]).take(pa.array(emax, pa.int64()))
-        m_max_ts = _as_array(mx["d_max_ts"]).take(pa.array(emax, pa.int64()))
-    else:
-        m_convs, m_n = empty_c, pa.array([], pa.int64())
-        m_min_convs = m_max_convs = empty_c
-        m_min_ti = m_max_ti = pa.array([], ti_type)
-        m_min_ts = m_max_ts = pa.array([], ts_type)
-
-    # ---- union + reindex (index_in: absent conv → null → null take) ----
-    u = pc.unique(pa.concat_arrays([k_convs.cast(cid_type), m_convs.cast(cid_type)]))
-    convs = u.take(pc.sort_indices(u))
-
-    def rx(src: pa.Array, vals: pa.Array) -> pa.Array:
-        if len(src) == 0:
-            return pa.nulls(len(convs), vals.type)
-        return vals.take(pc.index_in(convs, value_set=src))
-
-    k_n_u = pc.fill_null(rx(k_convs, pa.array(k_n, pa.int64())), 0)
-    m_n_u = pc.fill_null(rx(m_convs, m_n), 0)
-    n_turns = pc.add(k_n_u, m_n_u)
-    kmin_ti_u = rx(knn_convs, k_min_ti)
-    kmax_ti_u = rx(knn_convs, k_max_ti)
-    dmin_ti_u = rx(m_min_convs, m_min_ti)
-    dmax_ti_u = rx(m_max_convs, m_max_ti)
-    use_k_min = pc.or_kleene(
-        pc.is_null(dmin_ti_u),
-        pc.and_kleene(pc.is_valid(kmin_ti_u), pc.less_equal(kmin_ti_u, dmin_ti_u)),
-    )
-    use_k_max = pc.or_kleene(
-        pc.is_null(dmax_ti_u),
-        pc.and_kleene(pc.is_valid(kmax_ti_u), pc.greater_equal(kmax_ti_u, dmax_ti_u)),
-    )
-    first_ts = pc.if_else(use_k_min, rx(knn_convs, k_min_ts), rx(m_min_convs, m_min_ts))
-    last_ts = pc.if_else(use_k_max, rx(knn_convs, k_max_ts), rx(m_max_convs, m_max_ts))
+    t, starts = sorted_runs(t, ["conv_id"], [("turn_idx", "ascending")])
+    rid = run_ids(starts)
+    n_runs = len(starts) - 1
+    keep = t["keep"].to_numpy()
+    n_kept = np.bincount(rid[keep], minlength=n_runs).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(n_kept)]).astype(np.int32)
+    kept_text = t["scrubbed_text"].filter(pa.array(keep)).combine_chunks()
+    text = pc.binary_join(pa.ListArray.from_arrays(offsets, kept_text), "\n")
+    # row of the first/last non-null ts of each run; a run with none
+    # takes a null index (the padding slot keeps the lookups in range)
+    valid = np.flatnonzero(pc.is_valid(t["ts"]).to_numpy())
+    n_valid = np.bincount(rid[valid], minlength=n_runs)
+    end = np.cumsum(n_valid)
+    none = n_valid == 0
+    valid = np.append(valid, 0)
+    first = pa.array(valid[end - n_valid], mask=none)
+    last = pa.array(valid[end - 1], mask=none)
     return pa.table(
         {
-            "conv_id": convs,
-            "n_turns": n_turns,
-            "n_kept": k_n_u,
-            "conv_keep": pc.greater(k_n_u, 0),
-            "text": pc.fill_null(rx(k_convs, k_text), ""),
-            "first_ts": first_ts,
-            "last_ts": last_ts,
+            "conv_id": t["conv_id"].take(starts[:-1]),
+            "n_turns": np.diff(starts),
+            "n_kept": n_kept,
+            "conv_keep": n_kept > 0,
+            "text": pc.fill_null(text, ""),
+            "first_ts": t["ts"].take(first),
+            "last_ts": t["ts"].take(last),
         }
     )
 
@@ -391,9 +229,9 @@ def reassemble(
     input_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
     """Conversation reassembly: the only all-to-all exchange in the
-    pipeline. Dropped turns first collapse map-side to one
-    per-conversation meta row per batch (:func:`_precombine_dropped`),
-    so their scrubbed text never enters the shuffle. Conversations are
+    pipeline. Every turn crosses it as one thin row; a dropped turn's
+    text is nulled map-side (:func:`_thin_dropped`), so its scrubbed
+    bytes never enter the shuffle. Conversations are
     then hash-partitioned by ``conv_id`` (crc32, the ONE partitioning
     key used everywhere — SURVEY.md §7.2) by the raw-Ray push-based
     exchange (:mod:`..stages.exchange`: no key sampling, no per-block
@@ -419,7 +257,7 @@ def reassemble(
     have = [c for c in needed if c in names]
     if len(have) == len(needed):
         ds = ds.select_columns(needed)
-    ds = ds.map_batches(_precombine_dropped, batch_format="pyarrow")
+    ds = ds.map_batches(_thin_dropped, batch_format="pyarrow")
     out_schema = pa.schema(
         [
             pa.field("conv_id", pa.string()),
@@ -437,13 +275,6 @@ def reassemble(
         key="conv_id",
         out_schema=out_schema,
     )
-
-
-def ordered_turns(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Per-turn labeled output in stable (conv_id, turn_idx) order —
-    Ray Data's sort is a distributed range-partitioned sort, so this is
-    a wide op; use only when a globally ordered per-turn view is needed."""
-    return ds.sort(["conv_id", "turn_idx"])
 
 
 def filter_kept(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -491,9 +322,12 @@ def run_flagship(
     Dataset (lazy; caller consumes). The fused annotate stage projects
     to exactly the reassembly columns, so the original text column never
     leaves the actor."""
-    # parquet-footer schema (metadata-only, no task execution) feeds the
+    read = read_transcripts_pruned(
+        input_path, ["conv_id", "turn_idx", "role", "text", "ts"]
+    )
+    # the read's schema is known without running anything; it feeds the
     # reassembly schema hint so nothing pre-executes the annotate chain
-    base = ray.data.read_parquet(input_path).schema().base_schema
+    base = read.schema(fetch_if_missing=False).base_schema
     project = ["conv_id", "turn_idx", "ts", "keep", "scrubbed_text"]
     ann_schema = pa.schema(
         [
@@ -504,12 +338,5 @@ def run_flagship(
             pa.field("scrubbed_text", pa.string()),
         ]
     )
-    ds = annotate(
-        read_transcripts_pruned(
-            input_path, ["conv_id", "turn_idx", "role", "text", "ts"]
-        ),
-        cfg,
-        batch_size=batch_size,
-        project=project,
-    )
+    ds = annotate(read, cfg, batch_size=batch_size, project=project)
     return reassemble(ds, input_schema=ann_schema)

@@ -67,7 +67,7 @@ def build_frames(hot_n: int, cold_n: int, chunk: int = 50_000) -> list[pd.DataFr
 
 def run(p: int, frames: list[pd.DataFrame]) -> dict:
     from fineweb2_ro_ray.pipelines.quality_filter import (
-        _precombine_dropped,
+        _thin_dropped,
         _reassemble_partition,
     )
 
@@ -95,7 +95,7 @@ def run(p: int, frames: list[pd.DataFrame]) -> dict:
         )
 
     ds = rd.from_pandas(frames).map_batches(
-        _precombine_dropped, batch_format="pyarrow"
+        _thin_dropped, batch_format="pyarrow"
     )
     t0 = time.perf_counter()
     res = hash_exchange_map_groups(

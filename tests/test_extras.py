@@ -587,6 +587,24 @@ def test_keyed_aggregates_leave_the_combine_to_the_exchange():
     assert hits == []
 
 
+def test_reassembly_crosses_the_exchange_as_one_row_format():
+    """Every turn crosses the reassembly exchange as one thin row, so
+    the flagship module imports no pandas and defines none of the
+    meta-row combiner and merge helpers."""
+    import ast
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "fineweb2_ro_ray", "pipelines", "quality_filter.py"
+    )
+    mod = ast.parse(open(path).read())
+    imported = {a.name for n in ast.walk(mod) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(mod) if isinstance(n, ast.ImportFrom)}
+    assert not {m for m in imported if m and m.split(".")[0] == "pandas"}
+    defs = {n.name for n in ast.walk(mod) if isinstance(n, ast.FunctionDef)}
+    assert not defs & {"_precombine_dropped", "_segment_starts", "_as_array"}
+
+
 def test_artifact_queries_use_one_directory_per_run(tmp_path, monkeypatch):
     """Queries that persist an on-disk artifact build it in a fresh
     directory per run and remove it afterwards: two concurrent runs of
@@ -796,8 +814,9 @@ def _write_null_tables(sf: str) -> list[str]:
     customers with a NULL key, NULL segment, NULL nation or one missing
     from ``nation``; orders with a NULL or absent customer; lineitems
     with NULL order / supplier / flag / status keys, NULL price,
-    discount and quantity; events with NULL types and values. Some
-    groups hold only NULL money values."""
+    discount and quantity (one order's total passes Q18's HAVING only
+    if its NULL quantity is skipped); events with NULL types and values;
+    parts with a NULL brand. Some groups hold only NULL money values."""
     import datetime as dt
 
     import pyarrow.parquet as pq
@@ -833,7 +852,9 @@ def _write_null_tables(sf: str) -> list[str]:
             "l_partkey": pa.array([1] * 11, pa.int64()),
             "l_suppkey": pa.array([1, 2, 3, 1, 2, 1, None, 1, 2, 3, 9], pa.int64()),
             "l_linenumber": pa.array(range(1, 12), pa.int32()),
-            "l_quantity": pa.array([1.0, 2.0, 3.0, 4.0, None, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]),
+            "l_quantity": pa.array(
+                [1.0, 2.0, 3.0, 300.0, None, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+            ),
             "l_extendedprice": pa.array(
                 [10.5, None, 3.25, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 1.125, 2.5]
             ),
@@ -868,6 +889,11 @@ def _write_null_tables(sf: str) -> list[str]:
             "n_nationkey": pa.array([0, 1, 2], pa.int32()),
             "n_name": pa.array(["N0", "N1", None]),
             "n_regionkey": pa.array([0, 0, 0], pa.int32()),
+        }),
+        "part": pa.table({
+            "p_partkey": pa.array([1, 2], pa.int64()),
+            "p_brand": pa.array(["Brand#13", None]),
+            "p_size": pa.array([5, 12], pa.int64()),
         }),
     }
     for name, t in tables.items():
@@ -904,6 +930,10 @@ _ZERO_SUMS = {
         "cust_sales_opportunity",
         "supplier_sole_returner",
         "events_props_extract",
+        "events_cumsum",
+        "orders_big_qty",
+        "supplier_dominant_parts",
+        "disjunctive_revenue",
     ],
 )
 def test_null_keys_and_values_match_oracle(tmp_path, name):

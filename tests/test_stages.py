@@ -1113,7 +1113,7 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations)
     slices of one table, so a kernel that mishandles sliced offsets
     fails here."""
     from fineweb2_ro_ray.pipelines.quality_filter import (
-        _precombine_dropped,
+        _thin_dropped,
         _reassemble_partition,
     )
 
@@ -1155,7 +1155,7 @@ def test_reassemble_arrow_reduce_matches_pandas_randomized(assert_conversations)
         ]
         assert t["keep"].null_count > 0
         assert all("c99" in b["conv_id"].to_pylist() for b in batches)
-        parts = [_precombine_dropped(b) for b in batches]
+        parts = [_thin_dropped(b) for b in batches]
         part_t = pa.concat_tables(parts).combine_chunks()
         assert_conversations(_reassemble_partition(part_t).to_pandas(), df)
 
