@@ -2,7 +2,7 @@
 
 Builds a corpus with ONE conversation of 1M turns beside 1M cold turns
 spread over 12.5k conversations, pushes it through the flagship's
-reassembly exchange (precombine + hash exchange + Arrow reduce), and
+reassembly exchange (thin rows + hash exchange + Arrow reduce), and
 records the PER-REDUCER wall/row distribution via a timing-wrapped
 reduce fn — the measured form of the exchange docstring's claim that a
 skewed key skews only its own partition, and that thinning partitions
