@@ -144,74 +144,30 @@ def _q_multimodal_search(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # ORDER MATTERS: the driver grades a bounded prefix of this dict
-    # (50 entries in rounds 1-2), and all 68 oracle-SQL-backed queries
-    # no longer fit — the graded window is curated to the 50 most
-    # DISTINCT operator shapes (a slot spent on a value-exact check of
-    # a new shape beats a near-duplicate of a shape already graded).
-    # The 19 demoted oracle queries follow (value-exact via
-    # scripts/check_oracle.py + pytest), then the rows-only flagship
-    # labels + distributed LSH dedup family, then the tail
-    # (frozen-model / probabilistic / stub-decode plumbing) covered by
-    # pytest.
+    # ORDER MATTERS: the driver grades a bounded prefix of this dict.
+    # First the graded window (50 oracle-SQL-backed entries, one per
+    # distinct operator shape), then the demoted oracle queries
+    # (value-exact via scripts/check_oracle.py + pytest), the rows-only
+    # flagship labels + distributed LSH dedup family, and the tail
+    # covered by pytest. COVERAGE.md records which window entry
+    # displaced which query, and why.
     return {
         # --- oracle-SQL-backed, graded window (first 50): one entry per
         # DISTINCT operator shape; near-duplicate simple shapes are demoted
         # below so every graded slot buys new evidence ---
         "doc_stats": P.q_doc_stats,
         "filter_conjunctive": P.q_filter_conjunctive,
-        # window slot (round 4, continuation 5): html_extract — the
-        # HTML → text extraction chain (block strips, tag strip, entity
-        # decode, whitespace collapse + title extract), the web-corpus
-        # step upstream of everything; no other window entry exercises
-        # a multi-kernel RE2 rewrite chain. Displaces lang_source_counts
-        # (grouped-counts family keeps lang_distinct_sources,
-        # lang_source_rollup, source_mode_lang in-window), which stays
-        # value-exact via scripts/check_oracle.py + pytest.
         "html_extract": P.q_html_extract,
         "nchars_percentiles_by_lang": P.q_nchars_percentiles_by_lang,
         "top_longest_by_lang": P.q_top_longest_by_lang,
         "events_rolling": P.q_events_rolling,
         "lang_distinct_sources": P.q_lang_distinct_sources,
-        # window slot (round 4, late): events_global_rank — the
-        # range-partitioned distributed ORDER BY (sample sort + exact
-        # global rank), a substrate shape nothing else in the window
-        # exercises; lang_source_pivot (third grouped-count variant
-        # alongside lang_source_counts and lang_source_rollup) demoted
-        # below, still value-exact via scripts/check_oracle.py
         "events_global_rank": P.q_events_global_rank,
         "nchars_summary": P.q_nchars_summary,
         "dedup_exact": P.q_dedup_exact,
-        # window slot (round 4, continuation 5): index_lookup — the
-        # persisted inverted-index artifact + file-pruned term lookup
-        # (build-once/probe-many IR shape; the only other on-disk
-        # artifact in-window, dedup_incremental, is an anti-join not a
-        # pruned point-read). Displaces dedup_keep_longest (keyed
-        # keep-rule family keeps dedup_exact + dedup_clusters
-        # in-window), still value-exact via scripts/check_oracle.py.
         "index_lookup": P.q_index_lookup,
-        # window slot (continuation 5, late): doc_tree_depths — the
-        # LOG-round pointer-doubling iterative shape (vs pagerank's
-        # linear rounds). Displaces jaccard_pairs (similarity-join
-        # family keeps editdist_pairs + embedding_neardup in-window),
-        # still oracle-exact below.
         "doc_tree_depths": P.q_doc_tree_depths,
-        # window slot (round 4, continuation 5): lang_regression —
-        # grouped OLS from exact integer sufficient stats (per-group
-        # float closed form; score_correlations covers only the global
-        # variant). Displaces events_hourly (window family keeps
-        # events_rolling, events_sessions, events_global_rank
-        # in-window), still value-exact via scripts/check_oracle.py.
         "lang_regression": P.q_lang_regression,
-        # window slot (round 5, VERDICT r4 #5): events_lag_delta — the
-        # dedicated LAG/LEAD window op (per-key prev/next row reference
-        # + bit-exact cents delta, honest NULLs at key boundaries),
-        # oracle-exact vs DuckDB LAG()/LEAD() OVER. Displaces
-        # events_sessions (gap-based sessionization — whose internal
-        # primitive IS this lag diff; window family keeps
-        # events_rolling + events_global_rank + events_lag_delta
-        # in-window), still value-exact via scripts/check_oracle.py +
-        # pytest.
         "events_lag_delta": P.q_events_lag_delta,
         "orders_join_native": P.q_orders_join_native,
         "events_asof_orders": P.q_events_asof_orders,
@@ -220,13 +176,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "filter_adaptive": P.q_filter_adaptive,
         "lineitem_pricing": P.q_lineitem_pricing,
         "orders_by_segment": P.q_orders_by_segment,
-        # window slot (round 4): editdist_pairs — edit-distance
-        # similarity join (Ed-Join q-gram prefix filter + exact
-        # banded-DP Levenshtein verify), the dedup-family member no
-        # other window entry shapes; count_metrics (grouped count/sum
-        # metric aggregates, shape-adjacent to lineitem_pricing and
-        # score_correlations) demoted below, still value-exact via
-        # scripts/check_oracle.py + pytest
         "editdist_pairs": P.q_editdist_pairs,
         "score_correlations": P.q_score_correlations,
         "dedup_spans": P.q_dedup_spans,
@@ -235,102 +184,29 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_cosine": P.q_ann_cosine,
         "embedding_neardup": P.q_embedding_neardup,
         "contamination": P.q_contamination,
-        # window slot (round 4, continuation 5): bucket_join_orders —
-        # the persisted bucketed layout joined with ZERO exchange (a
-        # substrate shape nothing else in-window has). Displaces
-        # supplier_sole_returner (EXISTS-shape adjacent to
-        # orders_semi_join), still oracle-exact below.
         "bucket_join_orders": P.q_bucket_join_orders,
-        # window slot (round 5, VERDICT r4 #1): minhash_dedup_full —
-        # the COMPOSED near-dedup funnel (pairs → connected components
-        # → keep-MIN-per-cluster + cluster_size passenger column for
-        # EVERY doc, singletons included) as ONE operator
-        # (stages.dedup.near_dedup_full). Subsumes and displaces
-        # dedup_clusters (components + cluster_size for involved docs
-        # only), which stays value-exact via scripts/check_oracle.py +
-        # pytest; bench.py's minhash_dedup_full entry drives the same
-        # composition with probabilistic MinHash+LSH pairs over the
-        # full transcript corpus.
         "minhash_dedup_full": P.q_minhash_dedup_full,
-        # window slot (round 4, late): kmeans_assign — broadcast
-        # nearest-centroid assignment over the vector column (the
-        # distributed-clustering building block; exact-L2 argmin with
-        # the oracle's ORDER BY dist, cid tie-break). Displaces
-        # userdays_intersect (set-op INTERSECT, shape-adjacent to the
-        # userday_click_purchase FULL OUTER composite-key join and
-        # orders_semi_join), which stays value-exact via
-        # scripts/check_oracle.py + pytest.
         "kmeans_assign": P.q_kmeans_assign,
         "embedding_unnest": P.q_embedding_unnest,
-        # window slot (continuation 5, late): events_overlap_join —
-        # interval×interval overlap (the two-sided sibling of the
-        # point-in-interval range join). Displaces source_mode_lang
-        # (grouped-mode, shape-adjacent to the grouped-count family),
-        # still oracle-exact below.
         "events_overlap_join": P.q_events_overlap_join,
-        # window slot: nation_cogroup — 3-way cogroup through ONE
-        # exchange. Displaces orders_top_revenue (grouped top-k
-        # adjacent to top_longest_by_lang), still oracle-exact below.
         "nation_cogroup": P.q_nation_cogroup,
         "word_heavy_hitters": P.q_word_heavy_hitters,
-        # window slot: matview_refresh — incremental view maintenance
-        # (refresh ≡ rebuild). Displaces label_centroid_sums (vector
-        # aggregation adjacent to kmeans_assign), still oracle-exact.
         "matview_refresh": P.q_matview_refresh,
-        # window slot (round 4, late): pagerank_suppliers — the
-        # iterative-graph shape (K dependent rounds of exchange join +
-        # keyed sum over a materialized invariant edge set), which
-        # nothing else in the window exercises; events_percent_rank
-        # (fifth member of the window-function family here) demoted
-        # below, still value-exact via scripts/check_oracle.py + pytest
         "pagerank_suppliers": P.q_pagerank_suppliers,
-        # window slot: expectations — the Deequ-style validation
-        # report (4 check families in one query). Displaces
-        # customer_order_counts (join-count adjacent to
-        # nation_cogroup), still oracle-exact below.
         "expectations": P.q_expectations,
         "lang_source_rollup": P.q_lang_source_rollup,
-        # window slot (round 4, late): contamination_ngram — Pile-style
-        # 13-gram overlap decontamination (gram-set membership semi-join
-        # with integer-exact threshold flags), a shape the substring
-        # `contamination` scan does not cover. Displaces
-        # promo_revenue_ratio (single-row conditional-aggregate ratio,
-        # shape-adjacent to the demoted small_qty_revenue /
-        # count_metrics family), still value-exact via
-        # scripts/check_oracle.py + pytest.
         "contamination_ngram": P.q_contamination_ngram,
         "user_event_paths": P.q_user_event_paths,
-        # round-4 window rotation (VERDICT r3 #8): three newest operator
-        # families promoted into the graded window — corpus-trained LM
-        # fit (fused gram exchange), per-line boilerplate cleaning, and
-        # corpus tf-idf top-terms; the displaced orders_exists_late /
-        # small_qty_revenue / orders_big_qty are shape-adjacent to
-        # orders_semi_join / promo_revenue_ratio / customer_order_counts
-        # and stay value-exact via scripts/check_oracle.py + pytest
         "lm_bigram_counts": P.q_lm_bigram_counts,
         "doc_line_clean": P.q_doc_line_clean,
         "doc_top_terms": P.q_doc_top_terms,
-        # window slot: doc_pack_spans (distributed ordered prefix-scan /
-        # training-sample packing — a shape nothing else in the window
-        # covers); user_first_last (FIRST/LAST_VALUE combiner, shape-
-        # adjacent to the rolling/rank/retention family) demoted below,
-        # still pinned by scripts/check_oracle.py + pytest
-        # window slot (round 4, late): doc_pack_examples — the FULL
-        # packing machinery (Blelloch scan + exchange join + fragment
-        # cut + example-ordered reassembly), a strict superset of
-        # doc_pack_spans' offsets-only shape; doc_pack_spans demoted
-        # below, still value-exact via scripts/check_oracle.py + pytest
         "doc_pack_examples": P.q_doc_pack_examples,
         "doc_word_repetition": P.q_doc_word_repetition,
-        # window slot: apply_changeset — MERGE INTO semantics (its
-        # oracle subsumes the FULL OUTER shape of the displaced
-        # userday_click_purchase, which stays oracle-exact below).
         "apply_changeset": P.q_apply_changeset,
         "dedup_incremental": P.q_dedup_incremental,
         "doc_boilerplate_scrub": P.q_doc_boilerplate_scrub,
         # --- oracle-SQL-backed overflow (past the 50-entry driver window;
         # value-exact via scripts/check_oracle.py + pytest) ---
-        # round-5 rotation: demoted but still oracle-exact
         "dedup_clusters": P.q_dedup_clusters,
         "events_sessions": P.q_events_sessions,
         "lang_source_pivot": P.q_lang_source_pivot,
@@ -386,7 +262,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mixture_weights": P.q_mixture_weights,
         "mixture_sample": P.q_mixture_sample,
         "doc_upsample": P.q_doc_upsample,
-        # round-4 late window rotation: demoted but still oracle-exact
         "userdays_intersect": P.q_userdays_intersect,
         "promo_revenue_ratio": P.q_promo_revenue_ratio,
         # round-4: SemDeDup (cluster-bucketed semantic dedup,
@@ -436,8 +311,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_funnel": P.q_dedup_funnel,
         # round-4 continuation-5: readability quality signal
         "doc_readability": P.q_doc_readability,
-        # round-4 continuation-5 rotation: demoted but still
-        # oracle-exact via scripts/check_oracle.py + pytest
         "supplier_sole_returner": P.q_supplier_sole_returner,
         "source_mode_lang": P.q_source_mode_lang,
         "jaccard_pairs": P.q_jaccard_pairs,
@@ -448,7 +321,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lang_source_counts": P.q_lang_source_counts,
         "dedup_keep_longest": P.q_dedup_keep_longest,
         "events_hourly": P.q_events_hourly,
-        # round-4 late window rotation: demoted but still oracle-exact
         "doc_pack_spans": P.q_doc_pack_spans,
         # round-5: RANGE window frame (time-interval sibling of the
         # ROWS frame; peers share the frame total) — oracle-exact

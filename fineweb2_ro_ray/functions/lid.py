@@ -127,12 +127,13 @@ def _lang_from_hits(
 
 
 class LangIdScorer:
-    """Actor-pool stage: frozen lexicons materialized once per actor
-    (reference pattern: model loaded once per worker process,
+    """Callable wrapper of :func:`lang_id_batch`. The frozen lexicons are
+    module state, materialized once per worker process (reference
+    pattern: model loaded once per worker process,
     ``/root/reference/ro_vs_eng/fineweb2_jql.py:29-45``)."""
 
     def __init__(self) -> None:
-        _lexicons()  # build the Arrow value sets once per actor
+        _lexicons()  # build the Arrow value sets once per process
 
     def __call__(self, batch: pa.Table, shared: dict | None = None) -> pa.Table:
         return lang_id_batch(batch, shared=shared)

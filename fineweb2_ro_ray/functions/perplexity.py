@@ -105,8 +105,9 @@ def perplexity_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class PerplexityScorer:
-    """Actor-pool stage: the frozen log-prob table is bound once per
-    actor (reference pattern A1: load model once per GPU worker,
+    """Callable wrapper of :func:`perplexity_batch`. The frozen log-prob
+    table ``LOGP`` is module state, built once per worker process at
+    import (reference pattern A1: load model once per GPU worker,
     ``/root/reference/ro_vs_eng/fineweb2_jql.py:29-45``)."""
 
     def __init__(self) -> None:

@@ -95,8 +95,9 @@ _TRIGGER_RE2 = (
 
 
 class Scrubber:
-    """Actor-pool stage: regex packs compiled once per actor (reference
-    stateful-stage pattern, SURVEY.md §2.3). Fast path: a vectorized
+    """Batch scrubber. The regex packs are module state, compiled once
+    per worker process (reference stateful-stage pattern, SURVEY.md
+    §2.3). Fast path: a vectorized
     RE2 trigger (Arrow ``match_substring_regex``) selects candidate
     rows; clean rows pass through zero-copy."""
 

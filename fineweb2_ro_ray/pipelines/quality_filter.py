@@ -6,9 +6,11 @@ conjunctive filter → join → parquet) as ONE streaming DAG
 (SURVEY.md §3.1):
 
     read_parquet(transcripts, pruned columns)
-      → map_batches(Annotator, fixed actor pool)   # stats → LID → ppl →
+      → map_batches(annotate_batch)                # stats → LID → ppl →
                                                    # scrub → decide, fused
-      → map_batches(_thin_dropped)                 # dropped turns lose text
+      → map_batches(_thin_dropped)                 # dropped turns lose text;
+                                                   # Ray fuses both maps into
+                                                   # one task on every CPU
       → hash exchange on conv_id + Arrow reduce    # the only wide op:
                                                    # one sort, run boundaries
       → write_parquet (or partitioned and resumable — state/checkpoint.py)
@@ -26,8 +28,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.decide import FilterConfig, decide_batch
-from ..functions.lid import LangIdScorer
-from ..functions.perplexity import PerplexityScorer
+from ..functions.lid import lang_id_batch
+from ..functions.perplexity import perplexity_batch
 from ..functions.scrub import Scrubber
 from ..functions.textstats import compute_text_stats
 
@@ -58,65 +60,51 @@ def read_transcripts_pruned(path: str | list[str], columns: list[str]) -> ray.da
     return ray.data.read_parquet(path, schema=pruned, columns=columns)
 
 
-# Test-only fault injection for the fused actor pool: set to
-# ("annotate", marker_path) and the FIRST Annotator batch to run
-# SIGKILLs its actor (atomically claimed via O_EXCL on the marker).
-# Read driver-side at annotate() wiring time and shipped as a plain
-# constructor argument. Exercised by tests/test_actor_faults.py.
+# Test-only fault injection for the fused annotate task: set to
+# ("annotate", marker_path) and the FIRST annotate batch to run
+# SIGKILLs its worker process (atomically claimed via O_EXCL on the
+# marker). Read driver-side at annotate() wiring time and shipped as a
+# plain argument. Exercised by tests/test_actor_faults.py.
 _TEST_FAILPOINT: tuple[str, str] | None = None
 
 
-class Annotator:
-    """Fused actor-pool stage: stats → LID → perplexity → scrub →
-    decide in one ``__call__``.
+def annotate_batch(
+    batch: pa.Table,
+    cfg: FilterConfig | None = None,
+    project: list[str] | None = None,
+    failpoint: tuple[str, str] | None = None,
+) -> pa.Table:
+    """The fused per-turn chain: stats → LID → perplexity → scrub →
+    decide, then the projection, in one call.
 
-    All five transforms are turn-local, so fusing them into one actor
+    All five transforms are turn-local, so fusing them into one task
     avoids four object-store round-trips of the (growing) table per
-    block — at 10^12 turns those hops are pure shuffle-free overhead.
-    Every scorer's frozen state (lexicons, LOGP table, regex packs) is
-    bound once per actor (reference stateful-stage pattern, SURVEY.md
-    §2.3)."""
+    block. The function holds no state: every frozen table (the LOGP
+    table, the lexicon value sets, the compiled regexes) is module
+    state that each worker process builds once and keeps warm across
+    tasks and jobs (the reference loads its models once per worker,
+    SURVEY.md §2.3)."""
+    if failpoint is not None:
+        # test-only: SIGKILL exactly one worker mid-stream (atomic
+        # marker claim — the exchange's _maybe_die); Ray Data must
+        # re-run the lost task, and the flagship output must be
+        # byte-identical (the engine's answer to the reference's
+        # mid-run crash recovery, fineweb/big_inference.py:296-303)
+        from ..stages.exchange import _maybe_die
 
-    def __init__(
-        self,
-        cfg: FilterConfig | None = None,
-        project: list[str] | None = None,
-        failpoint: tuple[str, str] | None = None,
-    ) -> None:
-        # each actor is a 1-CPU worker: pin Arrow's internal pools so 30
-        # actors don't spawn 30×32 threads and thrash the node
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        self.cfg = cfg or FilterConfig()
-        self.project = project
-        self._failpoint = failpoint
-        self.lid = LangIdScorer()
-        self.ppl = PerplexityScorer()
-        self.scrub = Scrubber()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._failpoint is not None:
-            # test-only: SIGKILL exactly one actor mid-stream (atomic
-            # marker claim — the exchange's _maybe_die); Ray Data must
-            # restart the actor and re-run the lost batch, and the
-            # flagship output must be byte-identical (the engine's
-            # answer to the reference's mid-run crash recovery,
-            # fineweb/big_inference.py:296-303)
-            from ..stages.exchange import _maybe_die
-
-            _maybe_die(self._failpoint, "annotate")
-        # stats hands its dictionary-encoded tokenization (and byte-kernel
-        # diacritic counts) straight to LID in-process — no re-encode
-        b, shared = compute_text_stats(batch, return_shared=True)
-        b = self.lid(b, shared=shared)
-        b = self.ppl(b)
-        b = self.scrub(b)
-        b = decide_batch(b, self.cfg)
-        if self.project:
-            # project inside the actor: the dropped columns (notably the
-            # original text) never hit the object store again
-            b = b.select(self.project)
-        return b
+        _maybe_die(failpoint, "annotate")
+    # stats hands its dictionary-encoded tokenization (and byte-kernel
+    # diacritic counts) straight to LID in-process — no re-encode
+    b, shared = compute_text_stats(batch, return_shared=True)
+    b = lang_id_batch(b, shared=shared)
+    b = perplexity_batch(b)
+    b = Scrubber()(b)
+    b = decide_batch(b, cfg or FilterConfig())
+    if project:
+        # project inside the task: the dropped columns (notably the
+        # original text) never hit the object store again
+        b = b.select(project)
+    return b
 
 
 def annotate(
@@ -126,40 +114,18 @@ def annotate(
     batch_size: int = 4096,
     project: list[str] | None = None,
 ) -> ray.data.Dataset:
-    """Append every engine column per turn: one fixed actor pool running
-    the whole per-turn chain (see ``Annotator``); ``project`` keeps only
-    the named columns, inside the actor."""
-    cfg = cfg or FilterConfig()
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    # FIXED pool size: the autoscaling (min,max) pool ramps up too
-    # slowly and halves throughput on steady batch streams; a fixed
-    # pool sized to the cluster is right for a saturating stage.
-    # ALWAYS leave >=1 CPU free for read/write/shuffle tasks — a
-    # pool that reserves every CPU starves them and the pipeline
-    # crawls (observed at num_cpus=2).
-    pool = max(1, cpus - 2) if cpus >= 4 else max(1, cpus - 1)
-    # read tasks ask for a whole CPU, so at 1 CPU the one actor
-    # reserves none and shares it with them (reserving it hung)
-    actor_cpus = 1 if cpus > 1 else 0
+    """Append every engine column per turn: one stateless task map
+    running the whole per-turn chain (:func:`annotate_batch`) on every
+    CPU; ``project`` keeps only the named columns, inside the task. No
+    actor pool is started, so a job pays no pool start-up."""
     return ds.map_batches(
-        Annotator,
+        annotate_batch,
         # failpoint read driver-side at wiring time and shipped as a
-        # plain constructor argument (the exchange's test-only fault
-        # pattern — tests/test_actor_faults.py)
-        fn_constructor_kwargs={
-            "cfg": cfg,
-            "project": project,
-            "failpoint": _TEST_FAILPOINT,
-        },
+        # plain argument (the exchange's test-only fault pattern —
+        # tests/test_actor_faults.py)
+        fn_kwargs={"cfg": cfg, "project": project, "failpoint": _TEST_FAILPOINT},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool,
-        num_cpus=actor_cpus,
     )
 
 
@@ -246,8 +212,8 @@ def reassemble(
     # ``input_schema``: callers that know the upstream schema (e.g.
     # run_flagship, whose annotate stage projects to a fixed column
     # set) pass it to avoid ds.schema() triggering a limit-1 PARTIAL
-    # EXECUTION of the lazy chain — which spins up the whole annotate
-    # actor pool just to learn column names (~2-4 s at 32 CPUs).
+    # EXECUTION of the lazy chain — which runs annotate tasks just to
+    # learn column names.
     if input_schema is not None:
         names, ts_type = input_schema.names, input_schema.field("ts").type
     else:
@@ -321,7 +287,7 @@ def run_flagship(
     """read → annotate → reassemble. Returns the conversation-level
     Dataset (lazy; caller consumes). The fused annotate stage projects
     to exactly the reassembly columns, so the original text column never
-    leaves the actor."""
+    leaves the annotate task."""
     read = read_transcripts_pruned(
         input_path, ["conv_id", "turn_idx", "role", "text", "ts"]
     )

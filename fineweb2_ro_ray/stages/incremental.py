@@ -102,21 +102,22 @@ def load_meta(index_dir: str) -> dict:
 
 
 
-def _atomic_write(table: pa.Table, path: str) -> None:
+def _atomic_write(table: pa.Table, path: str, **write_kwargs) -> None:
     """Write-to-temp + rename: a task that dies mid-write leaves only a
     ``.tmp-`` file (invisible to the ``*.parquet`` globs), never a
     half-written Parquet that poisons later reads. The temp name is
     unique per call (pid + uuid) so a speculative Ray retry racing a
     not-actually-dead original cannot interleave into one file; both
     eventually os.replace (atomic on POSIX) a COMPLETE file into the
-    same deterministic destination — either winner is valid."""
+    same deterministic destination — either winner is valid.
+    ``write_kwargs`` go to ``pq.write_table``."""
     import uuid
 
     tmp = os.path.join(
         os.path.dirname(path),
         f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}-" + os.path.basename(path),
     )
-    pq.write_table(table, tmp)
+    pq.write_table(table, tmp, **write_kwargs)
     os.replace(tmp, path)
 
 

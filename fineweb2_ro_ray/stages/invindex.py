@@ -22,9 +22,12 @@ Scale shape:
    pinned partitioner) writes one ``(term, doc_id)``-sorted Parquet
    file per partition. Raw text never enters the exchange; bytes moved
    ≈ Σ distinct (doc, term) pairs × ~20 B.
+   Each file is written in row groups of ``ROW_GROUP_ROWS`` postings,
+   so every row group carries a narrow term min/max.
 2. lookup: hash the probe terms, read ONLY their ⌈|terms|⌉ partition
-   files (usually ≪ n_parts), one vectorized ``is_in`` filter. The
-   scan fraction is |hit partitions| / n_parts — the IVF argument
+   files (usually ≪ n_parts), and in each only the row groups whose
+   term min/max holds a probe term; one vectorized ``is_in`` filter.
+   The scan fraction is |hit partitions| / n_parts — the IVF argument
    applied to text.
 
 Tokenization is the engine-wide single-space convention
@@ -50,6 +53,10 @@ from .exchange import hash_exchange_map_groups
 from .incremental import _atomic_write
 
 _META = "meta.json"
+# Postings per Parquet row group of a partition file: small enough that
+# a lookup decodes a sliver of a large partition, large enough that the
+# footer stays small.
+ROW_GROUP_ROWS = 64 * 1024
 
 _POSTINGS_SCHEMA = pa.schema(
     [("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int64())]
@@ -125,6 +132,9 @@ def build_inverted_index(
         batch_format="pyarrow",
     )
 
+    # read driver-side: the write tasks get the value with the closure
+    row_group_rows = ROW_GROUP_ROWS
+
     def write_parts(t: pa.Table) -> pa.Table:
         parts = pc.unique(t["part"]).to_pylist()
         rows = []
@@ -137,7 +147,9 @@ def build_inverted_index(
             )
             d = os.path.join(path, f"part={int(p):05d}")
             os.makedirs(d, exist_ok=True)
-            _atomic_write(sub, os.path.join(d, "postings.parquet"))
+            _atomic_write(
+                sub, os.path.join(d, "postings.parquet"), row_group_size=row_group_rows
+            )
             rows.append((int(p), sub.num_rows))
         return pa.table(
             {
@@ -164,11 +176,35 @@ def build_inverted_index(
     return meta
 
 
+def row_groups_holding(meta, terms: list[str]) -> list[int]:
+    """Row groups of a postings file whose ``term`` min/max range holds
+    at least one of ``terms`` (a row group without statistics is kept).
+    Done by hand: Arrow 16's ``filters=[("term", "in", terms)]`` reads
+    every row group, because an ``is_in`` predicate is not checked
+    against row-group statistics. Python ``str`` order is code-point
+    order, which is the UTF-8 byte order the statistics use."""
+    import bisect
+
+    probe = sorted(terms)
+    col = meta.schema.to_arrow_schema().get_field_index("term")
+    keep = []
+    for i in range(meta.num_row_groups):
+        st = meta.row_group(i).column(col).statistics
+        if st is None or not st.has_min_max:
+            keep.append(i)
+            continue
+        j = bisect.bisect_left(probe, st.min)
+        if j < len(probe) and probe[j] <= st.max:
+            keep.append(i)
+    return keep
+
+
 def lookup_terms(path: str, terms: list[str]) -> pa.Table:
     """Postings for ``terms``: reads ONLY the partitions the probe
-    terms hash into (the whole point of the artifact), one ``is_in``
-    filter per file. Output sorted (term, doc_id) — the partition files
-    already are; cross-partition order is restored by one final take."""
+    terms hash into (the whole point of the artifact), and in each file
+    only the row groups whose term min/max can hold a probe term. Output
+    sorted (term, doc_id) — the partition files already are;
+    cross-partition order is restored by one final take."""
     with open(os.path.join(path, _META)) as f:
         meta = json.load(f)
     n_parts = meta["n_parts"]
@@ -183,7 +219,8 @@ def lookup_terms(path: str, terms: list[str]) -> pa.Table:
         f = os.path.join(path, f"part={p:05d}", "postings.parquet")
         if not os.path.exists(f):
             continue  # partition was empty at build time
-        t = pq.read_table(f)
+        pf = pq.ParquetFile(f)
+        t = pf.read_row_groups(row_groups_holding(pf.metadata, by_part[p]))
         chunks.append(t.filter(pc.is_in(t["term"], pa.array(by_part[p]))))
     if not chunks:
         return _POSTINGS_SCHEMA.empty_table()

@@ -1,6 +1,6 @@
 """No-Ray multiprocessing control for the N→4N scaling criterion.
 
-Runs the EXACT flagship per-turn kernel (the fused ``Annotator``) over
+Runs the EXACT flagship per-turn kernel (the fused ``annotate_batch``) over
 the scaling corpus with plain ``multiprocessing`` — no Ray, no object
 store, no shuffle — at two process counts. If this control shows the
 same efficiency ratio as ``bench.py --scaling``, the ceiling is the
@@ -29,18 +29,16 @@ CORPUS = os.environ.get(
 
 
 def _work(files: list[str]) -> int:
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from fineweb2_ro_ray.pipelines.quality_filter import Annotator
+    from fineweb2_ro_ray.pipelines.quality_filter import annotate_batch
 
-    ann = Annotator()
     n = 0
     for f in files:
         pf = pq.ParquetFile(f)
         for batch in pf.iter_batches(batch_size=4096):
-            import pyarrow as pa
-
-            out = ann(pa.Table.from_batches([batch]))
+            out = annotate_batch(pa.Table.from_batches([batch]))
             n += out.num_rows
     return n
 

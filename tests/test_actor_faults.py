@@ -1,8 +1,8 @@
 """Round-5 fault injection beyond the exchange (VERDICT r4 #2):
 
-1. SIGKILL one flagship ``Annotator`` actor mid-stream — Ray Data must
-   restart the actor, re-run the lost batch, and produce byte-identical
-   output (actor-pool task retry semantics).
+1. SIGKILL the worker of one flagship annotate task mid-stream — Ray
+   Data must re-run the lost task and produce byte-identical output
+   (task retry semantics).
 2. SIGKILL the DRIVER process mid-``run_resumable`` (after two groups
    committed, with group 2's tmp dir torn) — a fresh process must
    resume from the manifest, skip the committed groups, rebuild the

@@ -208,7 +208,7 @@ def test_leftover_scratch_dirs_are_removed(corpus, tmp_path):
 
 
 def test_lineage_exact_under_annotator_retry(corpus, tmp_path):
-    """One Annotator actor is SIGKILLed mid-run and its batch retried:
+    """One annotate task's worker is SIGKILLed mid-run and the task retried:
     each group's manifest lineage equals a DuckDB recount over that
     group's committed files, and equals the lineage of a clean run."""
     import duckdb
@@ -309,8 +309,8 @@ ray.shutdown()
 
 
 def test_run_resumable_finishes_at_one_cpu(corpus, tmp_path):
-    """At ``num_cpus=1`` the fused Annotator pool must leave the read
-    tasks a CPU; before, the pool took the only CPU and the run hung."""
+    """At ``num_cpus=1`` the read and the annotate tasks must share the
+    one CPU; an earlier fixed annotate pool took it and the run hung."""
     import signal
     import subprocess
     import sys

@@ -81,6 +81,53 @@ def test_rebuild_clears_stale_partitions(tmp_path):
     ]
 
 
+def test_row_groups_do_not_change_lookups(tmp_path, monkeypatch):
+    """Partition files written in several term-sorted row groups answer
+    ``lookup_terms`` and ``search_boolean`` exactly as one row group
+    does (the row-group statistics only prune, never drop a posting)."""
+    import pyarrow.parquet as pq
+
+    from fineweb2_ro_ray.stages import invindex
+    from fineweb2_ro_ray.stages.invindex import search_boolean
+
+    rng = np.random.default_rng(5)
+    vocab = ["ana", "are", "mere", "pere", "", "x", "yy", "zăpadă", "b", "c"]
+    tbl = pa.table(
+        {
+            "doc_id": pa.array(np.arange(80), pa.int64()),
+            "text": [" ".join(rng.choice(vocab, size=rng.integers(1, 9))) for _ in range(80)],
+        }
+    )
+    one, many = str(tmp_path / "one"), str(tmp_path / "many")
+    build_inverted_index(ray.data.from_arrow(tbl), one, n_parts=2)
+    monkeypatch.setattr(invindex, "ROW_GROUP_ROWS", 7)
+    build_inverted_index(ray.data.from_arrow(tbl), many, n_parts=2)
+    for path, single in ((one, True), (many, False)):
+        for f in glob.glob(os.path.join(path, "part=*", "postings.parquet")):
+            groups = pq.ParquetFile(f).num_row_groups
+            assert (groups == 1) if single else (groups > 1), (f, groups)
+
+    # the statistics prune: one probe term needs only the row groups
+    # whose term range holds it
+    f = sorted(glob.glob(os.path.join(many, "part=*", "postings.parquet")))[0]
+    meta = pq.read_metadata(f)
+    term = pq.read_table(f)["term"][0].as_py()
+    kept = invindex.row_groups_holding(meta, [term])
+    assert 0 < len(kept) < meta.num_row_groups
+    assert invindex.row_groups_holding(meta, ["\uffff"]) == []
+
+    for terms in (vocab, ["ana"], ["zăpadă", "nope", ""], ["nope"]):
+        got = lookup_terms(many, terms)
+        assert got.equals(lookup_terms(one, terms))
+        assert got.to_pylist() == _oracle(tbl, terms).to_pylist()
+    for q in (
+        {"must": ["ana", "are"]},
+        {"must": ["mere"], "should": ["x", "yy"], "must_not": ["c"]},
+        {"must": [], "should": ["", "b"]},
+    ):
+        assert search_boolean(many, **q).equals(search_boolean(one, **q))
+
+
 def test_partition_pruning(tmp_path):
     path = str(tmp_path / "idx")
     build_inverted_index(ray.data.from_arrow(_corpus()), path, n_parts=16)
