@@ -23,7 +23,7 @@ from fineweb2_ro_ray.pipelines.quality_filter import (
     annotate,
     filter_kept,
     read_transcripts,
-    reassemble,
+    run_flagship,
 )
 from fineweb2_ro_ray.sources.synth import write_transcripts
 from fineweb2_ro_ray.stages.multimodal import decode_and_featurize, synth_media
@@ -51,8 +51,7 @@ def _transcripts_path(sf_dir: str) -> str:
 def entry() -> Any:
     """Flagship: synthesize sf0.001-scale transcripts, run the full
     quality-filter DAG, return reassembled conversations."""
-    path = _transcripts_path("/root/testdata/sf0.001")
-    return reassemble(annotate(read_transcripts(path)))
+    return run_flagship(_transcripts_path("/root/testdata/sf0.001"))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +68,7 @@ def _q_transcript_kept(sf_dir: str):
 
 
 def _q_transcript_conversations(sf_dir: str):
-    return reassemble(annotate(read_transcripts(_transcripts_path(sf_dir))))
+    return run_flagship(_transcripts_path(sf_dir))
 
 
 def _q_transcript_drop_reasons(sf_dir: str):

@@ -5,15 +5,23 @@ Ray Data restatement of the reference's production chain
 conjunctive filter → join → parquet) as ONE streaming DAG
 (SURVEY.md §3.1):
 
-    read_parquet(transcripts, pruned columns)
+    read_parquet(transcripts, pruned columns)      # TRANSCRIPT_SCHEMA
       → map_batches(annotate_batch)                # stats → LID → ppl →
-                                                   # scrub → decide, fused
+                                                   # scrub → decide, fused;
+                                                   # LABELED_SCHEMA, projected
       → map_batches(_thin_dropped)                 # dropped turns lose text;
                                                    # Ray fuses both maps into
                                                    # one task on every CPU
       → hash exchange on conv_id + Arrow reduce    # the only wide op:
-                                                   # one sort, run boundaries
+                                                   # one sort, run boundaries;
+                                                   # CONVERSATION_SCHEMA
       → write_parquet (or partitioned and resumable — state/checkpoint.py)
+
+:func:`run_flagship` is this DAG; the bench and the driver entry point
+both run it, and the resumable runner (``runner.py``) runs its annotate
+stage over the same :func:`read_transcripts` read. Both ends of it are
+declared schemas (:mod:`..schema`), so no stage runs a lazy input to
+learn its schema.
 
 Unlike the reference, no stage materializes the corpus to disk between
 steps; the streaming executor pipelines blocks with backpressure.
@@ -190,56 +198,35 @@ def _reassemble_partition(t: pa.Table) -> pa.Table:
     )
 
 
-def reassemble(
-    ds: ray.data.Dataset,
-    input_schema: pa.Schema | None = None,
-) -> ray.data.Dataset:
+def reassemble(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Conversation reassembly: the only all-to-all exchange in the
     pipeline. Every turn crosses it as one thin row; a dropped turn's
-    text is nulled map-side (:func:`_thin_dropped`), so its scrubbed
-    bytes never enter the shuffle. Conversations are
-    then hash-partitioned by ``conv_id`` (crc32, the ONE partitioning
-    key used everywhere — SURVEY.md §7.2) by the raw-Ray push-based
-    exchange (:mod:`..stages.exchange`: no key sampling, no per-block
-    sort) and each partition is reassembled by the Arrow reduce
-    :func:`_reassemble_partition`. Hot conversations skew only their
-    partition (salting is impossible here — a conversation must land in
-    exactly one group; thinning partitions is the lever)."""
+    text is nulled map-side (:func:`_thin_dropped`, which Ray fuses
+    into the annotate task), so its scrubbed bytes never enter the
+    shuffle. Conversations are then hash-partitioned by ``conv_id``
+    (crc32, the ONE partitioning key used everywhere — SURVEY.md §7.2)
+    by the raw-Ray push-based exchange (:mod:`..stages.exchange`: no
+    key sampling, no per-block sort) and each partition is reassembled
+    by the Arrow reduce :func:`_reassemble_partition`. Hot
+    conversations skew only their partition (salting is impossible
+    here — a conversation must land in exactly one group; thinning
+    partitions is the lever).
+
+    The output is always :data:`..schema.CONVERSATION_SCHEMA`, so the
+    input's schema is never needed and nothing runs the lazy input to
+    learn it; an empty input gives a typed empty table. ``first_ts``/
+    ``last_ts`` are ``timestamp[us]``, the ``ts`` type that
+    :data:`..schema.TRANSCRIPT_SCHEMA` declares and every transcript
+    writer uses; an input ``ts`` of another unit is cast (safely) to
+    it rather than carried through."""
+    from ..schema import CONVERSATION_SCHEMA
     from ..stages.exchange import hash_exchange_map_groups
 
-    # prune to the five columns the shuffle needs — the exchange moves
-    # scrubbed text + keys only, not the full annotated table.
-    # ``input_schema``: callers that know the upstream schema (e.g.
-    # run_flagship, whose annotate stage projects to a fixed column
-    # set) pass it to avoid ds.schema() triggering a limit-1 PARTIAL
-    # EXECUTION of the lazy chain — which runs annotate tasks just to
-    # learn column names.
-    if input_schema is not None:
-        names, ts_type = input_schema.names, input_schema.field("ts").type
-    else:
-        sch = ds.schema()
-        names, ts_type = sch.names, sch.base_schema.field("ts").type
-    needed = ["conv_id", "turn_idx", "ts", "keep", "scrubbed_text"]
-    have = [c for c in needed if c in names]
-    if len(have) == len(needed):
-        ds = ds.select_columns(needed)
-    ds = ds.map_batches(_thin_dropped, batch_format="pyarrow")
-    out_schema = pa.schema(
-        [
-            pa.field("conv_id", pa.string()),
-            pa.field("n_turns", pa.int64()),
-            pa.field("n_kept", pa.int64()),
-            pa.field("conv_keep", pa.bool_()),
-            pa.field("text", pa.string()),
-            pa.field("first_ts", ts_type),
-            pa.field("last_ts", ts_type),
-        ]
-    )
     return hash_exchange_map_groups(
-        ds,
+        ds.map_batches(_thin_dropped, batch_format="pyarrow"),
         _reassemble_partition,
         key="conv_id",
-        out_schema=out_schema,
+        out_schema=CONVERSATION_SCHEMA,
     )
 
 
@@ -284,25 +271,17 @@ def run_flagship(
     *,
     batch_size: int = 4096,
 ) -> ray.data.Dataset:
-    """read → annotate → reassemble. Returns the conversation-level
-    Dataset (lazy; caller consumes). The fused annotate stage projects
-    to exactly the reassembly columns, so the original text column never
-    leaves the annotate task."""
+    """The flagship job, the one wiring of every conversation-level
+    transcript job (the bench, ``entry()``, the
+    ``transcript_conversations`` query): pruned read → annotate →
+    reassemble. Returns the conversation-level Dataset with schema
+    :data:`..schema.CONVERSATION_SCHEMA` over the in-flight reduce
+    outputs (the exchange consumes the read and annotate stages within
+    this call; the caller consumes the rest). The read leaves ``tool`` in
+    storage and the fused annotate task projects to exactly the
+    reassembly columns, so the original text column never leaves it."""
     read = read_transcripts_pruned(
         input_path, ["conv_id", "turn_idx", "role", "text", "ts"]
     )
-    # the read's schema is known without running anything; it feeds the
-    # reassembly schema hint so nothing pre-executes the annotate chain
-    base = read.schema(fetch_if_missing=False).base_schema
     project = ["conv_id", "turn_idx", "ts", "keep", "scrubbed_text"]
-    ann_schema = pa.schema(
-        [
-            pa.field("conv_id", pa.string()),
-            pa.field("turn_idx", base.field("turn_idx").type),
-            pa.field("ts", base.field("ts").type),
-            pa.field("keep", pa.bool_()),
-            pa.field("scrubbed_text", pa.string()),
-        ]
-    )
-    ds = annotate(read, cfg, batch_size=batch_size, project=project)
-    return reassemble(ds, input_schema=ann_schema)
+    return reassemble(annotate(read, cfg, batch_size=batch_size, project=project))

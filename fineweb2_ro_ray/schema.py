@@ -25,12 +25,9 @@ TRANSCRIPT_SCHEMA = pa.schema(
     ]
 )
 
-# Columns appended by the engine, in stage order.
-LID_COLUMNS = [
-    pa.field("lang", pa.string()),
-    pa.field("lang_score", pa.float64()),
-]
-PPL_COLUMNS = [pa.field("ppl", pa.float64())]
+# Columns appended by the engine, in stage order: text statistics run
+# first (their tokenization feeds LID), then LID, perplexity, scrub and
+# the keep/drop decision. ``annotate`` emits exactly LABELED_SCHEMA.
 RULE_COLUMNS = [
     pa.field("n_chars", pa.int64()),
     pa.field("n_words", pa.int64()),
@@ -41,6 +38,11 @@ RULE_COLUMNS = [
     pa.field("symbol_ratio", pa.float64()),
     pa.field("dup_line_frac", pa.float64()),
 ]
+LID_COLUMNS = [
+    pa.field("lang", pa.string()),
+    pa.field("lang_score", pa.float64()),
+]
+PPL_COLUMNS = [pa.field("ppl", pa.float64())]
 SCRUB_COLUMNS = [
     pa.field("scrubbed_text", pa.string()),
     pa.field("pii_hits", pa.int32()),
@@ -53,9 +55,9 @@ DECIDE_COLUMNS = [
 
 LABELED_SCHEMA = pa.schema(
     list(TRANSCRIPT_SCHEMA)
+    + RULE_COLUMNS
     + LID_COLUMNS
     + PPL_COLUMNS
-    + RULE_COLUMNS
     + SCRUB_COLUMNS
     + DECIDE_COLUMNS
 )

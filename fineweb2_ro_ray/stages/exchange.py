@@ -310,17 +310,6 @@ def _merge_slices(failpoint: tuple[str, str] | None, *chunks: pa.Table) -> pa.Ta
     return _concat_named(live, "tree merge").combine_chunks()
 
 
-def _reduce_core(
-    fn: Callable,
-    out_schema: pa.Schema | None,
-    t: pa.Table,
-) -> pa.Table:
-    """Shared reduce tail: one vectorized ``fn`` call over a whole
-    partition table, cast to ``out_schema`` when one is pinned."""
-    out_t = fn(t)
-    return out_t.cast(out_schema) if out_schema is not None else out_t
-
-
 @ray.remote
 def _reduce_partition(
     fn: Callable,
@@ -339,8 +328,8 @@ def _reduce_partition(
         if out_schema is not None:
             return out_schema.empty_table()
         return chunks[0]  # degenerate; pruned by the 0-row filter below
-    t = _concat_named(live, "reduce concat").combine_chunks()
-    return _reduce_core(fn, out_schema, t)
+    out = fn(_concat_named(live, "reduce concat").combine_chunks())
+    return out.cast(out_schema) if out_schema is not None else out
 
 
 def _auto_reducers(total_bytes: int, cpus: int) -> int:

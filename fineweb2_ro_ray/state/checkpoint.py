@@ -139,8 +139,12 @@ def _stage_input(
     files: list[str], n_groups: int, key: str, pending: list[int]
 ) -> ray.data.Dataset:
     """The run's ONE scan of the input, keeping the pending groups' rows.
+    The read is :func:`read_transcripts`, so no file's ``b'pandas'``
+    schema metadata reaches a block or the written groups.
     ``enginebench/traced.py`` times it by this name."""
-    ds = ray.data.read_parquet(files)
+    from ..pipelines.quality_filter import read_transcripts
+
+    ds = read_transcripts(files)
     if len(pending) == n_groups:
         return ds
     want = pa.array(pending, pa.int32())

@@ -28,24 +28,31 @@ CORPUS = os.environ.get(
 )
 
 
-def _work(files: list[str]) -> int:
+def _work(items: list[tuple[str, int]]) -> int:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from fineweb2_ro_ray.pipelines.quality_filter import annotate_batch
 
     n = 0
-    for f in files:
-        pf = pq.ParquetFile(f)
-        for batch in pf.iter_batches(batch_size=4096):
+    for f, rg in items:
+        for batch in pq.ParquetFile(f).iter_batches(batch_size=4096, row_groups=[rg]):
             out = annotate_batch(pa.Table.from_batches([batch]))
             n += out.num_rows
     return n
 
 
 def run(nprocs: int, files: list[str]) -> tuple[float, int]:
-    # contiguous file slices per worker (same data every run)
-    chunks = [files[i::nprocs] for i in range(nprocs)]
+    import pyarrow.parquet as pq
+
+    # (file, row group) items dealt round-robin (same data every run):
+    # a one-file corpus still gives every process work
+    items = [
+        (f, rg)
+        for f in files
+        for rg in range(pq.ParquetFile(f).metadata.num_row_groups)
+    ]
+    chunks = [items[i::nprocs] for i in range(nprocs)]
     t0 = time.time()
     with ProcessPoolExecutor(max_workers=nprocs) as ex:
         total = sum(ex.map(_work, chunks))

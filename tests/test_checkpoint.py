@@ -340,3 +340,28 @@ def test_run_resumable_finishes_at_one_cpu(corpus, tmp_path):
     )
     assert summary["groups_run"] == 2 and summary["rows"] == n
     assert _total_rows(out) == n
+
+
+def test_pandas_written_input_leaves_no_pandas_metadata(tmp_path):
+    """The staging read keeps a pandas-written input's ``b'pandas'``
+    schema metadata out of every block, so no written group file
+    carries it."""
+    from fineweb2_ro_ray.schema import TRANSCRIPT_SCHEMA
+
+    src = str(tmp_path / "in")
+    write_transcripts(src, 30, seed=3)
+    inp = str(tmp_path / "pandas_in")
+    os.makedirs(inp)
+    for f in sorted(glob.glob(os.path.join(src, "*.parquet"))):
+        df = pq.read_table(f).to_pandas()
+        t = pa.Table.from_pandas(df, schema=TRANSCRIPT_SCHEMA, preserve_index=False)
+        pq.write_table(t, os.path.join(inp, os.path.basename(f)))
+    assert all(
+        b"pandas" in pq.read_schema(f).metadata
+        for f in glob.glob(os.path.join(inp, "*.parquet"))
+    )
+    out = str(tmp_path / "out")
+    s = run_resumable(inp, out, lambda ds: annotate(ds, batch_size=512), n_groups=3)
+    assert s["groups_run"] == 3 and s["rows"] == _total_rows(out) > 0
+    for f in glob.glob(os.path.join(out, "part=*", "*.parquet")):
+        assert b"pandas" not in (pq.read_schema(f).metadata or {}), f

@@ -152,3 +152,38 @@ def test_round5_queries_on_empty_corpus(empty_events_sf, qname):
     res = fn(empty_events_sf)
     df = res.to_pandas() if hasattr(res, "to_pandas") else res
     assert len(df) == 0
+
+
+@pytest.fixture(scope="module")
+def empty_transcripts(tmp_path_factory):
+    from fineweb2_ro_ray.schema import TRANSCRIPT_SCHEMA
+
+    path = os.path.join(str(tmp_path_factory.mktemp("empty_tr")), "t.parquet")
+    pq.write_table(TRANSCRIPT_SCHEMA.empty_table(), path)
+    return path
+
+
+@pytest.mark.parametrize("wiring", ["lazy", "flagship", "entry_query"])
+def test_transcript_conversations_on_empty_input(empty_transcripts, wiring, monkeypatch):
+    """An empty transcript file reassembles to a typed empty
+    conversation table on every wiring, not a schema-less block."""
+    import __ray_entry__ as E
+
+    from fineweb2_ro_ray.pipelines.quality_filter import (
+        annotate,
+        read_transcripts,
+        reassemble,
+        run_flagship,
+    )
+    from fineweb2_ro_ray.schema import CONVERSATION_SCHEMA
+
+    if wiring == "lazy":
+        ds = reassemble(annotate(read_transcripts(empty_transcripts)))
+    elif wiring == "flagship":
+        ds = run_flagship(empty_transcripts)
+    else:
+        monkeypatch.setattr(E, "_transcripts_path", lambda sf_dir: empty_transcripts)
+        ds = E._q_transcript_conversations("unused")
+    out = ds.materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema.equals(CONVERSATION_SCHEMA)

@@ -16,7 +16,9 @@ from fineweb2_ro_ray.pipelines.quality_filter import (
     filter_kept,
     read_transcripts,
     reassemble,
+    run_flagship,
 )
+from fineweb2_ro_ray.schema import CONVERSATION_SCHEMA, LABELED_SCHEMA
 
 
 def _labeled_df(golden_path) -> pd.DataFrame:
@@ -178,3 +180,45 @@ def test_flagship_has_exactly_one_shuffle(assert_conversations):
         got = out.to_pandas()
         assert len(got) == 40
         assert_conversations(got, ann.to_pandas())
+
+
+def test_pipeline_ends_are_the_declared_schemas(golden_path):
+    """``annotate`` emits LABELED_SCHEMA (transcript columns, then the
+    engine's columns in stage order) and the flagship emits
+    CONVERSATION_SCHEMA, field for field and type for type."""
+    ann = annotate(read_transcripts(golden_path)).materialize()
+    assert ann.schema().base_schema.equals(LABELED_SCHEMA)
+    conv = run_flagship(golden_path).materialize()
+    assert conv.schema().base_schema.equals(CONVERSATION_SCHEMA)
+    assert conv.count() == 800
+
+
+def test_transcript_wirings_never_probe_a_lazy_input(golden_path, monkeypatch):
+    """Building and running the lazy transcript compositions never asks
+    Ray for a schema it would have to execute the plan to learn, and
+    the entry query's wiring gives the same conversations as the lazy
+    composition."""
+    import pyarrow as pa
+
+    import ray
+    import ray.data as rd
+
+    real = rd.Dataset.schema
+    fetched: list = []
+
+    def spy(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            fetched.append(self)
+        return real(self, fetch_if_missing)
+
+    monkeypatch.setattr(rd.Dataset, "schema", spy)
+    lazy = reassemble(annotate(read_transcripts(golden_path))).materialize()
+    flagship = run_flagship(golden_path).materialize()
+    assert fetched == []
+    monkeypatch.undo()
+
+    def table(ds):
+        return pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("conv_id")
+
+    a, b = table(lazy), table(flagship)
+    assert a.num_rows == 800 and a.equals(b)
