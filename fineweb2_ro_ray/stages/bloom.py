@@ -1,21 +1,22 @@
 """Fixed-memory Bloom filter over an id column — removes the last
-driver-side linear structure in the LSH dedup family.
+driver-side linear structure in the near-duplicate pair family.
 
-The distributed LSH paths (``dedup.minhash_lsh_pairs``,
-``similarity.embedding_neardup_lsh``, ``dedup.verify_pairs_exact``)
-need to re-scan the corpus restricted to "involved" ids (docs with at
-least one candidate pair). The cheap mechanism is a broadcast id-set
-filter, but the driver then holds 8 B per involved doc — linear in the
-duplicated-doc count, which on a pathologically duplicated 100 TB
-corpus is unbounded. This module gives the bounded alternative: a
-Bloom bitmap of FIXED size (default 2^27 bits = 16 MB) built from the
-pair stream with per-batch combiners, broadcast once via ``ray.put``.
+Every near-duplicate pair operator resolves its candidates through
+``dedup.score_pairs``, which re-scans the corpus restricted to
+"involved" ids (docs with at least one candidate pair). The cheap
+mechanism is a broadcast id-set filter, but the driver then holds 8 B
+per involved doc — linear in the duplicated-doc count, which on a
+pathologically duplicated 100 TB corpus is unbounded. So past
+``dedup._INVOLVED_IDS_LIMIT`` ids ``score_pairs`` uses this module's
+bounded alternative: a Bloom bitmap of FIXED size (default 2^27 bits =
+16 MB) built from the pair stream with per-batch combiners, broadcast
+once via ``ray.put``.
 
-False positives only ADMIT extra docs into the narrow re-scan — they
-are dropped by the inner attach / verify join downstream, so results
-are identical (equivalence pinned by tests); the FP rate only pads the
-re-scan cost (at 10 M involved ids, 2^27 bits / 4 hashes ≈ 0.8% FP).
-False negatives are impossible, so recall is unaffected.
+False positives only ADMIT extra docs into the narrow re-scan — pairs
+look up only their own ids, so results are identical (equivalence
+pinned by tests); the FP rate only pads the re-scan cost (at 10 M
+involved ids, 2^27 bits / 4 hashes ≈ 0.8% FP). False negatives are
+impossible, so recall is unaffected.
 
 Hashing: splitmix64 finalizer + Kirsch-Mitzenmacher double hashing
 (public-domain constructions)."""

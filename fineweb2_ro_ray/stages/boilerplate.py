@@ -77,7 +77,6 @@ def unit_doc_frequencies(
     ds: ray.data.Dataset,
     *,
     text_col: str,
-    id_col: str,
     sep: str,
     n_reducers: int | None = None,
 ) -> ray.data.Dataset:
@@ -130,16 +129,13 @@ def heavy_units(
     ds: ray.data.Dataset,
     *,
     text_col: str,
-    id_col: str,
     sep: str,
     min_docs: int,
     n_reducers: int | None = None,
 ) -> ray.data.Dataset:
     """Distinct units occurring in >= min_docs documents (the
     boilerplate set) — document frequencies filtered at the reduce."""
-    df = unit_doc_frequencies(
-        ds, text_col=text_col, id_col=id_col, sep=sep, n_reducers=n_reducers
-    )
+    df = unit_doc_frequencies(ds, text_col=text_col, sep=sep, n_reducers=n_reducers)
     return df.map_batches(
         lambda t: t.filter(pc.greater_equal(t["nd"], min_docs)).select(["unit"]),
         batch_format="pyarrow",
@@ -177,12 +173,7 @@ def remove_frequent_units(
     if strategy not in ("auto", "broadcast", "exchange"):
         raise ValueError(f"unknown strategy {strategy!r}")
     heavy = heavy_units(
-        ds,
-        text_col=text_col,
-        id_col=id_col,
-        sep=sep,
-        min_docs=min_docs,
-        n_reducers=n_reducers,
+        ds, text_col=text_col, sep=sep, min_docs=min_docs, n_reducers=n_reducers
     )
     # count() is cheap here: the DF exchange is a barrier, so `heavy` is
     # backed by materialized reduce outputs — this never re-scans the corpus
@@ -318,9 +309,7 @@ def top_terms_per_doc(
         )
 
     tf = ds.map_batches(tf_rows, batch_format="pyarrow")
-    df = unit_doc_frequencies(
-        ds, text_col=text_col, id_col=id_col, sep=sep, n_reducers=n_reducers
-    ).map_batches(lambda t: t.rename_columns(["term_r", "nd"]), batch_format="pyarrow")
+    df = unit_doc_frequencies(ds, text_col=text_col, sep=sep, n_reducers=n_reducers).map_batches(lambda t: t.rename_columns(["term_r", "nd"]), batch_format="pyarrow")
     joined = hash_join(tf, df, key="term", right_key="term_r", how="inner")
 
     id_type = ds.schema().base_schema.field(id_col).type

@@ -20,12 +20,13 @@ Scale notes (100 TB):
 from __future__ import annotations
 
 import hashlib
-import warnings
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data
 
 from .bloom import _mix64
@@ -87,7 +88,6 @@ def dedup_keep_best(
     text_col: str = "text",
     id_col: str = "doc_id",
     score_col: str = "n_chars",
-    n_partitions: int = 1024,
 ) -> ray.data.Dataset:
     """Exact dedup with a QUALITY policy: the canonical row per distinct
     text is the one with the highest ``score_col`` (ties → smallest
@@ -292,8 +292,10 @@ def _sig_matrix(col) -> np.ndarray:
     """fixed_size_list<uint64, P> column → (n, P) uint64, zero-copy."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    n = len(col)
-    return col.flatten().to_numpy(zero_copy_only=False).reshape(n, -1)
+    return col.flatten().to_numpy(zero_copy_only=False).reshape(len(col), col.type.list_size)
+
+
+_PAIR_SCHEMA = pa.schema([pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())])
 
 
 def _explode_bands_thin(batch: pa.Table, bands: int, rows: int, id_col: str) -> pa.Table:
@@ -327,11 +329,8 @@ def _partition_bucket_id_pairs(tbl: pa.Table, id_col: str) -> pa.Table:
     """Candidate id pairs for ALL buckets in one hash partition, numpy
     end to end: sort by bucket, find multi-member runs, pair within
     runs. Per-PARTITION call (amortized), ids only."""
-    empty = pa.table(
-        {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-    )
     if tbl.num_rows < 2:
-        return empty
+        return _PAIR_SCHEMA.empty_table()
     buckets = tbl["bucket"].to_numpy(zero_copy_only=False)
     ids = tbl[id_col].to_numpy(zero_copy_only=False)
     order = np.lexsort((ids, buckets))
@@ -346,7 +345,7 @@ def _partition_bucket_id_pairs(tbl: pa.Table, id_col: str) -> pa.Table:
         out_a.append(ids[s + a_idx])
         out_b.append(ids[s + b_idx])
     if not out_a:
-        return empty
+        return _PAIR_SCHEMA.empty_table()
     return pa.table(
         {
             "doc_a": pa.array(np.concatenate(out_a).astype(np.int64), pa.int64()),
@@ -369,6 +368,30 @@ def _distinct_pairs(t: pa.Table) -> pa.Table:
     )
 
 
+def bucket_candidate_pairs(buckets: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
+    """(bucket, id) rows → distinct candidate id pairs (doc_a < doc_b),
+    the shared tail of every banded-LSH operator. Both wide steps run on
+    the raw hash exchange (stages/exchange.py) instead of Ray's
+    sort-based groupby, whose sampling pass + merge carried a
+    multi-second fixed floor; the exchange moves the same thin rows with
+    no sort at all."""
+    pairs = hash_exchange_map_groups(
+        buckets,
+        lambda t: _partition_bucket_id_pairs(t, id_col),
+        key="bucket",
+        out_schema=_PAIR_SCHEMA,
+    )
+    # the same pair surfaces from several bands; the map-side pass thins
+    # within-batch repeats, the keyed exchange makes the result globally
+    # distinct (equal pairs hash to one partition)
+    return hash_exchange_map_groups(
+        pairs.map_batches(_distinct_pairs, batch_format="pyarrow"),
+        _distinct_pairs,
+        key=["doc_a", "doc_b"],
+        out_schema=_PAIR_SCHEMA,
+    )
+
+
 def lsh_candidate_pairs(
     ds: ray.data.Dataset,
     *,
@@ -376,60 +399,19 @@ def lsh_candidate_pairs(
     k: int = 5,
     num_perm: int = 64,
     bands: int = 16,
-    n_partitions: int = 2048,
-    distinct: bool = True,
-    sigs: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """LSH candidate id pairs (doc_a < doc_b): signature → explode to
-    (bucket, id) → hash-partitioned groupby → pair within buckets →
-    distinct. The only wide exchange ships 16 bytes per band row.
-    ``distinct=False`` skips the global pair-dedup shuffle (same pair
-    from several bands may repeat) for callers that dedup themselves.
-    ``sigs``: precomputed (id, minhash) dataset to reuse instead of
-    hashing ``ds`` (see ``minhash_lsh_pairs`` signature caching)."""
-
+    (bucket, id) → pair within buckets → distinct. The bucket exchange
+    ships 16 bytes per band row."""
     rows = num_perm // bands
-    if sigs is None:
-        sigs = minhash_signatures(ds, k=k, num_perm=num_perm)
-    exploded = sigs.map_batches(
+    exploded = minhash_signatures(ds, k=k, num_perm=num_perm).map_batches(
         lambda b: _explode_bands_thin(b, bands, rows, id_col), batch_format="pyarrow"
     )
-    pair_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
-    # both wide steps run on the raw hash exchange (stages/exchange.py)
-    # instead of Ray's sort-based groupby — each sort carries a
-    # multi-second fixed floor (sampling pass + merge) that dominated
-    # this operator's bench time; the exchange moves the same 16-byte
-    # rows with no sort at all
-    pairs = hash_exchange_map_groups(
-        exploded,
-        lambda t: _partition_bucket_id_pairs(t, id_col),
-        key="bucket",
-        out_schema=pair_schema,
-    )
-    # same pair can surface from several bands (up to ``bands``× dups).
-    # The map-side pass below thins WITHIN-batch duplicates only —
-    # duplicates of the same pair landing in different part groups
-    # (different band buckets) survive it, so distinct=False callers
-    # MUST still dedup; global distinctness needs the keyed exchange
-    # below (equal pairs hash to one partition, so a partition-local
-    # distinct is globally distinct).
-    pairs = pairs.map_batches(_distinct_pairs, batch_format="pyarrow")
-    if not distinct:
-        return pairs
-    return hash_exchange_map_groups(
-        pairs,
-        _distinct_pairs,
-        key=["doc_a", "doc_b"],
-        out_schema=pair_schema,
-    )
+    return bucket_candidate_pairs(exploded, id_col)
 
 
-def distinct_pair_ids(
-    pairs: ray.data.Dataset, a_col: str, b_col: str, limit: int | None = None
-) -> np.ndarray | None:
-    """Distinct ids appearing in either column of an id-pair dataset —
+def distinct_pair_ids(pairs: ray.data.Dataset, limit: int) -> np.ndarray | None:
+    """Distinct ids appearing in either column of a (doc_a, doc_b) dataset —
     per-batch ``np.unique`` combiner, incremental merge on the driver
     (8 B per involved doc: linear in docs-with-a-near-dup, never the
     quadratic candidate-pair count; a groupby here measured slower
@@ -445,8 +427,8 @@ def distinct_pair_ids(
         u = np.unique(
             np.concatenate(
                 [
-                    t[a_col].to_numpy(zero_copy_only=False).astype(np.int64),
-                    t[b_col].to_numpy(zero_copy_only=False).astype(np.int64),
+                    t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64),
+                    t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64),
                 ]
             )
             if t.num_rows
@@ -456,9 +438,9 @@ def distinct_pair_ids(
 
     uniq = pairs.map_batches(flat_ids, batch_format="pyarrow")
     seen = np.array([], np.int64)
-    for b in uniq.iter_batches(batch_format="pyarrow"):
+    for b in uniq.iter_batches(batch_format="pyarrow", batch_size=None):
         seen = np.union1d(seen, b["_id"].to_numpy(zero_copy_only=False))
-        if limit is not None and len(seen) > limit:
+        if len(seen) > limit:
             return None
     return seen
 
@@ -571,27 +553,120 @@ def attach_payload_exchange(
     )
 
 
-def involved_signatures_ds(
-    ds: ray.data.Dataset, involved: np.ndarray, *, id_col: str, k: int, num_perm: int
+# score_pairs routing: the driver pulls at most this many distinct
+# involved ids (8 B each) for an exact semi-join filter; past it the
+# corpus is filtered through the fixed 16 MB Bloom bitmap instead
+_INVOLVED_IDS_LIMIT = 1_000_000
+# ... and broadcasts the filtered payload with one ray.put while it
+# stays under this many bytes; past it, two keyed attach exchanges
+_BROADCAST_PAYLOAD_BYTES = 256 << 20
+
+
+def score_pairs(
+    pairs: ray.data.Dataset,
+    ds: ray.data.Dataset,
+    payload: Callable[[pa.Table], pa.Array],
+    score: Callable[[pa.Table, pa.Array, np.ndarray, np.ndarray], pa.Table],
+    *,
+    id_col: str,
+    payload_type: pa.DataType,
 ) -> ray.data.Dataset:
-    """Narrow second pass: FILTER the corpus to the involved ids
-    (columnar id read + broadcast id set, no shuffle), then hash only
-    those documents — returned as a DISTRIBUTED (id, minhash) dataset,
-    materialized once so both attach rounds reuse it from the object
-    store instead of re-reading the corpus. Cost scales with the
-    duplicate rate, not the corpus."""
+    """Score each distinct candidate pair (doc_a, doc_b) of ``pairs``
+    against the corpus ``ds`` — the one resolution step of every
+    near-duplicate pair operator. ``payload(t)`` maps a corpus batch,
+    already semi-joined to the involved ids, to one ``payload_type``
+    value per row (a signature, a normalized vector, a text);
+    ``score(pairs, pay, ia, ib)`` maps a batch of pairs to its output
+    rows, where ``pay[ia[i]]`` and ``pay[ib[i]]`` are the payloads of
+    pair i's two sides (positions, so a fixed-width payload is gathered
+    with numpy, not an Arrow ``take``). Pairs whose id is not in the
+    corpus are dropped (inner semantics).
+
+    Two decisions, each on an observed quantity under one module bound:
+
+    - filter: the exact involved ids while the pull stays under
+      ``_INVOLVED_IDS_LIMIT``, else the Bloom semi-join (:mod:`.bloom`;
+      its false positives only pad the payload);
+    - delivery: the filtered payload is pulled ONCE (the filter runs
+      inside that pull) and broadcast with ``ray.put`` while it stays
+      under ``_BROADCAST_PAYLOAD_BYTES``, then scored in one map over
+      the pairs; past the bound the pull is abandoned and the payload
+      reaches the pairs through two :func:`attach_payload_exchange`
+      rounds, which never concentrate it anywhere.
+
+    Driver state is bounded by the two constants whatever the duplicate
+    rate."""
     import pyarrow.compute as pc
 
-    ids_arr = pa.array(np.sort(involved).astype(np.int64), pa.int64())
+    from .bloom import bloom_filter_ids, build_id_bloom
+
+    cand = pairs.materialize()  # consumed by the id pull and the scoring
+    none = np.zeros(0, np.int64)
+
+    def no_pairs() -> ray.data.Dataset:
+        return ray.data.from_arrow(
+            score(_PAIR_SCHEMA.empty_table(), pa.array([], payload_type), none, none)
+        )
+
+    involved = distinct_pair_ids(cand, _INVOLVED_IDS_LIMIT)
+    if involved is None:
+        ds = bloom_filter_ids(ds, build_id_bloom(cand, ["doc_a", "doc_b"]), id_col=id_col)
+    elif involved.size == 0:
+        return no_pairs()
+    else:
+        id_set = pa.array(involved, pa.int64())
+        ds = ds.map_batches(
+            lambda t: t.filter(pc.is_in(t[id_col].cast(pa.int64()), value_set=id_set)),
+            batch_format="pyarrow",
+        )
     sub = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t[id_col].cast(pa.int64()), value_set=ids_arr)),
+        lambda t: pa.table({id_col: t[id_col].cast(pa.int64()), "_pay": payload(t)}),
         batch_format="pyarrow",
     )
-    return (
-        minhash_signatures(sub, k=k, num_perm=num_perm)
-        .select_columns([id_col, "minhash"])
-        .materialize()
+
+    pulled, nbytes = [], 0
+    for b in sub.iter_batches(batch_format="pyarrow", batch_size=None):
+        pulled.append(b)
+        nbytes += b.nbytes
+        if nbytes > _BROADCAST_PAYLOAD_BYTES:
+            break
+    else:
+        if not pulled:
+            return no_pairs()
+        t = pa.concat_tables(pulled)
+        ids = t[id_col].to_numpy()
+        order = np.argsort(ids, kind="stable")
+        ref = ray.put((ids[order], t["_pay"].combine_chunks().take(order)))
+
+        def score_map(p: pa.Table) -> pa.Table:
+            ids, pay = ray.get(ref)
+            a = p["doc_a"].to_numpy(zero_copy_only=False)
+            b = p["doc_b"].to_numpy(zero_copy_only=False)
+            ia = np.searchsorted(ids, a).clip(0, len(ids) - 1)
+            ib = np.searchsorted(ids, b).clip(0, len(ids) - 1)
+            found = (ids[ia] == a) & (ids[ib] == b)
+            return score(p.filter(pa.array(found)), pay, ia[found], ib[found])
+
+        return cand.map_batches(score_map, batch_format="pyarrow")
+
+    del pulled
+    sub = sub.materialize()  # payload rows of involved ids; read by both rounds
+    wa = attach_payload_exchange(
+        cand, sub, key="doc_a", id_col=id_col, payload_col="_pay", out_col="_pa",
+        pairs_schema=_PAIR_SCHEMA, payload_type=payload_type,
     )
+    wab = attach_payload_exchange(
+        wa, sub, key="doc_b", id_col=id_col, payload_col="_pay", out_col="_pb",
+        pairs_schema=_PAIR_SCHEMA.append(pa.field("_pa", payload_type)),
+        payload_type=payload_type,
+    )
+
+    def score_attached(t: pa.Table) -> pa.Table:
+        n = np.arange(t.num_rows)
+        pay = pa.concat_arrays(t["_pa"].chunks + t["_pb"].chunks)
+        return score(t.select(["doc_a", "doc_b"]), pay, n, n + t.num_rows)
+
+    return wab.map_batches(score_attached, batch_format="pyarrow")
 
 
 def minhash_lsh_pairs(
@@ -602,151 +677,32 @@ def minhash_lsh_pairs(
     num_perm: int = 64,
     bands: int = 16,
     threshold: float = 0.7,
-    n_partitions: int = 2048,
-    broadcast_involved_limit: int = 1_000_000,
-    cache_signatures_limit: int = 10_000_000,
 ) -> ray.data.Dataset:
-    """Near-duplicate pairs via banded LSH — the fully distributed
-    shape (round-2 judge flag closed): candidate pairs are deduped by
-    the DISTRIBUTED groupby inside :func:`lsh_candidate_pairs`
-    (``distinct=True``; never a driver ``np.unique`` over the bands×-
-    inflated pair stream), the involved docs' signatures are recovered
-    by a narrow re-hash and attached via the keyed union exchange
-    (:func:`attach_payload_exchange`), and ``est_jaccard`` is computed
-    inside the partitions. The ONLY driver-materialized object is the
-    distinct involved-id list — and even that is bounded by
-    ``broadcast_involved_limit``: past it, the pull is abandoned
-    mid-stream and the corpus is semi-join-filtered through a fixed
-    16 MB Bloom bitmap instead (:mod:`.bloom`), so driver memory is
-    O(1) in the duplicate rate.
+    """Near-duplicate pairs via banded LSH, fully distributed: candidate
+    pairs are deduped by the keyed exchange inside
+    :func:`lsh_candidate_pairs` (never a driver ``np.unique`` over the
+    bands×-inflated pair stream), and :func:`score_pairs` re-hashes only
+    the involved documents — cost ∝ the duplicate rate, no corpus-wide
+    signature set is ever held — and computes ``est_jaccard`` per pair.
 
     Output: (doc_a, doc_b, est_jaccard) distinct pairs with
     est_jaccard ≥ threshold, as a distributed Dataset."""
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "est_jaccard": pa.array([], pa.float64()),
-        }
+    hasher = MinHasher(k=k, num_perm=num_perm)
+
+    def est(p: pa.Table, sigs: pa.Array, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        s = _sig_matrix(sigs)
+        e = (s[ia] == s[ib]).mean(axis=1)
+        out = p.append_column("est_jaccard", pa.array(e, pa.float64()))
+        return out.filter(pa.array(e >= threshold))
+
+    return score_pairs(
+        lsh_candidate_pairs(ds, id_col=id_col, k=k, num_perm=num_perm, bands=bands),
+        ds.select_columns([id_col, "text"]),
+        lambda t: hasher(t)["minhash"],
+        est,
+        id_col=id_col,
+        payload_type=pa.list_(pa.uint64(), num_perm),
     )
-    # Recompute-vs-cache selection for the verify-side signatures: the
-    # signature pass runs once either way (inside lsh_candidate_pairs);
-    # the question is how the est pass gets signatures for involved
-    # docs. Small corpus (≤ cache_signatures_limit docs ≈ 5 GB of
-    # (id, minhash) rows at the default 64 perms): MATERIALIZE the thin
-    # signature dataset once and reuse it — re-hashing involved docs
-    # would repeat most of the signature work when the dup rate is high
-    # (measured 3.8 s of a 7.2 s sf0.1 op). Large corpus: holding
-    # 512 B/doc corpus-wide is the wrong trade at 10^11 docs, so the
-    # est pass RE-HASHES only the involved docs (cost ∝ dup rate).
-    n_docs = ds.count()
-    sig_cache: ray.data.Dataset | None = None
-    if n_docs is not None and n_docs <= cache_signatures_limit:
-        sig_cache = (
-            minhash_signatures(ds, k=k, num_perm=num_perm)
-            .select_columns([id_col, "minhash"])
-            .materialize()
-        )
-    cand = lsh_candidate_pairs(
-        ds, id_col=id_col, k=k, num_perm=num_perm, bands=bands,
-        n_partitions=n_partitions, distinct=True, sigs=sig_cache,
-    ).materialize()  # consumed twice (involved-id scan + attach); pairs
-    # stay in the distributed object store, dup-rate bounded
-    # Path selection, the broadcast-vs-shuffle join rule: when the
-    # involved-doc count is bounded (≤ limit, default 1M docs ≈ 512 MB
-    # of signatures), ship the sig matrix ONCE via ray.put and compute
-    # est_jaccard in a single map over the distinct pairs — two whole
-    # sort exchanges cheaper. Beyond the limit (heavily duplicated
-    # corpus) distinct_pair_ids ABANDONS the driver pull mid-stream
-    # and we switch to a fixed-memory Bloom semi-join (16 MB bitmap,
-    # FPs dropped by the inner attach) + the fully distributed keyed
-    # attach, which never concentrates signatures anywhere.
-    involved = distinct_pair_ids(
-        cand, "doc_a", "doc_b", limit=broadcast_involved_limit
-    )
-    if involved is not None and involved.size == 0:
-        return ray.data.from_arrow(empty)
-    if involved is not None:
-        sigpay = (
-            sig_cache
-            if sig_cache is not None
-            else involved_signatures_ds(
-                ds, involved, id_col=id_col, k=k, num_perm=num_perm
-            )
-        )
-        sigm = np.zeros((len(involved), num_perm), np.uint64)
-        for b in sigpay.iter_batches(batch_format="pyarrow"):
-            ids_b = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(involved, ids_b)
-            # the cached signature set holds ALL docs — mask rows whose
-            # id is not in the involved list before scattering
-            ok = pos < len(involved)
-            ok[ok] = involved[pos[ok]] == ids_b[ok]
-            sigm[pos[ok]] = _sig_matrix(b["minhash"])[ok]
-        ref = ray.put((involved, sigm))
-
-        def est_map(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return empty
-            ids_s, S = ray.get(ref)
-            ia = np.searchsorted(ids_s, t["doc_a"].to_numpy(zero_copy_only=False))
-            ib = np.searchsorted(ids_s, t["doc_b"].to_numpy(zero_copy_only=False))
-            est = (S[ia] == S[ib]).mean(axis=1)
-            out = pa.table(
-                {
-                    "doc_a": t["doc_a"].cast(pa.int64()),
-                    "doc_b": t["doc_b"].cast(pa.int64()),
-                    "est_jaccard": pa.array(est, pa.float64()),
-                }
-            )
-            return out.filter(pa.array(est >= threshold))
-
-        return cand.map_batches(est_map, batch_format="pyarrow")
-
-    if sig_cache is not None:
-        sigpay = sig_cache
-    else:
-        from .bloom import bloom_filter_ids, build_id_bloom
-
-        bm = build_id_bloom(cand, ["doc_a", "doc_b"])
-        sigpay = (
-            minhash_signatures(
-                bloom_filter_ids(ds, bm, id_col=id_col), k=k, num_perm=num_perm
-            )
-            .select_columns([id_col, "minhash"])
-            .materialize()
-        )
-    cand_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
-    sig_type = pa.list_(pa.uint64(), num_perm)
-    wa = attach_payload_exchange(
-        cand, sigpay, key="doc_a", id_col=id_col, payload_col="minhash",
-        out_col="_sig_a", pairs_schema=cand_schema, payload_type=sig_type,
-    )
-    wab = attach_payload_exchange(
-        wa, sigpay, key="doc_b", id_col=id_col, payload_col="minhash",
-        out_col="_sig_b",
-        pairs_schema=cand_schema.append(pa.field("_sig_a", sig_type)),
-        payload_type=sig_type,
-    )
-
-    def est_batch(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        sa = _sig_matrix(t["_sig_a"])
-        sb = _sig_matrix(t["_sig_b"])
-        est = (sa == sb).mean(axis=1)
-        out = pa.table(
-            {
-                "doc_a": t["doc_a"].cast(pa.int64()),
-                "doc_b": t["doc_b"].cast(pa.int64()),
-                "est_jaccard": pa.array(est, pa.float64()),
-            }
-        )
-        return out.filter(pa.array(est >= threshold))
-
-    return wab.map_batches(est_batch, batch_format="pyarrow")
 
 
 def char_shingle_jaccard(a: str, b: str, k: int = 5) -> float:
@@ -766,109 +722,27 @@ def verify_pairs_exact(
     text_col: str = "text",
     k: int = 5,
     verify_threshold: float = 0.7,
-    num_partitions: int = 512,
-    involved_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Distributed exact shingle-Jaccard verification of candidate id
-    pairs — no document text ever reaches the driver (round 1 pulled
-    all involved texts into a driver-side index; the judge flagged it
-    as unbounded on a heavily-duplicated corpus).
-
-    Shape: the candidate pairs stay DISTRIBUTED (materialized once so
-    the id scan and the two attach rounds reuse them); the driver sees
-    at most the distinct involved-id list (bounded by
-    ``involved_limit`` — beyond it the id pull is abandoned and the
-    corpus is semi-join-filtered through a fixed 16 MB Bloom bitmap
-    instead, Bloom FPs dropped by the inner attach). Two keyed union
-    exchanges then co-locate each pair's two texts inside one batch,
-    where the exact Jaccard is computed. Shuffle volume = involved
-    texts only, i.e. proportional to the duplicate rate."""
+    pairs — no document text reaches the driver beyond
+    :func:`score_pairs`' bounded broadcast; a null text is an empty
+    document. Returns (doc_a, doc_b, jaccard ≥ verify_threshold)."""
     import pyarrow.compute as pc
 
-    cand = pairs.select_columns(["doc_a", "doc_b"]).materialize()
-    if cand.count() == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        )
-    involved = distinct_pair_ids(cand, "doc_a", "doc_b", limit=involved_limit)
-    if involved is not None:
-        ids_arr = pa.array(involved, pa.int64())
-
-        def id_filter(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t[id_col], value_set=ids_arr))
-
-    else:
-        from .bloom import bloom_contains, build_id_bloom
-
-        bm = build_id_bloom(cand, ["doc_a", "doc_b"])
-        bm_ref = ray.put(bm)
-
-        def id_filter(t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            return t.filter(pa.array(bloom_contains(ray.get(bm_ref), ids)))
-
-    # null text == empty document (the engine-wide convention): fill
-    # BEFORE the union below, where a null ``_t`` is the row-type tag —
-    # an unfilled null text would make per_part misread the text row as
-    # a pair row and silently drop its pairs
-    def sub_batch(t: pa.Table) -> pa.Table:
-        t = id_filter(t)
-        return t.set_column(
-            t.schema.get_field_index(text_col), text_col, pc.fill_null(t[text_col], "")
-        )
-
-    # involved texts, materialized once in the distributed object store
-    # (dup-rate bounded) so the two attach rounds reuse them instead of
-    # re-reading the corpus
-    sub = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(sub_batch, batch_format="pyarrow")
-        .materialize()
-    )
-
-    # Attach each side's text with the union + keyed-groupby exchange
-    # (the asof-join shape — Ray's sort-based groupby, NOT Dataset.join:
-    # two chained hash-shuffle joins starve their aggregator actors in
-    # low-CPU sessions). Round 1 keys on doc_a, round 2 on doc_b; each
-    # round co-locates pair rows with the text rows of that side. The
-    # shared exchange splits sides ARROW-side before any pandas touch,
-    # so int64 ids above 2^53 stay exact.
-    pair_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
-    with_a = attach_payload_exchange(
-        cand, sub, key="doc_a", id_col=id_col, payload_col=text_col,
-        out_col="text_a", num_partitions=num_partitions,
-        pairs_schema=pair_schema, payload_type=pa.string(),
-    )
-    with_ab = attach_payload_exchange(
-        with_a, sub, key="doc_b", id_col=id_col, payload_col=text_col,
-        out_col="text_b", num_partitions=num_partitions,
-        pairs_schema=pair_schema.append(pa.field("text_a", pa.string())),
-        payload_type=pa.string(),
-    )
-
-    def score(t: pa.Table) -> pa.Table:
-        jac = [
-            char_shingle_jaccard(x, y, k)
-            for x, y in zip(t["text_a"].to_pylist(), t["text_b"].to_pylist())
-        ]
-        out = pa.table(
-            {
-                "doc_a": t["doc_a"].cast(pa.int64()),
-                "doc_b": t["doc_b"].cast(pa.int64()),
-                "jaccard": pa.array(jac, pa.float64()),
-            }
-        )
+    def jaccard(p: pa.Table, texts: pa.Array, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        ta, tb = texts.take(ia).to_pylist(), texts.take(ib).to_pylist()
+        jac = [char_shingle_jaccard(x, y, k) for x, y in zip(ta, tb)]
+        out = p.append_column("jaccard", pa.array(jac, pa.float64()))
         return out.filter(pc.greater_equal(out["jaccard"], verify_threshold))
 
-    return with_ab.map_batches(score, batch_format="pyarrow")
+    return score_pairs(
+        pairs.select_columns(["doc_a", "doc_b"]),
+        ds.select_columns([id_col, text_col]),
+        lambda t: pc.fill_null(t[text_col], "").combine_chunks(),
+        jaccard,
+        id_col=id_col,
+        payload_type=pa.string(),
+    )
 
 
 def minhash_verified_pairs(
@@ -997,7 +871,6 @@ def simhash_pairs(
     *,
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    n_partitions: int = 2048,
     concurrency=None,
 ) -> ray.data.Dataset:
     """Near-dup pairs with Hamming(simhash) <= max_hamming, found by
@@ -1068,7 +941,7 @@ def simhash_pairs(
             }
         )
 
-    # both wide steps on the raw hash exchange (see lsh_candidate_pairs):
+    # both wide steps on the raw hash exchange (see bucket_candidate_pairs):
     # bucket co-location for pairing, then (doc_a, doc_b)-keyed min over
     # hamming (the same pair can surface from several chunk buckets)
 
@@ -1253,7 +1126,6 @@ def jaccard_pairs_skew_safe(
     id_col: str = "doc_id",
     threshold: float = 0.5,
     large_group_cutoff: int = 50_000,
-    n_partitions: int = 1024,
 ) -> ray.data.Dataset:
     """Skew-dispatching wrapper around :func:`jaccard_pairs_by_group`:
     groups under ``large_group_cutoff`` docs run the single-task
@@ -1297,8 +1169,7 @@ def jaccard_pairs_skew_safe(
         small_ds, group_col=group_col, id_col=id_col, threshold=threshold
     )
     out_big = jaccard_pairs_distributed(
-        big_ds, group_col=group_col, id_col=id_col, threshold=threshold,
-        n_partitions=n_partitions,
+        big_ds, group_col=group_col, id_col=id_col, threshold=threshold
     )
     return out_small.union(out_big)
 
@@ -1309,7 +1180,6 @@ def jaccard_pairs_distributed(
     group_col: str = "source",
     id_col: str = "doc_id",
     threshold: float = 0.5,
-    n_partitions: int = 1024,
 ) -> ray.data.Dataset:
     """Fully distributed AllPairs word-set Jaccard — no task ever holds
     a whole group. Same semantics as :func:`jaccard_pairs_by_group`
@@ -1331,8 +1201,8 @@ def jaccard_pairs_distributed(
     3. prefix rows back to hash(group, token) buckets: candidate pairs
        within a bucket (length filter t·max ≤ min), deduped by a
        distributed groupby;
-    4. texts attached via :func:`attach_payload_exchange` (×2) and the
-       EXACT word-set Jaccard computed per pair.
+    4. :func:`score_pairs` brings both docs' texts to each pair and
+       computes the EXACT word-set Jaccard.
     """
     import pyarrow.compute as pc
 
@@ -1413,69 +1283,37 @@ def jaccard_pairs_distributed(
             )
         )
 
-    pair_only_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
     cand = hash_exchange_map_groups(
         hash_exchange_map_groups(
-            prefixes, bucket_pairs, key=[group_col, "token"],
-            out_schema=pair_only_schema,
+            prefixes, bucket_pairs, key=[group_col, "token"], out_schema=_PAIR_SCHEMA
         ),
         # global pair-distinct: equal pairs hash to one partition, so a
         # partition-local distinct is globally distinct
         _distinct_pairs,
         key=["doc_a", "doc_b"],
-        out_schema=pair_only_schema,
-    ).materialize()  # consumed twice: involved-id scan + attach
-
-    # exchange 4: exact verification with the canonical tokenizer —
-    # text payload SEMI-JOIN-FILTERED to the docs that appear in a
-    # candidate pair (round-3 review: an unfiltered corpus here shipped
-    # every document's text through two attach shuffles only to be
-    # discarded by inner semantics); shuffle volume is dup-rate bounded
-    involved = distinct_pair_ids(cand, "doc_a", "doc_b")
-    ids_arr = pa.array(involved.astype(np.int64), pa.int64())
-
-    def fill_text(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_in(b[id_col].cast(pa.int64()), value_set=ids_arr))
-        i = b.schema.get_field_index("text")
-        return b.set_column(i, "text", pc.fill_null(b["text"], ""))
-
-    sub = (
-        ds.select_columns([id_col, "text"])
-        .map_batches(fill_text, batch_format="pyarrow")
-        .materialize()  # involved texts only; consumed by both rounds
-    )
-    pair_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
-    wa = attach_payload_exchange(
-        cand, sub, key="doc_a", id_col=id_col, payload_col="text", out_col="_ta",
-        pairs_schema=pair_schema, payload_type=pa.string(),
-    )
-    wab = attach_payload_exchange(
-        wa, sub, key="doc_b", id_col=id_col, payload_col="text", out_col="_tb",
-        pairs_schema=pair_schema.append(pa.field("_ta", pa.string())),
-        payload_type=pa.string(),
+        out_schema=_PAIR_SCHEMA,
     )
 
-    def verify(b: pa.Table) -> pa.Table:
+    # exchange 4: exact verification with the canonical tokenizer, over
+    # the texts of the docs that appear in a candidate pair only
+    def verify(p: pa.Table, texts: pa.Array, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
         jac = []
-        for x, y in zip(b["_ta"].to_pylist(), b["_tb"].to_pylist()):
+        for x, y in zip(texts.take(ia).to_pylist(), texts.take(ib).to_pylist()):
             sx, sy = set(x.split(" ")), set(y.split(" "))
             u = len(sx | sy)
             jac.append(len(sx & sy) / u if u else 0.0)
         jac = np.array(jac, dtype=np.float64)
-        out = pa.table(
-            {
-                "doc_a": b["doc_a"].cast(pa.int64()),
-                "doc_b": b["doc_b"].cast(pa.int64()),
-                "jaccard": pa.array(jac, pa.float64()),
-            }
-        )
+        out = p.append_column("jaccard", pa.array(jac, pa.float64()))
         return out.filter(pa.array(jac >= t))
 
-    return wab.map_batches(verify, batch_format="pyarrow")
+    return score_pairs(
+        cand,
+        ds.select_columns([id_col, "text"]),
+        lambda b: pc.fill_null(b["text"], "").combine_chunks(),
+        verify,
+        id_col=id_col,
+        payload_type=pa.string(),
+    )
 
 
 def near_dedup_full(
@@ -1647,16 +1485,10 @@ def minhash_dedup_full(
     ds: ray.data.Dataset,
     *,
     id_col: str = "doc_id",
-    text_col: str = "text",
     k: int = 5,
     num_perm: int = 64,
     bands: int = 16,
-    threshold: float = 0.7,
     keep_all: bool = False,
-    n_partitions: int = 2048,
-    mode: str = "cluster",
-    collapse_exact: bool = True,
-    exact_broadcast_limit: int = 20_000_000,
 ) -> ray.data.Dataset:
     """End-to-end MinHash near-dedup: LSH edges → connected components
     → keep-one-per-cluster + ``cluster_size`` column, in one call —
@@ -1667,116 +1499,15 @@ def minhash_dedup_full(
     the probabilistic production path benched over the full transcript
     corpus (bench.py ``minhash_dedup_full``).
 
-    ``mode="cluster"`` (default — the datatrove/FineWeb semantic the
-    reference's ``minhash_cluster_size`` column comes from): bucket
-    members are unioned directly via :func:`minhash_cluster_edges`
-    star edges — STRICTLY LINEAR in bucket size, the only shape that
-    survives a corpus whose near-identical template families reach
-    thousands of members (the pairwise generator's m²/2 took the
-    bench corpus down twice: a 9 GB OOM reduce, then a 200 GB+
-    spill). ``threshold`` does not apply here — the effective
-    threshold is the banding scheme's collision curve (1-(1-J^r)^b) —
-    so passing a non-default one warns.
-
-    ``mode="pairs"``: the previous composition over
-    :func:`minhash_lsh_pairs` (pairwise est_jaccard >= threshold),
-    for corpora whose bucket sizes are known-bounded.
-    ``collapse_exact`` (default on, pairs mode only) pre-collapses
-    EXACT-duplicate families through one md5-keyed thin exchange into
-    star edges + a single LSH representative — identical texts are
-    guaranteed J=1 cliques, so clusters/sizes/survivors are IDENTICAL
-    (pytest-pinned against collapse_exact=False); non-representative
-    exclusion is broadcast (``pc.is_in``) under
-    ``exact_broadcast_limit`` ids, else the anti hash-join."""
-    assert mode in ("cluster", "pairs"), mode
-    pair_cols = ["doc_a", "doc_b"]
-    if mode == "cluster":
-        if threshold != 0.7:
-            warnings.warn(
-                f"minhash_dedup_full: threshold={threshold} is ignored in "
-                f"mode='cluster'; the banding ({bands} bands of "
-                f"{num_perm // bands} rows) sets the effective threshold",
-                stacklevel=2,
-            )
-        edges = minhash_cluster_edges(
-            ds, id_col=id_col, k=k, num_perm=num_perm, bands=bands
-        )
-        return near_dedup_full(
-            ds, edges, id_col=id_col, keep_all=keep_all, n_partitions=512
-        )
-    star = None
-    lsh_input = ds
-    if collapse_exact:
-        import pyarrow.compute as pc
-        from .joins import hash_join
-
-        thin = ds.map_batches(
-            lambda b: add_md5(b.select([id_col, text_col]), col=text_col)
-            .drop_columns([text_col]),
-            batch_format="pyarrow",
-        )
-
-        def fam(t: pa.Table) -> pa.Table:
-            t, starts = sorted_runs(t, ["text_md5"], [(id_col, "ascending")])
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            rep = np.repeat(ids[starts[:-1]], np.diff(starts))
-            m = rep != ids
-            return pa.table({"doc_a": rep[m], "doc_b": ids[m]})
-
-        star = hash_exchange_map_groups(
-            thin,
-            fam,
-            key="text_md5",
-            out_schema=pa.schema(
-                [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-            ),
-        ).materialize()  # thin, exact-dup-rate bounded; consumed twice
-        n_non = star.count()
-        if n_non == 0:
-            pass  # no exact dups; LSH sees the full corpus
-        elif n_non <= exact_broadcast_limit:
-            dup_ids = pa.array(
-                np.concatenate(
-                    [
-                        t["doc_b"].to_numpy(zero_copy_only=False)
-                        for t in star.select_columns(["doc_b"]).iter_batches(
-                            batch_format="pyarrow"
-                        )
-                    ]
-                ),
-                pa.int64(),
-            )
-            lsh_input = ds.map_batches(
-                lambda t: t.filter(
-                    pc.invert(
-                        pc.is_in(t[id_col].cast(pa.int64()), value_set=dup_ids)
-                    )
-                ),
-                batch_format="pyarrow",
-            )
-        else:
-            lsh_input = hash_join(
-                ds,
-                star.select_columns(["doc_b"]).map_batches(
-                    lambda t: pa.table({"_dup_id": t["doc_b"]}),
-                    batch_format="pyarrow",
-                ),
-                key=id_col,
-                right_key="_dup_id",
-                how="anti",
-                n_partitions=512,
-            )
-    pairs = minhash_lsh_pairs(
-        lsh_input,
-        id_col=id_col,
-        k=k,
-        num_perm=num_perm,
-        bands=bands,
-        threshold=threshold,
-        n_partitions=n_partitions,
-    ).select_columns(pair_cols)
-    if star is not None:
-        pairs = pairs.union(star)
-    return near_dedup_full(
-        ds, pairs, id_col=id_col, keep_all=keep_all, n_partitions=512
-    )
+    Bucket members are unioned directly via :func:`minhash_cluster_edges`
+    star edges (the datatrove/FineWeb semantic the reference's
+    ``minhash_cluster_size`` column comes from) — STRICTLY LINEAR in
+    bucket size, the only shape that survives a corpus whose
+    near-identical template families reach thousands of members (the
+    pairwise generator's m²/2 took the bench corpus down twice: a 9 GB
+    OOM reduce, then a 200 GB+ spill). The effective threshold is the
+    banding scheme's collision curve (1-(1-J^r)^b, r = num_perm//bands);
+    a pairwise-thresholded funnel is
+    ``near_dedup_full(ds, minhash_lsh_pairs(ds, threshold=…))``."""
+    edges = minhash_cluster_edges(ds, id_col=id_col, k=k, num_perm=num_perm, bands=bands)
+    return near_dedup_full(ds, edges, id_col=id_col, keep_all=keep_all)

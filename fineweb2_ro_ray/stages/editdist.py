@@ -401,7 +401,7 @@ def editdistance_pairs_distributed(
     candidate set: prefix order is (df, gram) under identical counts,
     and the exact verify is downstream either way."""
     from .analysis import grouped_counts
-    from .dedup import _distinct_pairs, attach_payload_exchange, distinct_pair_ids
+    from .dedup import _PAIR_SCHEMA, _distinct_pairs, score_pairs
     from .exchange import hash_exchange_map_groups, run_rank, sorted_runs
     from .joins import _broadcast_cached_get
 
@@ -524,55 +524,27 @@ def editdistance_pairs_distributed(
             )
         )
 
-    pair_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
-    )
     cand = hash_exchange_map_groups(
-        hash_exchange_map_groups(
-            prefixes, bucket_pairs, key=gkey, out_schema=pair_schema
-        ),
+        hash_exchange_map_groups(prefixes, bucket_pairs, key=gkey, out_schema=_PAIR_SCHEMA),
         _distinct_pairs,  # equal pairs share a partition
         key=["doc_a", "doc_b"],
-        out_schema=pair_schema,
-    ).materialize()  # consumed twice: involved-id scan + attach
-
-    involved = distinct_pair_ids(cand, "doc_a", "doc_b")
-    ids_arr = pa.array(involved.astype(np.int64), pa.int64())
-
-    def fill_text(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_in(b[id_col].cast(pa.int64()), value_set=ids_arr))
-        i = b.schema.get_field_index(text_col)
-        return b.set_column(i, text_col, pc.fill_null(b[text_col], ""))
-
-    sub = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(fill_text, batch_format="pyarrow")
-        .materialize()  # involved texts only; consumed by both attaches
-    )
-    wa = attach_payload_exchange(
-        cand, sub, key="doc_a", id_col=id_col, payload_col=text_col,
-        out_col="_ta", pairs_schema=pair_schema, payload_type=pa.string(),
-    )
-    wab = attach_payload_exchange(
-        wa, sub, key="doc_b", id_col=id_col, payload_col=text_col,
-        out_col="_tb",
-        pairs_schema=pair_schema.append(pa.field("_ta", pa.string())),
-        payload_type=pa.string(),
+        out_schema=_PAIR_SCHEMA,
     )
 
-    def verify(b: pa.Table) -> pa.Table:
+    def verify(p: pa.Table, texts: pa.Array, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
         from ..functions.textstats import utf8_flat_view
 
-        fa, la = utf8_flat_view(b["_ta"])
-        fb, lb = utf8_flat_view(b["_tb"])
+        fa, la = utf8_flat_view(texts.take(ia))
+        fb, lb = utf8_flat_view(texts.take(ib))
         d = _banded_lev_flat(fa, la, fb, lb, k)
         ok = d >= 0
-        return pa.table(
-            {
-                "doc_a": b["doc_a"].cast(pa.int64()).filter(pa.array(ok)),
-                "doc_b": b["doc_b"].cast(pa.int64()).filter(pa.array(ok)),
-                "dist": pa.array(d[ok], pa.int64()),
-            }
-        )
+        return p.filter(pa.array(ok)).append_column("dist", pa.array(d[ok], pa.int64()))
 
-    return wab.map_batches(verify, batch_format="pyarrow")
+    return score_pairs(
+        cand,
+        ds.select_columns([id_col, text_col]),
+        lambda b: pc.fill_null(b[text_col], "").combine_chunks(),
+        verify,
+        id_col=id_col,
+        payload_type=pa.string(),
+    )

@@ -120,11 +120,12 @@ def bpe_id_counts(
     merges: list | None = None,
 ) -> ray.data.Dataset:
     """COUNT pass: thin (id_col, n_tok) — n_tok includes the separator
-    (== the emit pass's list lengths; pytest-pinned)."""
+    (== the emit pass's list lengths under the same ``merges``;
+    pytest-pinned)."""
     from .tokenize import BPETokenCounter
 
     def count(b: pa.Table) -> pa.Table:
-        c = BPETokenCounter(text_col=text_col)(b)
+        c = BPETokenCounter(text_col=text_col, merges=merges)(b)
         n = pc.add(c["n_bpe_tokens"], 1).cast(pa.int64())
         return pa.table({id_col: b[id_col], "n_tok": n})
 

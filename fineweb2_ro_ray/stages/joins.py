@@ -505,7 +505,7 @@ def hash_join(
     # SQL outer joins keep null-key rows of the preserved side(s)
     # (matching nothing); they were dropped pre-shuffle, so re-add them
     # padded with nulls on the other side
-    def null_key_rows(src_keys: list[str], own: list[str], other: list[str]):
+    def null_key_rows(src_keys: list[str], own: list[str]):
         def fn(b: pa.Table) -> pa.Table:
             anynull = pc.is_null(b[src_keys[0]])
             for kc in src_keys[1:]:
@@ -516,11 +516,11 @@ def hash_join(
 
     if how in ("left", "full"):
         joined = joined.union(
-            left.map_batches(null_key_rows(kl, l_cols, r_cols), batch_format="pyarrow")
+            left.map_batches(null_key_rows(kl, l_cols), batch_format="pyarrow")
         )
     if how in ("right", "full"):
         joined = joined.union(
-            right.map_batches(null_key_rows(rkl, r_cols, l_cols), batch_format="pyarrow")
+            right.map_batches(null_key_rows(rkl, r_cols), batch_format="pyarrow")
         )
     return joined
 
@@ -546,7 +546,7 @@ def broadcast_join(
 
     ``max_build_rows`` guards the driver: collection aborts as soon as
     the build side exceeds it (stream is abandoned mid-pull, same
-    pattern as ``dedup.distinct_pair_ids``)."""
+    pattern as the id pull of ``dedup.score_pairs``)."""
     assert how in ("inner", "left"), how
     kl = [key] if isinstance(key, str) else list(key)
     rkl = [right_key] if isinstance(right_key, str) else list(right_key)

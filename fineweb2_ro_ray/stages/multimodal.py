@@ -412,7 +412,7 @@ class MediaDecoder:
     def __init__(self, fake: bool = False) -> None:
         self.fake = fake
 
-    def _decode(self, payload: bytes, kind: str) -> dict:
+    def _decode(self, payload: bytes) -> dict:
         crc = zlib.crc32(payload)
         base = {f: None for f, _ in self._FIELDS}
         base.update(n_bytes=len(payload), checksum=crc)
@@ -478,9 +478,7 @@ class MediaDecoder:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        kinds = batch["kind"].to_pylist()
-        decs = [self._decode(p, k) for p, k in zip(payloads, kinds)]
+        decs = [self._decode(p) for p in batch["payload"].to_pylist()]
         for field, typ in self._FIELDS:
             batch = batch.append_column(field, pa.array([d[field] for d in decs], typ))
         return batch

@@ -159,9 +159,7 @@ def embedding_neardup_lsh(
     dim: int | None = None,
     n_planes: int = 6,
     n_tables: int = 24,
-    n_partitions: int = 1024,
     seed: int = 99,
-    broadcast_involved_limit: int = 500_000,
 ) -> ray.data.Dataset:
     """Approximate near-dup pairs — the 100 TB path: ``n_tables``
     independent hyperplane-LSH bucketings (MinHash-banding shape), thin
@@ -170,7 +168,7 @@ def embedding_neardup_lsh(
     second pass — cost scales with the duplicate rate). Recall rises
     with ``n_tables`` (1-(1-p^planes)^tables); verification keeps
     precision exact, so output ⊆ the exact operator's output."""
-    import pyarrow.compute as pc
+    from .dedup import bucket_candidate_pairs, score_pairs
 
     # planes are derived deterministically from (seed, dim) INSIDE each
     # task once the batch reveals the true dimensionality (dim=None) —
@@ -208,170 +206,32 @@ def embedding_neardup_lsh(
             }
         )
 
-    def bucket_pairs(tbl: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
-        )
-        if tbl.num_rows < 2:
-            return empty
-        buckets = tbl["bucket"].to_numpy(zero_copy_only=False)
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, buckets))
-        buckets, ids = buckets[order], ids[order]
-        starts = np.flatnonzero(np.concatenate([[True], buckets[1:] != buckets[:-1]]))
-        ends = np.concatenate([starts[1:], [len(buckets)]])
-        out_a, out_b = [], []
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            a_idx, b_idx = np.triu_indices(e - s, k=1)
-            out_a.append(ids[s + a_idx])
-            out_b.append(ids[s + b_idx])
-        if not out_a:
-            return empty
-        return pa.table(
-            {
-                "vec_a": pa.array(np.concatenate(out_a).astype(np.int64), pa.int64()),
-                "vec_b": pa.array(np.concatenate(out_b).astype(np.int64), pa.int64()),
-            }
-        )
-
-    # Fully distributed resolution (round-2 judge flag closed): global
-    # pair dedup via groupby (never a driver np.unique over the
-    # tables×-inflated candidate stream); normalized vectors of the
-    # involved docs attached via the keyed union exchange shared with
-    # the MinHash verify gate; cosine computed inside the partitions.
-    # Only the distinct involved-id list touches the driver (8 B/doc,
-    # linear in duplicated docs), to broadcast-filter the corpus.
-    from .dedup import attach_payload_exchange, distinct_pair_ids
-    from .exchange import distinct_table, hash_exchange_map_groups
-
-    empty = pa.table(
-        {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
-    )
-    cand_schema = pa.schema(
-        [pa.field("vec_a", pa.int64()), pa.field("vec_b", pa.int64())]
-    )
-    # both wide steps on the raw hash exchange (same shape as
-    # minhash_lsh's _lsh_candidate_pairs): pair within co-located
-    # buckets, then globally distinct by keying equal pairs together
-    raw = hash_exchange_map_groups(
-        ds.select_columns([id_col, emb_col]).map_batches(
-            bucketize, batch_format="pyarrow"
-        ),
-        bucket_pairs,
-        key="bucket",
-        out_schema=cand_schema,
-    ).map_batches(
-        lambda b: distinct_table(b, ["vec_a", "vec_b"]), batch_format="pyarrow"
-    )
-    cand = hash_exchange_map_groups(
-        raw,
-        lambda t: distinct_table(t, ["vec_a", "vec_b"]),
-        key=["vec_a", "vec_b"],
-        out_schema=cand_schema,
-    ).materialize()  # consumed twice (involved-id scan + attach)
-    involved = distinct_pair_ids(
-        cand, "vec_a", "vec_b", limit=broadcast_involved_limit
-    )
-    if involved is not None and involved.size == 0:
-        return ray.data.from_arrow(empty)
-    if involved is not None:
-        ids_arr = pa.array(involved.astype(np.int64), pa.int64())
-
-        def id_filter(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t[id_col].cast(pa.int64()), value_set=ids_arr))
-
-    else:
-        # involved-id pull abandoned at the limit: fixed 16 MB Bloom
-        # semi-join instead (FP-admitted vectors are dropped by the
-        # inner attach; never a driver-resident id list)
-        from .bloom import bloom_contains, build_id_bloom
-
-        bm_ref = ray.put(build_id_bloom(cand, ["vec_a", "vec_b"]))
-
-        def id_filter(t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            return t.filter(pa.array(bloom_contains(ray.get(bm_ref), ids)))
-
-    def norm_payload(t: pa.Table) -> pa.Table:
-        t = id_filter(t)
+    def normalized(t: pa.Table) -> pa.Array:
         m = _to_matrix(t[emb_col])
         mn = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30) if m.size else m
-        n = mn.shape[0]
         width = mn.shape[1] if mn.size else 0
-        offs = pa.array((np.arange(n + 1, dtype=np.int64) * width).astype(np.int32))
-        vec = pa.ListArray.from_arrays(offs, pa.array(mn.reshape(-1), pa.float64()))
-        return pa.table({id_col: t[id_col].cast(pa.int64()), "_nvec": vec})
+        offs = pa.array(np.arange(mn.shape[0] + 1, dtype=np.int32) * width)
+        return pa.ListArray.from_arrays(offs, pa.array(mn.reshape(-1), pa.float64()))
 
-    pay = (
-        ds.select_columns([id_col, emb_col])
-        .map_batches(norm_payload, batch_format="pyarrow")
-        .materialize()  # involved vectors only, dup-rate bounded
+    def cosine(p: pa.Table, vecs: pa.Array, ia: np.ndarray, ib: np.ndarray) -> pa.Table:
+        # float64 rows from ``normalized``: a zero-copy view, not a copy
+        # of the whole broadcast payload per batch
+        v = vecs.flatten().to_numpy().reshape(len(vecs), -1) if len(vecs) else np.zeros((0, 0))
+        sims = np.einsum("ij,ij->i", v[ia], v[ib])
+        return p.filter(pa.array(sims >= threshold))
+
+    cols = [id_col, emb_col]
+    cand = bucket_candidate_pairs(
+        ds.select_columns(cols).map_batches(bucketize, batch_format="pyarrow"), id_col
     )
-    # broadcast-vs-shuffle selection (same rule as minhash_lsh_pairs):
-    # bounded involved set → ship normalized vectors once via ray.put
-    # and verify cosine in a single map over the distinct pairs
-    if involved is not None:
-        mats = []
-        idss = []
-        for b in pay.iter_batches(batch_format="pyarrow"):
-            idss.append(b[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
-            mats.append(_to_matrix(b["_nvec"]))
-        ids_cat = np.concatenate(idss) if idss else np.array([], np.int64)
-        order = np.argsort(ids_cat)
-        ids_sorted = ids_cat[order]
-        V = (np.concatenate(mats)[order] if mats else np.zeros((0, 0)))
-        ref = ray.put((ids_sorted, V))
-
-        def sim_map(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return empty
-            ids_s, Vv = ray.get(ref)
-            ia = np.searchsorted(ids_s, t["vec_a"].to_numpy(zero_copy_only=False))
-            ib = np.searchsorted(ids_s, t["vec_b"].to_numpy(zero_copy_only=False))
-            sims = np.einsum("ij,ij->i", Vv[ia], Vv[ib])
-            out = pa.table(
-                {
-                    "vec_a": t["vec_a"].cast(pa.int64()),
-                    "vec_b": t["vec_b"].cast(pa.int64()),
-                }
-            )
-            return out.filter(pa.array(sims >= threshold))
-
-        return cand.map_batches(sim_map, batch_format="pyarrow")
-
-    pair_schema = pa.schema(
-        [pa.field("vec_a", pa.int64()), pa.field("vec_b", pa.int64())]
-    )
-    vec_type = pa.list_(pa.float64())
-    wa = attach_payload_exchange(
-        cand, pay, key="vec_a", id_col=id_col, payload_col="_nvec",
-        out_col="_va", num_partitions=n_partitions,
-        pairs_schema=pair_schema, payload_type=vec_type,
-    )
-    wab = attach_payload_exchange(
-        wa, pay, key="vec_b", id_col=id_col, payload_col="_nvec",
-        out_col="_vb", num_partitions=n_partitions,
-        pairs_schema=pair_schema.append(pa.field("_va", vec_type)),
-        payload_type=vec_type,
-    )
-
-    def sim_batch(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        va = _to_matrix(t["_va"])
-        vb = _to_matrix(t["_vb"])
-        sims = np.einsum("ij,ij->i", va, vb)
-        out = pa.table(
-            {
-                "vec_a": t["vec_a"].cast(pa.int64()),
-                "vec_b": t["vec_b"].cast(pa.int64()),
-            }
-        )
-        return out.filter(pa.array(sims >= threshold))
-
-    return wab.map_batches(sim_batch, batch_format="pyarrow")
+    return score_pairs(
+        cand,
+        ds.select_columns(cols),
+        normalized,
+        cosine,
+        id_col=id_col,
+        payload_type=pa.list_(pa.float64()),
+    ).rename_columns({"doc_a": "vec_a", "doc_b": "vec_b"})
 
 
 class HyperplaneLSH:

@@ -24,9 +24,9 @@ from ..functions.bpe import BPETokenizer
 
 
 class BPETokenCounter:
-    def __init__(self, text_col: str = "text") -> None:
+    def __init__(self, text_col: str = "text", merges: list | None = None) -> None:
         pa.set_cpu_count(1)  # actor pools must not spawn full Arrow thread pools
-        self.tok = BPETokenizer()
+        self.tok = BPETokenizer(merges)
         self.text_col = text_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:

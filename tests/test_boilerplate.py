@@ -95,9 +95,7 @@ def test_within_doc_repeats_count_once():
 
 
 def test_heavy_units_and_explode():
-    hv = heavy_units(
-        _ds(TEXTS), text_col="text", id_col="doc_id", sep="\n", min_docs=2
-    ).to_pandas()
+    hv = heavy_units(_ds(TEXTS), text_col="text", sep="\n", min_docs=2).to_pandas()
     assert sorted(hv["unit"]) == ["cookie banner", "share this"]
     ex = explode_units(_ds(["a\nb", None, "c"]), text_col="text", id_col="doc_id", sep="\n")
     df = ex.to_pandas().sort_values(["doc_id", "ord"])

@@ -108,3 +108,31 @@ def test_encoder_emits_count_consistent_ids(ray_session):
     )
     assert list(enc["n_tok"]) == list(cnt["n_tok"])
     assert [len(v) for v in enc["ids"]] == list(cnt["n_tok"])
+
+
+def test_bpe_export_custom_merges_match_encoder(ray_session):
+    """The count pass sizes documents with the SAME merges the encoder
+    applies: with a custom merge table every example is exactly
+    ``seq_len`` tokens and the examples are ``BPEIdEncoder``'s stream."""
+    t = _corpus()[0].slice(0, 60)
+    for merges in ([], [list(m) for m in load_merges()[:40]]):
+        enc = (
+            rd.from_arrow(t)
+            .map_batches(
+                BPEIdEncoder,
+                fn_constructor_kwargs={"merges": merges},
+                batch_format="pyarrow",
+                concurrency=1,
+            )
+            .to_pandas()
+            .sort_values("doc_id")
+        )
+        stream = [int(i) for ids in enc["ids"] for i in ids]
+        ref = [stream[i : i + 16] for i in range(0, len(stream) - 15, 16)]
+        got = (
+            export_bpe_examples(rd.from_arrow(t).repartition(5), seq_len=16, merges=merges)
+            .to_pandas()
+            .sort_values("example_id")
+        )
+        assert all(len(v) == 16 for v in got["input_ids"])
+        assert [list(v) for v in got["input_ids"]] == ref

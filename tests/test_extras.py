@@ -605,6 +605,38 @@ def test_reassembly_crosses_the_exchange_as_one_row_format():
     assert not defs & {"_precombine_dropped", "_segment_starts", "_as_array"}
 
 
+def test_every_parameter_is_read():
+    """No function of the package takes a parameter its body never
+    reads (``self``/``cls`` and ``_``-prefixed names aside): a setting
+    that is accepted and ignored, like a count pass that took ``merges``
+    and counted with the default table, misleads every caller."""
+    import ast
+    import os
+
+    pkg = os.path.join(os.path.dirname(__file__), "..", "fineweb2_ro_ray")
+    hits = []
+    for dirpath, _, files in os.walk(pkg):
+        for fname in files:
+            if not fname.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, fname)
+            for n in ast.walk(ast.parse(open(path).read())):
+                if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = n.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                read = {
+                    m.id for stmt in n.body for m in ast.walk(stmt) if isinstance(m, ast.Name)
+                }
+                hits += [
+                    f"{os.path.relpath(path, pkg)}:{n.lineno} {n.name}({p})"
+                    for p in params
+                    if p not in read and p not in ("self", "cls") and not p.startswith("_")
+                ]
+    assert hits == []
+
+
 def test_artifact_queries_use_one_directory_per_run(tmp_path, monkeypatch):
     """Queries that persist an on-disk artifact build it in a fresh
     directory per run and remove it afterwards: two concurrent runs of

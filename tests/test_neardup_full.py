@@ -16,6 +16,7 @@ import ray.data
 from fineweb2_ro_ray.stages.dedup import (
     minhash_cluster_edges,
     minhash_dedup_full,
+    minhash_lsh_pairs,
     near_dedup_full,
 )
 from fineweb2_ro_ray.stages.windows import lag_lead_delta
@@ -206,12 +207,6 @@ def test_minhash_dedup_full_blocks_keep_the_schema(ray_session, corpus):
     assert n == len(rows)
 
 
-def test_minhash_dedup_full_warns_on_cluster_threshold(ray_session):
-    docs = _docs([(1, "some text body here"), (2, "some text body here")])
-    with pytest.warns(UserWarning, match="threshold=0.9 is ignored"):
-        minhash_dedup_full(docs, threshold=0.9)
-
-
 def test_lag_lead_delta_matches_pandas_oracle(ray_session):
     rng = np.random.default_rng(7)
     n = 500
@@ -261,43 +256,10 @@ def test_lag_lead_delta_single_row_keys(ray_session):
     assert sorted(out["cents"]) == [125, 250]
 
 
-def test_minhash_dedup_full_collapse_exact_equivalence(ray_session):
-    """The exact-duplicate star pre-collapse (hot-bucket defense) must
-    leave clusters, sizes, and survivors IDENTICAL: exact families are
-    J=1 cliques and a clique's components equal its star's."""
-    base = "the quick brown fox jumps over the lazy dog again and again"
-    near = base.replace("lazy", "hazy")
-    other = "entirely different words compose this second document body text"
-    rows = (
-        [(i, base) for i in range(6)]        # exact family
-        + [(50, near)]                        # near-dup of the family
-        + [(10 + i, other) for i in range(3)]  # second exact family
-        + [(100, "unique text one for the corpus"), (101, "another standalone body")]
-    )
-    docs = _docs(rows)
-    a = (
-        minhash_dedup_full(docs, threshold=0.5, keep_all=True, mode="pairs", collapse_exact=True)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    b = (
-        minhash_dedup_full(docs, threshold=0.5, keep_all=True, mode="pairs", collapse_exact=False)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    pd.testing.assert_frame_equal(
-        a[["doc_id", "cluster_size", "kept"]], b[["doc_id", "cluster_size", "kept"]]
-    )
-    # the near-dup rides with the exact family through its representative
-    by_id = dict(zip(a["doc_id"], a["cluster_size"]))
-    assert by_id[50] == 7 and by_id[0] == 7
-    assert set(a[a["kept"]]["doc_id"]) == {0, 10, 100, 101}
-
-
 def test_minhash_dedup_full_cluster_mode_matches_pairs_mode(ray_session):
-    """Default cluster mode (datatrove bucket-union star edges) finds
-    the same clusters as the pairwise path on a corpus of clear-cut
-    families (exact dups + a near-dup + singletons)."""
+    """minhash_dedup_full (datatrove bucket-union star edges) finds the
+    same clusters as the funnel over pairwise ``minhash_lsh_pairs`` on a
+    corpus of clear-cut families (exact dups + a near-dup + singletons)."""
     base = "the quick brown fox jumps over the lazy dog again and again"
     near = base.replace("lazy", "hazy")
     other = "entirely different words compose this second document body text"
@@ -309,12 +271,13 @@ def test_minhash_dedup_full_cluster_mode_matches_pairs_mode(ray_session):
     )
     docs = _docs(rows)
     a = (
-        minhash_dedup_full(docs, keep_all=True)  # cluster mode default
+        minhash_dedup_full(docs, keep_all=True)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
+    pairs = minhash_lsh_pairs(docs, threshold=0.5).select_columns(["doc_a", "doc_b"])
     b = (
-        minhash_dedup_full(docs, threshold=0.5, keep_all=True, mode="pairs")
+        near_dedup_full(docs, pairs, keep_all=True)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )

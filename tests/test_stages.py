@@ -171,7 +171,7 @@ def test_knn_lsh_returns_ranked_subset():
 def test_multimodal_stub_raises_without_fake():
     dec = MediaDecoder(fake=False)
     with pytest.raises(NotImplementedError):
-        dec._decode(b"xx", "image")
+        dec._decode(b"xx")
 
 
 def test_multimodal_fake_pipeline_deterministic():
@@ -689,7 +689,7 @@ def test_verify_pairs_exact_null_text():
     pairs = rd.from_pandas(pd.DataFrame({"doc_a": [1, 3], "doc_b": [2, 1]}))
     # orient (3,1): verify gate takes pairs as given
     out = verify_pairs_exact(
-        pairs, rd.from_pandas(docs), verify_threshold=0.0, num_partitions=8
+        pairs, rd.from_pandas(docs), verify_threshold=0.0
     ).to_pandas().sort_values(["doc_a", "doc_b"], ignore_index=True)
     assert len(out) == 2  # the null-text pair is present, not dropped
     exact = out[(out["doc_a"] == 1) & (out["doc_b"] == 2)]["jaccard"].iloc[0]
@@ -986,44 +986,134 @@ def test_joins_string_keys_and_vectorized_range():
     )
 
 
-def test_lsh_broadcast_equals_distributed_paths():
+def _force_bloom_attach(monkeypatch):
+    """Force score_pairs' scale routes: Bloom semi-join filter and
+    keyed attach delivery (both bounds read on the driver per call)."""
+    from fineweb2_ro_ray.stages import dedup
+
+    monkeypatch.setattr(dedup, "_INVOLVED_IDS_LIMIT", 0)
+    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", 0)
+
+
+def _lsh_corpora():
+    rng = np.random.default_rng(11)
+    base = "ana are mere si pere multe in cosul cel mare de nuiele"
+    texts = []
+    for i in range(120):
+        t = base + f" varianta {i % 7}"
+        if i % 3 == 0:
+            t += " plus un sufix diferit " + str(rng.integers(0, 3))
+        texts.append(t)
+    docs = pa.table({
+        "doc_id": pa.array(range(120), pa.int64()),
+        "source": [f"s{i % 2}" for i in range(120)],
+        "text": texts,
+    })
+    emb = rng.standard_normal((80, 16))
+    emb[40:] = emb[:40] + 0.01 * rng.standard_normal((40, 16))  # near-dups
+    vecs = pa.table({
+        "vec_id": pa.array(range(80), pa.int64()),
+        "embedding": pa.array([list(map(float, r)) for r in emb],
+                              pa.list_(pa.float64())),
+    })
+    return rd.from_arrow(docs), rd.from_arrow(vecs)
+
+
+def _sorted(ds, cols):
+    return ds.to_pandas().sort_values(cols, ignore_index=True)
+
+
+def test_lsh_broadcast_equals_distributed_paths(monkeypatch):
     """The bounded broadcast fast path and the fully distributed keyed
     attach produce IDENTICAL results for both LSH near-dup operators
     (broadcast-vs-shuffle selection must never change answers)."""
     from fineweb2_ro_ray.stages.dedup import minhash_lsh_pairs
     from fineweb2_ro_ray.stages.similarity import embedding_neardup_lsh
 
-    rng = np.random.default_rng(11)
-    base = "ana are mere si pere multe in cosul cel mare de nuiele"
-    texts, ids = [], []
-    for i in range(120):
-        t = base + f" varianta {i % 7}"
-        if i % 3 == 0:
-            t += " plus un sufix diferit " + str(rng.integers(0, 3))
-        texts.append(t)
-        ids.append(i)
-    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts}))
-    a = (minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
-         .sort_values(["doc_a", "doc_b"], ignore_index=True))
-    b = (minhash_lsh_pairs(ds, threshold=0.5, broadcast_involved_limit=0)
-         .to_pandas().sort_values(["doc_a", "doc_b"], ignore_index=True))
+    ds, vds = _lsh_corpora()
+    a = _sorted(minhash_lsh_pairs(ds, threshold=0.5), ["doc_a", "doc_b"])
+    ea = _sorted(embedding_neardup_lsh(vds, threshold=0.9), ["vec_a", "vec_b"])
+    _force_bloom_attach(monkeypatch)
+    b = _sorted(minhash_lsh_pairs(ds, threshold=0.5), ["doc_a", "doc_b"])
+    eb = _sorted(embedding_neardup_lsh(vds, threshold=0.9), ["vec_a", "vec_b"])
     pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-
-    emb = rng.standard_normal((80, 16))
-    emb[40:] = emb[:40] + 0.01 * rng.standard_normal((40, 16))  # near-dups
-    vt = pa.table({
-        "vec_id": pa.array(range(80), pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in emb],
-                              pa.list_(pa.float64())),
-    })
-    vds = rd.from_arrow(vt)
-    ea = (embedding_neardup_lsh(vds, threshold=0.9).to_pandas()
-          .sort_values(["vec_a", "vec_b"], ignore_index=True))
-    eb = (embedding_neardup_lsh(vds, threshold=0.9, broadcast_involved_limit=0)
-          .to_pandas().sort_values(["vec_a", "vec_b"], ignore_index=True))
     pd.testing.assert_frame_equal(ea, eb)
-    assert len(ea) > 0
+    assert len(a) > 0 and len(ea) > 0
+
+
+def _pair_operators():
+    from fineweb2_ro_ray.stages.dedup import (
+        jaccard_pairs_distributed,
+        minhash_lsh_pairs,
+        verify_pairs_exact,
+    )
+    from fineweb2_ro_ray.stages.editdist import editdistance_pairs_distributed
+    from fineweb2_ro_ray.stages.similarity import embedding_neardup_lsh
+
+    # candidate pairs for the verify gate, one naming an id (999) that is
+    # not in the corpus: every route must drop it (inner semantics)
+    cand = rd.from_arrow(pa.table({
+        "doc_a": pa.array([0, 1, 2, 3, 5], pa.int64()),
+        "doc_b": pa.array([7, 8, 4, 999, 12], pa.int64()),
+    }))
+    return {
+        "minhash_lsh_pairs": lambda ds, _: minhash_lsh_pairs(ds, threshold=0.5),
+        "verify_pairs_exact": lambda ds, _: verify_pairs_exact(
+            cand, ds, verify_threshold=0.5
+        ),
+        "embedding_neardup_lsh": lambda _, vds: embedding_neardup_lsh(
+            vds, threshold=0.9
+        ).rename_columns({"vec_a": "doc_a", "vec_b": "doc_b"}),
+        "jaccard_pairs_distributed": lambda ds, _: jaccard_pairs_distributed(
+            ds, threshold=0.5
+        ),
+        "editdistance_pairs_distributed": lambda ds, _: (
+            editdistance_pairs_distributed(ds, max_dist=8, group_col="source")
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "minhash_lsh_pairs",
+        "verify_pairs_exact",
+        "embedding_neardup_lsh",
+        "jaccard_pairs_distributed",
+        "editdistance_pairs_distributed",
+    ],
+)
+def test_score_pairs_routes_agree(op, monkeypatch):
+    """Every pair operator resolves its candidates through the one
+    ``score_pairs`` step; each of its four routes (exact-id or Bloom
+    filter × broadcast or attach delivery), forced through the module
+    bounds, gives the same output, and the forced route is the one
+    taken."""
+    from fineweb2_ro_ray.stages import bloom, dedup
+
+    run = _pair_operators()[op]
+    ds, vds = _lsh_corpora()
+    taken = []
+
+    def spy(mod, name, tag):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, **kw: taken.append(tag) or fn(*a, **kw))
+
+    spy(bloom, "bloom_filter_ids", "bloom")
+    spy(dedup, "attach_payload_exchange", "attach")
+    ref = _sorted(run(ds, vds), ["doc_a", "doc_b"])
+    assert len(ref) > 0 and taken == []
+    for ids_limit, pay_bytes, route in (
+        (0, dedup._BROADCAST_PAYLOAD_BYTES, ["bloom"]),
+        (dedup._INVOLVED_IDS_LIMIT, 0, ["attach", "attach"]),
+        (0, 0, ["bloom", "attach", "attach"]),
+    ):
+        monkeypatch.setattr(dedup, "_INVOLVED_IDS_LIMIT", ids_limit)
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", pay_bytes)
+        taken.clear()
+        got = _sorted(run(ds, vds), ["doc_a", "doc_b"])
+        assert taken == route
+        pd.testing.assert_frame_equal(ref, got)
 
 
 def test_review_round3_regressions():
@@ -1233,12 +1323,13 @@ def test_connected_components_and_cluster_ops():
     assert sorted(keep["doc_id"]) == [1, 10, 20]
 
 
-def test_bloom_semi_join_bounded_driver():
+def test_bloom_semi_join_bounded_driver(monkeypatch):
     """The fixed-memory Bloom involved-id path (ROADMAP known-limit 3):
     membership has NO false negatives, the FP rate stays within the
     design bound, and verify_pairs_exact produces identical output
     whether the involved ids are pulled exactly or Bloom-filtered
-    (involved_limit=0 forces the overflow path)."""
+    (an id bound of 0 forces the overflow path)."""
+    from fineweb2_ro_ray.stages import dedup
     from fineweb2_ro_ray.stages.bloom import bloom_contains, build_id_bloom
     from fineweb2_ro_ray.stages.dedup import verify_pairs_exact
 
@@ -1276,7 +1367,8 @@ def test_bloom_semi_join_bounded_driver():
     )
     a = (verify_pairs_exact(cand, docs, verify_threshold=0.5).to_pandas()
          .sort_values(["doc_a", "doc_b"], ignore_index=True))
-    b = (verify_pairs_exact(cand, docs, verify_threshold=0.5, involved_limit=0)
+    monkeypatch.setattr(dedup, "_INVOLVED_IDS_LIMIT", 0)
+    b = (verify_pairs_exact(cand, docs, verify_threshold=0.5)
          .to_pandas().sort_values(["doc_a", "doc_b"], ignore_index=True))
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
