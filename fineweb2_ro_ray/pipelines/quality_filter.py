@@ -5,13 +5,16 @@ Ray Data restatement of the reference's production chain
 conjunctive filter → join → parquet) as ONE streaming DAG
 (SURVEY.md §3.1):
 
-    read_parquet(transcripts, pruned columns)      # TRANSCRIPT_SCHEMA
-      → map_batches(annotate_batch)                # stats → LID → ppl →
-                                                   # scrub → decide, fused;
+    read_transcripts(pruned columns)               # one task per row group;
+                                                   # TRANSCRIPT_SCHEMA batches
+                                                   # of <= 4,096 turns
+      → map_batches(_annotate_block)               # stats → LID → ppl →
+                                                   # scrub → decide;
                                                    # LABELED_SCHEMA, projected
       → map_batches(_thin_dropped)                 # dropped turns lose text;
-                                                   # Ray fuses both maps into
-                                                   # one task on every CPU
+                                                   # Ray fuses the read and
+                                                   # both maps into one task
+                                                   # per row group
       → hash exchange on conv_id + Arrow reduce    # the only wide op:
                                                    # one sort, run boundaries;
                                                    # CONVERSATION_SCHEMA
@@ -40,32 +43,27 @@ from ..functions.lid import lang_id_batch
 from ..functions.perplexity import perplexity_batch
 from ..functions.scrub import Scrubber
 from ..functions.textstats import compute_text_stats
+from ..sources.rowgroups import read_row_groups
 
 
-def read_transcripts(path: str | list[str]) -> ray.data.Dataset:
+def read_transcripts(
+    path: str | list[str], columns: list[str] | None = None
+) -> ray.data.Dataset:
     """Source: the transcript Parquet table (reference source analog S1,
     ``/root/reference/fineweb/fineweb2_download.py:40-57`` — but a
-    column-pruned parquet read instead of an HF stream). A
-    metadata-free schema is passed AT the read so the b'pandas' blob of
-    pandas-written files never enters any block — including Ray's fused
-    ReadParquet operator, where it would make schemas unhashable
-    (``schema.clean_parquet_schema``)."""
-    from ..schema import clean_parquet_schema
-
-    first = path[0] if isinstance(path, list) else path
-    return ray.data.read_parquet(path, schema=clean_parquet_schema(first))
+    column-pruned Parquet read instead of an HF stream), one read task
+    per row group (:func:`..sources.rowgroups.read_row_groups`). Only
+    ``columns`` (default: all) leave storage, in batches of at most
+    4,096 rows cast to the first file's metadata-free schema, so the
+    b'pandas' blob of pandas-written files never enters a block."""
+    return read_row_groups(path, columns)
 
 
 def read_transcripts_pruned(path: str | list[str], columns: list[str]) -> ray.data.Dataset:
-    """S1 with column projection pushed INTO the Parquet scan — only the
-    named columns leave storage (prune-at-the-read rule; the flagship
-    never consumes ``tool``)."""
-    from ..schema import clean_parquet_schema
-
-    first = path[0] if isinstance(path, list) else path
-    sch = clean_parquet_schema(first)
-    pruned = pa.schema([sch.field(c) for c in columns])
-    return ray.data.read_parquet(path, schema=pruned, columns=columns)
+    """:func:`read_transcripts` of the named columns only (the flagship
+    never consumes ``tool``); ``enginebench/traced.py`` reads by this
+    name."""
+    return read_transcripts(path, columns)
 
 
 # Test-only fault injection for the fused annotate task: set to
@@ -115,6 +113,13 @@ def annotate_batch(
     return b
 
 
+def _annotate_block(block: pa.Table, rows: int, **kwargs):
+    """:func:`annotate_batch` over ``block`` in slices of at most
+    ``rows`` turns (an empty block is one call, so its output is typed)."""
+    for i in range(0, block.num_rows or 1, rows):
+        yield annotate_batch(block.slice(i, rows), **kwargs)
+
+
 def annotate(
     ds: ray.data.Dataset,
     cfg: FilterConfig | None = None,
@@ -125,15 +130,23 @@ def annotate(
     """Append every engine column per turn: one stateless task map
     running the whole per-turn chain (:func:`annotate_batch`) on every
     CPU; ``project`` keeps only the named columns, inside the task. No
-    actor pool is started, so a job pays no pool start-up."""
+    actor pool is started, so a job pays no pool start-up.
+
+    The map takes each block as it arrives and the kernel sees at most
+    ``batch_size`` turns per call. With no batch size on the map, Ray
+    fuses it with a row-group read (:func:`read_transcripts`): one task
+    per row group reads, annotates and (in :func:`reassemble`) thins
+    its turns."""
     return ds.map_batches(
-        annotate_batch,
+        _annotate_block,
         # failpoint read driver-side at wiring time and shipped as a
         # plain argument (the exchange's test-only fault pattern —
         # tests/test_actor_faults.py)
-        fn_kwargs={"cfg": cfg, "project": project, "failpoint": _TEST_FAILPOINT},
+        fn_kwargs={
+            "rows": batch_size, "cfg": cfg, "project": project, "failpoint": _TEST_FAILPOINT,
+        },
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
     )
 
 
@@ -278,10 +291,9 @@ def run_flagship(
     :data:`..schema.CONVERSATION_SCHEMA` over the in-flight reduce
     outputs (the exchange consumes the read and annotate stages within
     this call; the caller consumes the rest). The read leaves ``tool`` in
-    storage and the fused annotate task projects to exactly the
-    reassembly columns, so the original text column never leaves it."""
-    read = read_transcripts_pruned(
-        input_path, ["conv_id", "turn_idx", "role", "text", "ts"]
-    )
+    storage, and one fused task per row group reads, annotates and thins
+    its turns, projecting to exactly the reassembly columns, so the
+    original text column never enters the object store."""
+    read = read_transcripts(input_path, ["conv_id", "turn_idx", "role", "text", "ts"])
     project = ["conv_id", "turn_idx", "ts", "keep", "scrubbed_text"]
     return reassemble(annotate(read, cfg, batch_size=batch_size, project=project))

@@ -94,25 +94,24 @@ def strip_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def clean_parquet_schema(path: str, columns: list[str] | None = None) -> pa.Schema:
-    """Metadata-free (projected) schema of a Parquet file or dataset
-    dir, for ``read_parquet(schema=...)``. Passing a clean schema at
-    the READ keeps the b'pandas' blob out of Ray's fused ReadParquet
-    operator itself — the one place a post-read ``strip_metadata`` map
-    can't reach (its SplitBlocks schema-unification hashes the FILE
-    schema and warns "Failed to hash the schemas" on the unhashable
-    pandas dict). One driver-side footer read; no data pages touched."""
-    import os
-
+def clean_parquet_schema(path: str | list[str], columns: list[str] | None = None) -> pa.Schema:
+    """Metadata-free (projected) schema of the first Parquet file of a
+    file, dataset dir or list (:func:`.sources.rowgroups.list_parquet`),
+    for ``read_parquet(schema=...)`` and the row-group reader. Passing
+    a clean schema at the READ keeps the b'pandas' blob out of Ray's
+    fused ReadParquet operator itself — the one place a post-read
+    ``strip_metadata`` map can't reach (its SplitBlocks
+    schema-unification hashes the FILE schema and warns "Failed to hash
+    the schemas" on the unhashable pandas dict). One driver-side footer
+    read; no data pages touched."""
     import pyarrow.parquet as pq
 
-    p = path
-    if os.path.isdir(p):
-        names = sorted(f for f in os.listdir(p) if f.endswith(".parquet"))
-        if not names:
-            raise FileNotFoundError(f"no parquet files under {p}")
-        p = os.path.join(p, names[0])
-    s = pq.read_schema(p)
+    from .sources.rowgroups import list_parquet
+
+    files = list_parquet(path)
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {path}")
+    s = pq.read_schema(files[0])
     fields = columns if columns is not None else s.names
     return pa.schema([s.field(c).remove_metadata() for c in fields])
 

@@ -559,8 +559,10 @@ def hash_exchange_map_groups(
     if out_schema is not None:
         # empty partitions emit schema-correct empty blocks
         # (out_schema.empty_table() / cast), which downstream stages
-        # skip harmlessly — no row-count sync needed, saving P tasks +
-        # a driver barrier per exchange (P ~ 4e5 at the 100-TB point)
+        # skip harmlessly, so no partition is dropped. This is still a
+        # barrier: on Ray 2.49 from_arrow_refs runs one metadata task
+        # per ref and waits for all of them, so the exchange returns
+        # only after every reduce has finished
         return ray.data.from_arrow_refs(outs)
     # no pinned schema: drop 0-row partitions — Ray's map operators
     # emit an EMPTY-SCHEMA block for a 0-row input block (observed on

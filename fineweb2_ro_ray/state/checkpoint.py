@@ -50,6 +50,8 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.block import BlockAccessor
 
+from ..sources.rowgroups import list_parquet
+
 
 def partition_of(conv_id: str, n_partitions: int) -> int:
     """Engine-pinned partition hash (crc32 of utf-8 key)."""
@@ -123,24 +125,13 @@ def _input_fingerprint(paths: list[str]) -> str:
     return f"{h:08x}"
 
 
-def _list_parquet(input_path: str | list[str]) -> list[str]:
-    if isinstance(input_path, list):
-        return list(input_path)
-    if os.path.isdir(input_path):
-        return [
-            os.path.join(input_path, f)
-            for f in sorted(os.listdir(input_path))
-            if f.endswith(".parquet")
-        ]
-    return [input_path]
-
-
 def _stage_input(
     files: list[str], n_groups: int, key: str, pending: list[int]
 ) -> ray.data.Dataset:
     """The run's ONE scan of the input, keeping the pending groups' rows.
-    The read is :func:`read_transcripts`, so no file's ``b'pandas'``
-    schema metadata reaches a block or the written groups.
+    The read is :func:`read_transcripts` (one task per row group, which
+    Ray fuses with ``build``'s maps and the group sink), so no file's
+    ``b'pandas'`` schema metadata reaches a block or the written groups.
     ``enginebench/traced.py`` times it by this name."""
     from ..pipelines.quality_filter import read_transcripts
 
@@ -242,7 +233,7 @@ def run_resumable(
 
     Returns summary metrics summed over the groups run *this* call.
     """
-    files = _list_parquet(input_path)
+    files = list_parquet(input_path)
     fp = _input_fingerprint(files)
     os.makedirs(output_dir, exist_ok=True)
     for d in os.listdir(output_dir):  # a crashed or older run's scratch

@@ -7,6 +7,8 @@ actor pool:
 2. Back-to-back flagship jobs in one session hold nothing between them:
    no job is slower than twice the median, and the cluster's CPUs are
    free again within seconds of the last job, with no ``gc.collect()``.
+3. The fused read → annotate → thin task needs one CPU: the flagship
+   finishes in a session with ``num_cpus=1``.
 """
 
 from __future__ import annotations
@@ -96,3 +98,40 @@ def test_back_to_back_flagship_jobs_release_their_cpus(tmp_path):
     median = sorted(walls)[1]
     assert max(walls) <= 2 * median, walls
     assert res["free"] == res["total"], res
+
+
+_ONE_CPU_SCRIPT = r"""
+import sys
+sys.path.insert(0, {repo!r})
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from fineweb2_ro_ray.pipelines.quality_filter import run_flagship
+
+print("CONVERSATIONS:%d" % run_flagship(sys.argv[1]).count())
+ray.shutdown()
+"""
+
+
+def test_flagship_finishes_at_one_cpu(golden_path, tmp_path):
+    """A ``num_cpus=1`` session runs the flagship on the golden set to
+    completion: the fused task and the exchange share the one CPU."""
+    script = str(tmp_path / "one_cpu.py")
+    with open(script, "w") as f:
+        f.write(_ONE_CPU_SCRIPT.format(repo=REPO))
+    # own process group: a hung run is killed with every Ray process it
+    # started, not just its driver
+    p = subprocess.Popen(
+        [sys.executable, script, golden_path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = p.communicate(timeout=240)
+    finally:
+        if p.poll() is None:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait()
+    assert p.returncode == 0, stderr[-2000:]
+    assert "CONVERSATIONS:800" in stdout.splitlines(), stdout[-2000:]

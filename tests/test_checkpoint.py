@@ -125,22 +125,26 @@ def test_resumable_conversation_output(corpus, tmp_path):
 
 def test_input_scanned_once_per_run(corpus, tmp_path, monkeypatch):
     """The read-amplification guarantee: every run, resumes included,
-    scans the ORIGINAL input exactly once and makes no other
-    read_parquet call; a resume hands ``build`` only the rows of the
-    pending groups."""
+    scans the ORIGINAL input exactly once (one row-group source over
+    its files) and makes no other read call; a resume hands ``build``
+    only the rows of the pending groups."""
     import ray.data as rd
 
-    from fineweb2_ro_ray.state import checkpoint as ck
+    from fineweb2_ro_ray.sources.rowgroups import list_parquet
 
     inp, n = corpus
     out = str(tmp_path / "scan_out")
-    input_files = set(ck._list_parquet(inp))
+    input_files = set(list_parquet(inp))
     reads = []
-    real_read = rd.read_parquet
+    real_read, real_parquet = rd.read_datasource, rd.read_parquet
 
-    def counting_read(paths, *a, **kw):
-        reads.append(set(paths if isinstance(paths, list) else [paths]) == input_files)
-        return real_read(paths, *a, **kw)
+    def counting_read(source, *a, **kw):
+        reads.append(set(source.files) == input_files)
+        return real_read(source, *a, **kw)
+
+    def other_read(*a, **kw):
+        reads.append(False)
+        return real_parquet(*a, **kw)
 
     built = []
 
@@ -148,7 +152,8 @@ def test_input_scanned_once_per_run(corpus, tmp_path, monkeypatch):
         built.append(ds)
         return annotate(ds, batch_size=512)
 
-    monkeypatch.setattr(rd, "read_parquet", counting_read)
+    monkeypatch.setattr(rd, "read_datasource", counting_read)
+    monkeypatch.setattr(rd, "read_parquet", other_read)
     s = run_resumable(inp, out, build, n_groups=4)
     assert s["groups_run"] == 4 and reads == [True]
 

@@ -6,6 +6,8 @@ scrubbed text (BASELINE.md acceptance gates)."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 
@@ -222,3 +224,36 @@ def test_transcript_wirings_never_probe_a_lazy_input(golden_path, monkeypatch):
 
     a, b = table(lazy), table(flagship)
     assert a.num_rows == 800 and a.equals(b)
+
+
+def test_flagship_fuses_read_annotate_thin(golden_path, tmp_path, monkeypatch):
+    """On a file of three row groups, ``run_flagship`` runs ONE fused
+    read → annotate → thin operator with one task per row group, and
+    leaves the process-global ``DataContext`` block size as it was."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    import fineweb2_ro_ray.stages.exchange as EX
+
+    path = str(tmp_path / "three_groups.parquet")
+    t = pq.read_table(golden_path)
+    pq.write_table(t, path, row_group_size=-(-t.num_rows // 3))
+    assert pq.read_metadata(path).num_row_groups == 3
+    before = DataContext.get_current().target_max_block_size
+    real = EX.hash_exchange_map_groups
+    thin: list = []
+
+    def spy(ds, *a, **kw):
+        thin.append(ds)
+        return real(ds, *a, **kw)
+
+    monkeypatch.setattr(EX, "hash_exchange_map_groups", spy)
+    assert run_flagship(path).count() == 800
+    ops = [line for line in thin[0].stats().splitlines() if line.startswith("Operator ")]
+    assert len(ops) == 1, ops
+    assert re.match(
+        r"Operator \d+ ReadRowGroup->MapBatches\(_annotate_block\)"
+        r"->MapBatches\(_thin_dropped\): 3 tasks executed",
+        ops[0],
+    ), ops[0]
+    assert DataContext.get_current().target_max_block_size == before
