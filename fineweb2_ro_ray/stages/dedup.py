@@ -20,6 +20,7 @@ Scale notes (100 TB):
 from __future__ import annotations
 
 import hashlib
+import logging
 from collections.abc import Callable
 
 import numpy as np
@@ -36,6 +37,8 @@ from .exchange import (
     run_rank,
     sorted_runs,
 )
+
+_log = logging.getLogger("fineweb2_ro_ray")
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -557,9 +560,33 @@ def attach_payload_exchange(
 # involved ids (8 B each) for an exact semi-join filter; past it the
 # corpus is filtered through the fixed 16 MB Bloom bitmap instead
 _INVOLVED_IDS_LIMIT = 1_000_000
-# ... and broadcasts the filtered payload with one ray.put while it
-# stays under this many bytes; past it, two keyed attach exchanges
+# score_pairs (the filtered payload) and near_dedup_full (the per-doc
+# cluster table) broadcast with one ray.put while the pull stays under
+# this many bytes; past it, keyed exchanges
 _BROADCAST_PAYLOAD_BYTES = 256 << 20
+
+
+def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
+    """Pull ``ds``'s blocks to the driver while their bytes stay under
+    ``_BROADCAST_PAYLOAD_BYTES`` — the one delivery rule of the
+    operators that broadcast a small side. Returns the blocks (possibly
+    none), or ``None`` once the bound is passed: the caller then takes
+    its exchange route. Logs the route taken on the package logger."""
+    pulled, nrows, nbytes = [], 0, 0
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        pulled.append(b)
+        nrows += b.num_rows
+        nbytes += b.nbytes
+        if nbytes > _BROADCAST_PAYLOAD_BYTES:
+            route, pulled = "exchange", None
+            break
+    else:
+        route = "broadcast"
+    _log.info(
+        "%s: %s route, %d rows / %d bytes pulled, bound %d bytes",
+        op, route, nrows, nbytes, _BROADCAST_PAYLOAD_BYTES,
+    )
+    return pulled
 
 
 def score_pairs(
@@ -588,11 +615,12 @@ def score_pairs(
       ``_INVOLVED_IDS_LIMIT``, else the Bloom semi-join (:mod:`.bloom`;
       its false positives only pad the payload);
     - delivery: the filtered payload is pulled ONCE (the filter runs
-      inside that pull) and broadcast with ``ray.put`` while it stays
-      under ``_BROADCAST_PAYLOAD_BYTES``, then scored in one map over
-      the pairs; past the bound the pull is abandoned and the payload
-      reaches the pairs through two :func:`attach_payload_exchange`
-      rounds, which never concentrate it anywhere.
+      inside that pull) by :func:`_pull_bounded` and broadcast with
+      ``ray.put`` while it stays under ``_BROADCAST_PAYLOAD_BYTES``,
+      then scored in one map over the pairs; past the bound the pull
+      is abandoned and the payload reaches the pairs through two
+      :func:`attach_payload_exchange` rounds, which never concentrate
+      it anywhere.
 
     Driver state is bounded by the two constants whatever the duplicate
     rate."""
@@ -624,13 +652,8 @@ def score_pairs(
         batch_format="pyarrow",
     )
 
-    pulled, nbytes = [], 0
-    for b in sub.iter_batches(batch_format="pyarrow", batch_size=None):
-        pulled.append(b)
-        nbytes += b.nbytes
-        if nbytes > _BROADCAST_PAYLOAD_BYTES:
-            break
-    else:
+    pulled = _pull_bounded(sub, "score_pairs")
+    if pulled is not None:
         if not pulled:
             return no_pairs()
         t = pa.concat_tables(pulled)
@@ -649,7 +672,6 @@ def score_pairs(
 
         return cand.map_batches(score_map, batch_format="pyarrow")
 
-    del pulled
     sub = sub.materialize()  # payload rows of involved ids; read by both rounds
     wa = attach_payload_exchange(
         cand, sub, key="doc_a", id_col=id_col, payload_col="_pay", out_col="_pa",
@@ -1337,13 +1359,18 @@ def near_dedup_full(
     composition is identical whichever candidate generator drives it.
 
     Scale shape: components run over the DEDUP-RATE-BOUNDED pair graph
-    (never the corpus); per-doc cluster sizes are computed inside ONE
-    keyed exchange on ``component`` (``np.unique`` counts per
-    partition — each component is wholly co-located); the corpus gets
-    its annotation through ONE hash-join exchange on the doc id, never
-    a corpus-wide broadcast. Docs in no pair never enter the component
-    machinery at all — they take the null side of the LEFT join and
-    are filled ``cluster_size=1, kept=True`` in-place.
+    (never the corpus), so the per-doc table (doc_id, component) holds
+    only docs that are in a pair. While it stays under
+    ``_BROADCAST_PAYLOAD_BYTES`` (:func:`_pull_bounded`, the delivery
+    rule :func:`score_pairs` uses) it is pulled once, cluster sizes are
+    counted on the driver, and the sorted (id, component, size) arrays
+    are broadcast with ``ray.put``: ONE streaming map then annotates
+    the corpus by ``searchsorted`` — the corpus itself is never
+    exchanged nor broadcast. Past the bound, cluster sizes come from ONE
+    keyed exchange on ``component`` (each component wholly co-located)
+    and the corpus is annotated through ONE LEFT hash-join exchange on
+    the doc id. On either route a doc in no pair, or with a null id, is
+    filled ``cluster_size=1, kept=True``.
 
     Returns ``ds``'s columns + ``cluster_size`` (int64) + ``kept``
     (bool) when ``keep_all=True``; with the default ``keep_all=False``
@@ -1368,19 +1395,48 @@ def near_dedup_full(
             }
         )
 
+    perdoc_schema = pa.schema(
+        [
+            pa.field("_nd_id", pa.int64()),
+            pa.field("_nd_component", pa.int64()),
+            pa.field("_nd_cluster_size", pa.int64()),
+        ]
+    )
+
+    pulled = _pull_bounded(comp, "near_dedup_full")
+    if pulled is not None:
+        perdoc = (
+            with_sizes(pa.concat_tables(pulled)).sort_by("_nd_id")
+            if pulled
+            else perdoc_schema.empty_table()
+        )
+        ref = ray.put(tuple(perdoc[c].to_numpy() for c in perdoc_schema.names))
+
+        def annotate(t: pa.Table) -> pa.Table:
+            ids, comps, sizes = ray.get(ref)
+            size = np.ones(t.num_rows, np.int64)
+            kept = np.ones(t.num_rows, bool)
+            if len(ids):
+                doc = t[id_col].cast(pa.int64())
+                d = pc.fill_null(doc, 0).to_numpy()
+                i = np.searchsorted(ids, d).clip(0, len(ids) - 1)
+                hit = pc.is_valid(doc).to_numpy() & (ids[i] == d)
+                size[hit] = sizes[i[hit]]
+                kept[hit] = comps[i[hit]] == d[hit]  # survivor: id == label
+            out = t.append_column("cluster_size", pa.array(size))
+            if keep_all:
+                return out.append_column("kept", pa.array(kept))
+            return out.filter(pa.array(kept))
+
+        return ds.map_batches(annotate, batch_format="pyarrow")
+
     perdoc = hash_exchange_map_groups(
         comp,
         with_sizes,
         key="component",
         # pinned: an EMPTY pair graph otherwise leaves the exchange
         # advertising its input schema, colliding with ds in the join
-        out_schema=pa.schema(
-            [
-                pa.field("_nd_id", pa.int64()),
-                pa.field("_nd_component", pa.int64()),
-                pa.field("_nd_cluster_size", pa.int64()),
-            ]
-        ),
+        out_schema=perdoc_schema,
     )
 
     from .joins import _arrow_schema

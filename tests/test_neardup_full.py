@@ -13,6 +13,7 @@ import pytest
 import ray
 import ray.data
 
+from fineweb2_ro_ray.stages import dedup
 from fineweb2_ro_ray.stages.dedup import (
     minhash_cluster_edges,
     minhash_dedup_full,
@@ -33,7 +34,14 @@ def _docs(rows):
     )
 
 
-def test_near_dedup_full_clusters_and_singletons(ray_session):
+# near_dedup_full's two delivery routes: the per-doc cluster table is
+# broadcast while it stays under dedup._BROADCAST_PAYLOAD_BYTES, and
+# reaches the corpus through a hash-join exchange past it (forced by a
+# bound of 0)
+ROUTES = {"broadcast": dedup._BROADCAST_PAYLOAD_BYTES, "exchange": 0}
+
+
+def test_near_dedup_full_clusters_and_singletons(ray_session, monkeypatch):
     # pair graph: {1,2,3} chained cluster, {10,11} cluster, 20/21 singletons
     docs = _docs(
         [(1, "a"), (2, "a"), (3, "a"), (10, "b"), (11, "b"), (20, "c"), (21, "d")]
@@ -46,31 +54,149 @@ def test_near_dedup_full_clusters_and_singletons(ray_session):
             }
         )
     )
-    out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
-    out = out.sort_values("doc_id", ignore_index=True)
-    assert list(out["doc_id"]) == [1, 2, 3, 10, 11, 20, 21]
-    assert list(out["cluster_size"]) == [3, 3, 3, 2, 2, 1, 1]
-    # survivor = MIN doc id per cluster; singletons always kept
-    assert list(out["kept"]) == [True, False, False, True, False, True, True]
-    # ds columns ride along untouched
-    assert "text" in out.columns
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
+        out = out.sort_values("doc_id", ignore_index=True)
+        assert list(out["doc_id"]) == [1, 2, 3, 10, 11, 20, 21], route
+        assert list(out["cluster_size"]) == [3, 3, 3, 2, 2, 1, 1], route
+        # survivor = MIN doc id per cluster; singletons always kept
+        assert list(out["kept"]) == [True, False, False, True, False, True, True], route
+        # ds columns ride along untouched, in front of the two new ones
+        assert list(out.columns) == ["doc_id", "text", "cluster_size", "kept"], route
+        assert list(out["text"]) == ["a", "a", "a", "b", "b", "c", "d"], route
 
-    survivors = near_dedup_full(docs, pairs).to_pandas()
-    assert sorted(survivors["doc_id"]) == [1, 10, 20, 21]
-    assert "kept" not in survivors.columns
+        survivors = near_dedup_full(docs, pairs).to_pandas()
+        assert sorted(survivors["doc_id"]) == [1, 10, 20, 21], route
+        assert list(survivors.columns) == ["doc_id", "text", "cluster_size"], route
 
 
-def test_near_dedup_full_no_pairs(ray_session):
+def test_near_dedup_full_no_pairs(ray_session, monkeypatch):
     docs = _docs([(5, "x"), (6, "y")])
     pairs = ray.data.from_arrow(
         pa.table(
             {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
         )
     )
-    out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
-    assert sorted(out["doc_id"]) == [5, 6]
-    assert set(out["cluster_size"]) == {1}
-    assert out["kept"].all()
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
+        assert sorted(out["doc_id"]) == [5, 6], route
+        assert set(out["cluster_size"]) == {1}, route
+        assert out["kept"].all(), route
+
+
+def test_near_dedup_full_routes_agree_on_null_ids_and_empty_blocks(ray_session, monkeypatch):
+    """Both delivery routes give the same rows on a corpus with null
+    doc ids, ids in no pair, pair ids not in the corpus, and an empty
+    first block. A null id keeps its row as a singleton, as a LEFT join
+    keeps a null key."""
+    schema = pa.schema([pa.field("doc_id", pa.int64()), pa.field("text", pa.string())])
+    t = pa.table(
+        {
+            "doc_id": pa.array([1, None, 2, 3, None, 7, 8, 0], pa.int64()),
+            "text": ["a", "n1", "a", "a", "n2", "b", "c", "z"],
+        },
+        schema=schema,
+    )
+    pairs = ray.data.from_arrow(
+        pa.table(
+            {
+                # 0 is an id of the corpus, so a null id read as 0 would
+                # match it; 99 is not in the corpus but counts in the
+                # size of {0, 7, 99}
+                "doc_a": pa.array([1, 2, 0, 7], pa.int64()),
+                "doc_b": pa.array([2, 3, 99, 99], pa.int64()),
+            }
+        )
+    )
+    want = pd.DataFrame(
+        {
+            "doc_id": [0, 1, 2, 3, 7, 8, None, None],
+            "text": ["z", "a", "a", "a", "b", "c", "n1", "n2"],
+            "cluster_size": [3, 3, 3, 3, 3, 1, 1, 1],
+            "kept": [True, True, False, False, False, True, True, True],
+        }
+    )
+    got = {}
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        docs = ray.data.from_arrow([schema.empty_table(), t])
+        for keep_all in (True, False):
+            out = near_dedup_full(docs, pairs, keep_all=keep_all).to_pandas()
+            got[route, keep_all] = out.sort_values(
+                ["doc_id", "text"], ignore_index=True
+            )
+    pd.testing.assert_frame_equal(got["broadcast", True], got["exchange", True])
+    pd.testing.assert_frame_equal(got["broadcast", False], got["exchange", False])
+    pd.testing.assert_frame_equal(got["broadcast", True], want, check_dtype=False)
+    survivors = want[want["kept"]].drop(columns="kept").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got["broadcast", False], survivors, check_dtype=False)
+
+
+def test_delivery_routes_are_logged(ray_session, monkeypatch, caplog):
+    """``score_pairs`` and ``near_dedup_full`` each log the delivery
+    route they take on the package logger, with what they pulled and
+    the bound."""
+    import logging
+
+    base = "the quick brown fox jumps over the lazy dog again and again"
+    docs = _docs([(i, base) for i in range(4)] + [(9, "a standalone document body")])
+    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        caplog.clear()
+        pairs = minhash_lsh_pairs(docs, threshold=0.5).select_columns(["doc_a", "doc_b"])
+        near_dedup_full(docs, pairs).materialize()
+        lines = {
+            r.getMessage().split(":")[0]: r.getMessage()
+            for r in caplog.records
+            if r.name == "fineweb2_ro_ray"
+        }
+        for op in ("score_pairs", "near_dedup_full"):
+            assert f"{op}: {route} route" in lines[op], lines
+            assert f"bound {bound} bytes" in lines[op], lines
+
+
+def test_minhash_dedup_full_never_probes_a_lazy_corpus(ray_session, monkeypatch, tmp_path):
+    """On a lazy ``read_parquet(...).map_batches(...)`` corpus (the
+    ``neardup`` benchmark's ``read_docs`` shape) no schema lookup needs
+    to execute anything: a probe runs the corpus to its first block and
+    cancels the rest of its tasks."""
+    import pyarrow.parquet as pq
+
+    from ray.data import Dataset
+
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
+    t = pa.table(
+        {
+            "doc_id": pa.array(range(40), pa.int64()),
+            "text": [
+                base if i % 4 == 0 else hashlib.sha256(str(i).encode()).hexdigest()
+                for i in range(40)
+            ],
+        }
+    )
+    for i in range(4):
+        pq.write_table(t.slice(10 * i, 10), tmp_path / f"part-{i}.parquet")
+    docs = ray.data.read_parquet(str(tmp_path)).map_batches(
+        lambda b: b.select(["doc_id", "text"]), batch_format="pyarrow"
+    )
+
+    real = Dataset.schema
+    probed: list = []
+
+    def checked(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            probed.append(real(self, fetch_if_missing=False))
+        return real(self, fetch_if_missing)
+
+    monkeypatch.setattr(Dataset, "schema", checked)
+    out = minhash_dedup_full(docs, keep_all=True).to_pandas()
+    monkeypatch.undo()
+    assert all(s is not None for s in probed), probed
+    assert len(out) == 40
+    assert out.loc[out["doc_id"] == 0, "cluster_size"].item() == 10
 
 
 def _random_pair_graph(seed: int) -> tuple[pd.DataFrame, np.ndarray]:
@@ -123,7 +249,8 @@ def _duckdb_components(pairs: pd.DataFrame) -> pd.DataFrame:
 def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
     """``connected_components`` and ``near_dedup_full`` against a DuckDB
     recursive-CTE component oracle on random pair graphs, through both
-    component paths: the driver union-find and label propagation."""
+    component paths (the driver union-find and label propagation), each
+    crossed with both of ``near_dedup_full``'s delivery routes."""
     import functools
 
     from fineweb2_ro_ray.stages import components
@@ -152,20 +279,23 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
         )
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-        monkeypatch.setattr(
-            components,
-            "connected_components",
-            functools.partial(real_cc, driver_edge_limit=limit),
-        )
-        out = (
-            near_dedup_full(docs, ds_pairs, keep_all=True, n_partitions=7)
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-        )
-        pd.testing.assert_frame_equal(
-            out[["doc_id", "cluster_size", "kept"]], want_docs, check_dtype=False
-        )
-        assert (out["text"] == "t" + out["doc_id"].astype(str)).all()
+        for route, bound in ROUTES.items():  # both delivery routes
+            monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+            monkeypatch.setattr(
+                components,
+                "connected_components",
+                functools.partial(real_cc, driver_edge_limit=limit),
+            )
+            out = (
+                near_dedup_full(docs, ds_pairs, keep_all=True, n_partitions=7)
+                .to_pandas()
+                .sort_values("doc_id", ignore_index=True)
+            )
+            pd.testing.assert_frame_equal(
+                out[["doc_id", "cluster_size", "kept"]], want_docs, check_dtype=False,
+                obj=f"{route} route, driver_edge_limit={limit}",
+            )
+            assert (out["text"] == "t" + out["doc_id"].astype(str)).all()
 
 
 def test_minhash_dedup_full_end_to_end(ray_session):
