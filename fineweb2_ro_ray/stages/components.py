@@ -19,19 +19,31 @@ logarithmic in the component size (a shuffled 1000-node chain: ~10
 rounds; neighbor-min plus the jump alone took 260-490); near-dup
 clusters are dense (quasi-cliques), so 2–3 rounds in practice.
 
-Scale shape per round: two keyed attach exchanges
+Two routes, chosen by edge count after ONE execution of ``pairs``
+(the cast edge blocks stay in the object store, their row counts come
+from block metadata): a graph at or under ``driver_edge_limit`` edges is
+fetched to the driver and solved there by vectorized label propagation;
+a larger one runs the distributed rounds over those same blocks. Each
+call logs the route it took on the package logger.
+
+Scale shape per distributed round: two keyed attach exchanges
 (:func:`~fineweb2_ro_ray.stages.dedup.attach_payload_exchange`) ship
 (edge-endpoint, 8-byte label) rows, then one groupby-min over thin
-(node, candidate) rows. Nothing ever concentrates the graph on the
-driver; the edge list is materialized once in the object store.
+(node, candidate) rows; past the limit nothing concentrates the graph
+on the driver.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 
+import ray
 import ray.data
+
+_log = logging.getLogger("fineweb2_ro_ray")
 
 
 def connected_components(
@@ -45,15 +57,37 @@ def connected_components(
     """(doc_id, component) for every node appearing in ``pairs``, where
     ``component`` is the MIN node id of its connected component.
 
-    Path selection (the broadcast-vs-shuffle rule): an edge list under
-    ``driver_edge_limit`` (16 B/edge — the DEDUPED near-dup pair set,
-    not the corpus) is solved with a driver union-find in one pass; a
-    larger graph runs the distributed label propagation, whose per-
-    round exchanges only pay off once the graph itself is beyond one
-    machine. Both paths are exact and equality-tested."""
+    ``pairs`` executes once. Route selection (the broadcast-vs-shuffle
+    rule): an edge list at or under ``driver_edge_limit`` rows (16
+    B/edge — the DEDUPED near-dup pair set, not the corpus) is fetched
+    and solved on the driver in one pass; a larger graph runs the
+    distributed label propagation over the same edge blocks, whose
+    per-round exchanges only pay off once the graph itself is beyond
+    one machine. Both routes are exact and equality-tested; the route
+    taken is logged at INFO on ``logging.getLogger("fineweb2_ro_ray")``."""
+    comp = _component_labels(
+        pairs, a_col=a_col, b_col=b_col, max_iter=max_iter,
+        driver_edge_limit=driver_edge_limit,
+    )
+    return ray.data.from_arrow(comp) if isinstance(comp, pa.Table) else comp
+
+
+def _component_labels(
+    pairs: ray.data.Dataset,
+    *,
+    a_col: str = "doc_a",
+    b_col: str = "doc_b",
+    max_iter: int = 25,
+    driver_edge_limit: int = 2_000_000,
+) -> pa.Table | ray.data.Dataset:
+    """:func:`connected_components` without the final wrap: the driver
+    route returns its (doc_id, component) table as it is on the driver,
+    so a caller that consumes it there (``near_dedup_full``) skips the
+    object-store round trip; the label-propagation route returns the
+    Dataset."""
     from .dedup import attach_payload_exchange
 
-    edges = pairs.map_batches(
+    cast = pairs.map_batches(
         lambda t: pa.table(
             {
                 "a": t[a_col].cast(pa.int64()),
@@ -61,15 +95,27 @@ def connected_components(
             }
         ),
         batch_format="pyarrow",
-    ).materialize()
+    )
+    # the one execution of pairs: keep the non-empty cast blocks (an
+    # empty input block comes back schema-less) and count their rows
+    refs, n_edges = [], 0
+    for bundle in cast.iter_internal_ref_bundles():
+        for r, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.num_rows:
+                refs.append(r)
+                n_edges += meta.num_rows
+    route = "driver" if n_edges <= driver_edge_limit else "label propagation"
+    _log.info(
+        "connected_components: %s route, %d edge rows, driver_edge_limit %d",
+        route, n_edges, driver_edge_limit,
+    )
 
-    if edges.count() <= driver_edge_limit:
-        ea, eb = [], []
-        for t in edges.iter_batches(batch_format="pyarrow"):
+    if route == "driver":
+        ea, eb = [np.array([], np.int64)], [np.array([], np.int64)]
+        for t in ray.get(refs):
             ea.append(t["a"].to_numpy(zero_copy_only=False))
             eb.append(t["b"].to_numpy(zero_copy_only=False))
-        a = np.concatenate(ea) if ea else np.array([], np.int64)
-        b = np.concatenate(eb) if eb else np.array([], np.int64)
+        a, b = np.concatenate(ea), np.concatenate(eb)
         nodes = np.unique(np.concatenate([a, b]))
         ia = np.searchsorted(nodes, a)
         ib = np.searchsorted(nodes, b)
@@ -94,14 +140,14 @@ def connected_components(
             if np.array_equal(new, lab):
                 break
             lab = new
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_id": pa.array(nodes, pa.int64()),
-                    "component": pa.array(nodes[lab], pa.int64()),
-                }
-            )
+        return pa.table(
+            {
+                "doc_id": pa.array(nodes, pa.int64()),
+                "component": pa.array(nodes[lab], pa.int64()),
+            }
         )
+
+    edges = ray.data.from_arrow_refs(refs)
 
     def init_labels(t: pa.Table) -> pa.Table:
         u = np.unique(

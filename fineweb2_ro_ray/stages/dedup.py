@@ -566,14 +566,19 @@ _INVOLVED_IDS_LIMIT = 1_000_000
 _BROADCAST_PAYLOAD_BYTES = 256 << 20
 
 
-def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
+def _pull_bounded(ds: ray.data.Dataset | pa.Table, op: str) -> list[pa.Table] | None:
     """Pull ``ds``'s blocks to the driver while their bytes stay under
     ``_BROADCAST_PAYLOAD_BYTES`` — the one delivery rule of the
     operators that broadcast a small side. Returns the blocks (possibly
     none), or ``None`` once the bound is passed: the caller then takes
-    its exchange route. Logs the route taken on the package logger."""
+    its exchange route. A table already on the driver is measured the
+    same way, with no pull. Logs the route taken on the package logger."""
+    blocks = (
+        [ds] if isinstance(ds, pa.Table)
+        else ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    )
     pulled, nrows, nbytes = [], 0, 0
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+    for b in blocks:
         pulled.append(b)
         nrows += b.num_rows
         nbytes += b.nbytes
@@ -587,6 +592,41 @@ def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
         op, route, nrows, nbytes, _BROADCAST_PAYLOAD_BYTES,
     )
     return pulled
+
+
+# Streaming settings of the two corpus passes of near-dedup (the
+# signature/explode pass ahead of the bucket exchange and the annotate
+# map), applied by _stream_ahead.
+# Blocks a read or map task may run ahead of the executor. Ray's
+# default of 2 keeps a task that splits its output (a one-file read
+# yields ~15 blocks) holding a CPU slot until consumers drained all but
+# two of them; 16 covers such a task's whole output.
+_STREAM_AHEAD_BLOCKS = 16
+# The executor's estimate of one task's output before a task of the
+# operator finished. Ray's default is the 128 MiB target_max_block_size,
+# which against Ray Data's share of a small object store admits only 2-3
+# map tasks at a time; the corpus passes' blocks are well under 4 MiB,
+# and a larger output is only split into 4 MiB blocks.
+_STREAM_BLOCK_BYTES = 4 << 20
+
+
+def _stream_ahead(d: ray.data.Dataset) -> ray.data.Dataset:
+    """``d`` on its own copy of its DataContext, carrying the streaming
+    settings above. Works around two Ray 2.49.2 behaviours: a streaming
+    task may run only ``_max_num_blocks_in_streaming_gen_buffer`` (2)
+    blocks ahead of the executor, and until an operator's first task
+    finishes the executor sizes each task's output at
+    ``target_max_block_size`` (128 MiB).
+
+    ``d`` must be a Dataset the engine derived itself: a derived
+    Dataset shares its parent's DataContext object, so the settings go
+    on a copy, and ``Dataset.copy(_deep_copy=True)`` relinks only
+    ``d``'s logical plan to it. The caller's Dataset, its plan and the
+    process-global context are never written."""
+    out = ray.data.Dataset.copy(d, _deep_copy=True)
+    out.context._max_num_blocks_in_streaming_gen_buffer = _STREAM_AHEAD_BLOCKS
+    out.context.target_max_block_size = _STREAM_BLOCK_BYTES
+    return out
 
 
 def score_pairs(
@@ -1360,16 +1400,18 @@ def near_dedup_full(
 
     Scale shape: components run over the DEDUP-RATE-BOUNDED pair graph
     (never the corpus), so the per-doc table (doc_id, component) holds
-    only docs that are in a pair. While it stays under
+    only docs that are in a pair. The components' driver route leaves
+    that table on the driver; their label-propagation route leaves a
+    Dataset, pulled once. While it stays under
     ``_BROADCAST_PAYLOAD_BYTES`` (:func:`_pull_bounded`, the delivery
-    rule :func:`score_pairs` uses) it is pulled once, cluster sizes are
-    counted on the driver, and the sorted (id, component, size) arrays
-    are broadcast with ``ray.put``: ONE streaming map then annotates
-    the corpus by ``searchsorted`` — the corpus itself is never
-    exchanged nor broadcast. Past the bound, cluster sizes come from ONE
-    keyed exchange on ``component`` (each component wholly co-located)
-    and the corpus is annotated through ONE LEFT hash-join exchange on
-    the doc id. On either route a doc in no pair, or with a null id, is
+    rule :func:`score_pairs` uses), cluster sizes are counted on the
+    driver, and the sorted (id, component, size) arrays are broadcast
+    with ``ray.put``: ONE streaming map (on :func:`_stream_ahead`'s
+    settings) then annotates the corpus by ``searchsorted`` — the
+    corpus itself is never exchanged nor broadcast. Past the bound,
+    cluster sizes come from ONE keyed exchange on ``component`` (each
+    component wholly co-located) and the corpus is annotated through
+    ONE LEFT hash-join exchange on the doc id. On either route a doc in no pair, or with a null id, is
     filled ``cluster_size=1, kept=True``.
 
     Returns ``ds``'s columns + ``cluster_size`` (int64) + ``kept``
@@ -1379,10 +1421,12 @@ def near_dedup_full(
     """
     import pyarrow.compute as pc
 
-    from .components import connected_components
+    from . import components
     from .joins import hash_join
 
-    comp = connected_components(pairs)  # (doc_id, component); label == min id
+    # (doc_id, component), label == min id: a driver-side table on the
+    # components' driver route, a Dataset past it
+    comp = components._component_labels(pairs)
 
     def with_sizes(t: pa.Table) -> pa.Table:
         comp = t["component"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1428,10 +1472,10 @@ def near_dedup_full(
                 return out.append_column("kept", pa.array(kept))
             return out.filter(pa.array(kept))
 
-        return ds.map_batches(annotate, batch_format="pyarrow")
+        return _stream_ahead(ds.map_batches(annotate, batch_format="pyarrow"))
 
     perdoc = hash_exchange_map_groups(
-        comp,
+        ray.data.from_arrow(comp) if isinstance(comp, pa.Table) else comp,
         with_sizes,
         key="component",
         # pinned: an EMPTY pair graph otherwise leaves the exchange
@@ -1495,9 +1539,11 @@ def minhash_cluster_edges(
     rows = num_perm // bands
     if sigs is None:
         sigs = minhash_signatures(ds, k=k, num_perm=num_perm)
-    exploded = sigs.map_batches(
-        lambda b: _explode_bands_thin(b, bands, rows, id_col),
-        batch_format="pyarrow",
+    exploded = _stream_ahead(
+        sigs.map_batches(
+            lambda b: _explode_bands_thin(b, bands, rows, id_col),
+            batch_format="pyarrow",
+        )
     )
     pair_schema = pa.schema(
         [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]

@@ -298,6 +298,159 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
             assert (out["text"] == "t" + out["doc_id"].astype(str)).all()
 
 
+def test_near_dedup_full_over_label_propagation_components(ray_session, monkeypatch, caplog):
+    """``near_dedup_full`` takes the components' label-propagation
+    Dataset (not their driver-side table) through both delivery routes,
+    against the DuckDB component oracle."""
+    import functools
+    import logging
+
+    from fineweb2_ro_ray.stages import components
+
+    pairs, doc_ids = _random_pair_graph(3)
+    want = _duckdb_components(pairs)
+    size = want.groupby("component")["doc_id"].transform("size")
+    cluster = dict(zip(want["doc_id"], zip(want["component"], size)))
+    ids = np.sort(doc_ids)
+    want_docs = pd.DataFrame(
+        {
+            "doc_id": ids,
+            "cluster_size": [cluster.get(d, (d, 1))[1] for d in ids],
+            "kept": [cluster.get(d, (d, 1))[0] == d for d in ids],
+        }
+    )
+    docs = ray.data.from_arrow(pa.table({"doc_id": doc_ids, "text": [f"t{d}" for d in doc_ids]}))
+    monkeypatch.setattr(
+        components,
+        "_component_labels",
+        functools.partial(components._component_labels, driver_edge_limit=0),
+    )
+    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        caplog.clear()
+        out = (
+            near_dedup_full(docs, ray.data.from_pandas(pairs).repartition(5), keep_all=True)
+            .to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+        )
+        pd.testing.assert_frame_equal(
+            out[["doc_id", "cluster_size", "kept"]], want_docs, check_dtype=False, obj=route
+        )
+        assert any(
+            r.getMessage().startswith("connected_components: label propagation route")
+            for r in caplog.records
+        ), route
+
+
+def _default_edge_limit() -> int:
+    import inspect
+
+    from fineweb2_ro_ray.stages.components import connected_components
+
+    return inspect.signature(connected_components).parameters["driver_edge_limit"].default
+
+
+def test_component_routes_are_logged(ray_session, caplog):
+    """``connected_components`` logs one line per call: the route, the
+    edge rows and the limit."""
+    import logging
+
+    from fineweb2_ro_ray.stages.components import connected_components
+
+    pairs = ray.data.from_arrow(
+        pa.table({"doc_a": pa.array([1, 2, 10], pa.int64()), "doc_b": pa.array([2, 3, 11], pa.int64())})
+    )
+    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
+    for limit, route in ((_default_edge_limit(), "driver"), (0, "label propagation")):
+        caplog.clear()
+        comp = connected_components(pairs, driver_edge_limit=limit).to_pandas()
+        assert dict(zip(comp["doc_id"], comp["component"])) == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10}
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "fineweb2_ro_ray" and r.getMessage().startswith("connected_components:")
+        ]
+        assert lines == [
+            f"connected_components: {route} route, 3 edge rows, driver_edge_limit {limit}"
+        ]
+
+
+def test_connected_components_executes_pairs_once(ray_session, tmp_path):
+    """A lazy ``pairs`` Dataset runs each of its blocks once on either
+    route: the route is chosen from the executed blocks' metadata, and
+    label propagation starts from those same blocks."""
+    import os
+
+    from fineweb2_ro_ray.stages.components import connected_components
+
+    blocks = [
+        pa.table({"doc_a": pa.array([10 * i, 10 * i + 1], pa.int64()),
+                  "doc_b": pa.array([10 * i + 1, 10 * i + 2], pa.int64())})
+        for i in range(4)
+    ]
+    for limit in (_default_edge_limit(), 0):
+        marks = tmp_path / f"limit-{limit}"
+        marks.mkdir()
+
+        def record(t: pa.Table, marks: str = str(marks)) -> pa.Table:
+            with open(os.path.join(marks, str(t["doc_a"][0].as_py())), "a") as f:
+                f.write("x")
+            return t
+
+        pairs = ray.data.from_arrow(blocks).map_batches(
+            record, batch_format="pyarrow", batch_size=None
+        )
+        comp = connected_components(pairs, driver_edge_limit=limit).to_pandas()
+        assert dict(zip(comp["doc_id"], comp["component"])) == {
+            10 * i + j: 10 * i for i in range(4) for j in range(3)
+        }
+        assert sorted(os.listdir(marks)) == sorted(str(10 * i) for i in range(4))
+        assert {(marks / f).read_text() for f in os.listdir(marks)} == {"x"}, limit
+
+
+def test_streaming_settings_stay_off_the_callers_context(ray_session, monkeypatch):
+    """The near-dedup corpus passes run on their own DataContext copy:
+    after both funnels ran, the caller's Dataset, its logical plan and
+    the process-global context hold their original streaming settings,
+    while the bucket exchange's input and the returned Datasets carry
+    the engine's."""
+    from ray.data import DataContext
+
+    keys = ("_max_num_blocks_in_streaming_gen_buffer", "target_max_block_size")
+    base = "the quick brown fox jumps over the lazy dog again and again"
+    # a derived Dataset, which shares its parent's context object
+    docs = _docs([(i, base) for i in range(4)] + [(9, "a standalone document body")]).map_batches(
+        lambda t: t, batch_format="pyarrow"
+    )
+    pairs = ray.data.from_arrow(
+        pa.table({"doc_a": pa.array([0, 1], pa.int64()), "doc_b": pa.array([1, 2], pa.int64())})
+    )
+    callers = (docs.context, docs._logical_plan.context, DataContext.get_current())
+    before = [{k: getattr(c, k) for k in keys} for c in callers]
+    seen = []
+    real = dedup.hash_exchange_map_groups
+
+    def spy(ds, *args, **kwargs):
+        seen.append({k: getattr(ds.context, k) for k in keys})
+        return real(ds, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "hash_exchange_map_groups", spy)
+    outs = [minhash_dedup_full(docs, keep_all=True), near_dedup_full(docs, pairs, keep_all=True)]
+    for out in outs:
+        out.materialize()
+    engine = {
+        "_max_num_blocks_in_streaming_gen_buffer": dedup._STREAM_AHEAD_BLOCKS,
+        "target_max_block_size": dedup._STREAM_BLOCK_BYTES,
+    }
+    assert seen[0] == engine  # the signature pass feeding the bucket exchange
+    assert [{k: getattr(c, k) for k in keys} for c in callers] == before
+    assert before[0] != engine
+    for out in outs:
+        assert out.context is not docs.context
+        assert {k: getattr(out.context, k) for k in keys} == engine
+
+
 def test_minhash_dedup_full_end_to_end(ray_session):
     # two exact-duplicate families + distinct docs: LSH must pair the
     # identical texts (identical signatures collide in every band)
