@@ -566,19 +566,14 @@ _INVOLVED_IDS_LIMIT = 1_000_000
 _BROADCAST_PAYLOAD_BYTES = 256 << 20
 
 
-def _pull_bounded(ds: ray.data.Dataset | pa.Table, op: str) -> list[pa.Table] | None:
+def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
     """Pull ``ds``'s blocks to the driver while their bytes stay under
     ``_BROADCAST_PAYLOAD_BYTES`` — the one delivery rule of the
     operators that broadcast a small side. Returns the blocks (possibly
     none), or ``None`` once the bound is passed: the caller then takes
-    its exchange route. A table already on the driver is measured the
-    same way, with no pull. Logs the route taken on the package logger."""
-    blocks = (
-        [ds] if isinstance(ds, pa.Table)
-        else ds.iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    its exchange route. Logs the route taken on the package logger."""
     pulled, nrows, nbytes = [], 0, 0
-    for b in blocks:
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
         pulled.append(b)
         nrows += b.num_rows
         nbytes += b.nbytes
@@ -594,38 +589,50 @@ def _pull_bounded(ds: ray.data.Dataset | pa.Table, op: str) -> list[pa.Table] | 
     return pulled
 
 
-# Streaming settings of the two corpus passes of near-dedup (the
-# signature/explode pass ahead of the bucket exchange and the annotate
-# map), applied by _stream_ahead.
-# Blocks a read or map task may run ahead of the executor. Ray's
-# default of 2 keeps a task that splits its output (a one-file read
-# yields ~15 blocks) holding a CPU slot until consumers drained all but
-# two of them; 16 covers such a task's whole output.
-_STREAM_AHEAD_BLOCKS = 16
-# The executor's estimate of one task's output before a task of the
-# operator finished. Ray's default is the 128 MiB target_max_block_size,
-# which against Ray Data's share of a small object store admits only 2-3
-# map tasks at a time; the corpus passes' blocks are well under 4 MiB,
-# and a larger output is only split into 4 MiB blocks.
-_STREAM_BLOCK_BYTES = 4 << 20
-
-
 def _stream_ahead(d: ray.data.Dataset) -> ray.data.Dataset:
-    """``d`` on its own copy of its DataContext, carrying the streaming
-    settings above. Works around two Ray 2.49.2 behaviours: a streaming
-    task may run only ``_max_num_blocks_in_streaming_gen_buffer`` (2)
-    blocks ahead of the executor, and until an operator's first task
-    finishes the executor sizes each task's output at
-    ``target_max_block_size`` (128 MiB).
+    """``d`` with a streaming buffer that holds one read task's whole
+    output, on its own copy of its DataContext. Works around a Ray
+    2.49.2 behaviour: a streaming task may run only
+    ``_max_num_blocks_in_streaming_gen_buffer`` (2) blocks ahead of the
+    executor. A read with fewer tasks than Ray's target parallelism
+    splits each task's output into k blocks (``SplitBlocks(k)``; a
+    16 MB one-file corpus at 4 CPUs reads as one task with k = 15), and
+    such a task holds its CPU slot until consumers drained all but two.
 
-    ``d`` must be a Dataset the engine derived itself: a derived
-    Dataset shares its parent's DataContext object, so the settings go
-    on a copy, and ``Dataset.copy(_deep_copy=True)`` relinks only
-    ``d``'s logical plan to it. The caller's Dataset, its plan and the
-    process-global context are never written."""
+    k is taken, before anything executes, from the planner rule that
+    later applies it (``compute_additional_split_factor``), for every
+    read in ``d``'s plan; the buffer becomes the largest k. When no read
+    splits past the buffer (a corpus of enough files), ``d`` is
+    returned as it is.
+
+    ``d`` must be a Dataset the engine derived and executes itself:
+    its whole plan, the caller's read and maps included, runs under the
+    copy. A derived Dataset shares its parent's DataContext object, so
+    the setting goes on a copy, and ``Dataset.copy(_deep_copy=True)``
+    relinks only ``d``'s logical plan to it: the caller's Dataset, its
+    plan and the process-global context are never written."""
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.logical.rules.set_read_parallelism import (
+        compute_additional_split_factor,
+    )
+
+    split, ops = 1, [d._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        ops.extend(op.input_dependencies)
+        if isinstance(op, Read):
+            *_, k = compute_additional_split_factor(
+                op._datasource_or_legacy_reader,
+                op._parallelism,
+                op._mem_size,
+                d.context.target_max_block_size,
+            )
+            split = max(split, k or 1)
+    buffer = d.context._max_num_blocks_in_streaming_gen_buffer
+    if buffer is None or split <= buffer:
+        return d
     out = ray.data.Dataset.copy(d, _deep_copy=True)
-    out.context._max_num_blocks_in_streaming_gen_buffer = _STREAM_AHEAD_BLOCKS
-    out.context.target_max_block_size = _STREAM_BLOCK_BYTES
+    out.context._max_num_blocks_in_streaming_gen_buffer = split
     return out
 
 
@@ -1401,18 +1408,19 @@ def near_dedup_full(
     Scale shape: components run over the DEDUP-RATE-BOUNDED pair graph
     (never the corpus), so the per-doc table (doc_id, component) holds
     only docs that are in a pair. The components' driver route leaves
-    that table on the driver; their label-propagation route leaves a
-    Dataset, pulled once. While it stays under
-    ``_BROADCAST_PAYLOAD_BYTES`` (:func:`_pull_bounded`, the delivery
-    rule :func:`score_pairs` uses), cluster sizes are counted on the
-    driver, and the sorted (id, component, size) arrays are broadcast
-    with ``ray.put``: ONE streaming map (on :func:`_stream_ahead`'s
-    settings) then annotates the corpus by ``searchsorted`` — the
-    corpus itself is never exchanged nor broadcast. Past the bound,
-    cluster sizes come from ONE keyed exchange on ``component`` (each
-    component wholly co-located) and the corpus is annotated through
-    ONE LEFT hash-join exchange on the doc id. On either route a doc in no pair, or with a null id, is
-    filled ``cluster_size=1, kept=True``.
+    that table on the driver, where it is used as it is; their
+    label-propagation route leaves a Dataset, pulled once while it
+    stays under ``_BROADCAST_PAYLOAD_BYTES`` (:func:`_pull_bounded`, the
+    delivery rule :func:`score_pairs` uses). Either way, cluster sizes
+    are then counted on the driver and the sorted (id, component, size)
+    arrays are broadcast with ``ray.put``: ONE streaming map then
+    annotates the corpus by ``searchsorted`` — the corpus itself is
+    never exchanged nor broadcast. Past the bound, cluster sizes come
+    from ONE keyed exchange on ``component`` (each component wholly
+    co-located) and the corpus is annotated through ONE LEFT hash-join
+    exchange on the doc id. On either route a doc in no pair, or with a
+    null id, is filled ``cluster_size=1, kept=True``. The returned
+    Dataset derives from ``ds`` and keeps its DataContext.
 
     Returns ``ds``'s columns + ``cluster_size`` (int64) + ``kept``
     (bool) when ``keep_all=True``; with the default ``keep_all=False``
@@ -1447,7 +1455,13 @@ def near_dedup_full(
         ]
     )
 
-    pulled = _pull_bounded(comp, "near_dedup_full")
+    # the driver route's table holds at most 2 x driver_edge_limit ids
+    # (64 MB at the 2M default), always under _BROADCAST_PAYLOAD_BYTES:
+    # it is broadcast with no bound check and no delivery log line
+    if isinstance(comp, pa.Table):
+        pulled = [comp]
+    else:
+        pulled = _pull_bounded(comp, "near_dedup_full")
     if pulled is not None:
         perdoc = (
             with_sizes(pa.concat_tables(pulled)).sort_by("_nd_id")
@@ -1472,10 +1486,10 @@ def near_dedup_full(
                 return out.append_column("kept", pa.array(kept))
             return out.filter(pa.array(kept))
 
-        return _stream_ahead(ds.map_batches(annotate, batch_format="pyarrow"))
+        return ds.map_batches(annotate, batch_format="pyarrow")
 
     perdoc = hash_exchange_map_groups(
-        ray.data.from_arrow(comp) if isinstance(comp, pa.Table) else comp,
+        comp,
         with_sizes,
         key="component",
         # pinned: an EMPTY pair graph otherwise leaves the exchange
@@ -1539,6 +1553,8 @@ def minhash_cluster_edges(
     rows = num_perm // bands
     if sigs is None:
         sigs = minhash_signatures(ds, k=k, num_perm=num_perm)
+    # the bucket exchange executes this Dataset itself, so the corpus
+    # read under it may stream a split read task's blocks ahead
     exploded = _stream_ahead(
         sigs.map_batches(
             lambda b: _explode_bands_thin(b, bands, rows, id_col),

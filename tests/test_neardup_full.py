@@ -3,7 +3,9 @@ window op (VERDICT r4 #5)."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 
 import numpy as np
 import pandas as pd
@@ -13,7 +15,7 @@ import pytest
 import ray
 import ray.data
 
-from fineweb2_ro_ray.stages import dedup
+from fineweb2_ro_ray.stages import components, dedup
 from fineweb2_ro_ray.stages.dedup import (
     minhash_cluster_edges,
     minhash_dedup_full,
@@ -39,6 +41,28 @@ def _docs(rows):
 # reaches the corpus through a hash-join exchange past it (forced by a
 # bound of 0)
 ROUTES = {"broadcast": dedup._BROADCAST_PAYLOAD_BYTES, "exchange": 0}
+_COMPONENT_LABELS = components._component_labels
+
+
+def _on_route(monkeypatch, route: str) -> None:
+    """Put ``near_dedup_full`` on one delivery ``route``. The exchange
+    route also takes the components' label-propagation route (limit 0):
+    their driver route leaves a driver-side table, which is always
+    broadcast. An empty pair graph takes the driver route at any limit,
+    so it is broadcast on both."""
+    limit = _default_edge_limit() if route == "broadcast" else 0
+    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", ROUTES[route])
+    monkeypatch.setattr(
+        components,
+        "_component_labels",
+        functools.partial(_COMPONENT_LABELS, driver_edge_limit=limit),
+    )
+
+
+def _default_edge_limit() -> int:
+    return inspect.signature(components.connected_components).parameters[
+        "driver_edge_limit"
+    ].default
 
 
 def test_near_dedup_full_clusters_and_singletons(ray_session, monkeypatch):
@@ -54,8 +78,8 @@ def test_near_dedup_full_clusters_and_singletons(ray_session, monkeypatch):
             }
         )
     )
-    for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+    for route in ROUTES:
+        _on_route(monkeypatch, route)
         out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
         out = out.sort_values("doc_id", ignore_index=True)
         assert list(out["doc_id"]) == [1, 2, 3, 10, 11, 20, 21], route
@@ -78,8 +102,8 @@ def test_near_dedup_full_no_pairs(ray_session, monkeypatch):
             {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
         )
     )
-    for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+    for route in ROUTES:
+        _on_route(monkeypatch, route)
         out = near_dedup_full(docs, pairs, keep_all=True).to_pandas()
         assert sorted(out["doc_id"]) == [5, 6], route
         assert set(out["cluster_size"]) == {1}, route
@@ -119,8 +143,8 @@ def test_near_dedup_full_routes_agree_on_null_ids_and_empty_blocks(ray_session, 
         }
     )
     got = {}
-    for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+    for route in ROUTES:
+        _on_route(monkeypatch, route)
         docs = ray.data.from_arrow([schema.empty_table(), t])
         for keep_all in (True, False):
             out = near_dedup_full(docs, pairs, keep_all=keep_all).to_pandas()
@@ -143,19 +167,38 @@ def test_delivery_routes_are_logged(ray_session, monkeypatch, caplog):
     base = "the quick brown fox jumps over the lazy dog again and again"
     docs = _docs([(i, base) for i in range(4)] + [(9, "a standalone document body")])
     caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
-    for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
-        caplog.clear()
+
+    def logged() -> dict[str, str]:
         pairs = minhash_lsh_pairs(docs, threshold=0.5).select_columns(["doc_a", "doc_b"])
         near_dedup_full(docs, pairs).materialize()
-        lines = {
+        return {
             r.getMessage().split(":")[0]: r.getMessage()
             for r in caplog.records
             if r.name == "fineweb2_ro_ray"
         }
+
+    # a components Dataset (their label-propagation route) is pulled
+    # under the bound on both routes
+    for route, bound in ROUTES.items():
+        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        monkeypatch.setattr(
+            components,
+            "_component_labels",
+            functools.partial(_COMPONENT_LABELS, driver_edge_limit=0),
+        )
+        caplog.clear()
+        lines = logged()
         for op in ("score_pairs", "near_dedup_full"):
             assert f"{op}: {route} route" in lines[op], lines
             assert f"bound {bound} bytes" in lines[op], lines
+    # the components' driver-side table is broadcast as it is: no pull,
+    # no delivery line, even under a bound of 0
+    monkeypatch.setattr(components, "_component_labels", _COMPONENT_LABELS)
+    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", 0)
+    caplog.clear()
+    lines = logged()
+    assert lines["connected_components"].startswith("connected_components: driver route"), lines
+    assert "near_dedup_full" not in lines, lines
 
 
 def test_minhash_dedup_full_never_probes_a_lazy_corpus(ray_session, monkeypatch, tmp_path):
@@ -250,11 +293,8 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
     """``connected_components`` and ``near_dedup_full`` against a DuckDB
     recursive-CTE component oracle on random pair graphs, through both
     component paths (the driver union-find and label propagation), each
-    crossed with both of ``near_dedup_full``'s delivery routes."""
-    import functools
-
-    from fineweb2_ro_ray.stages import components
-
+    crossed with both of ``near_dedup_full``'s delivery bounds (the
+    driver path's table is broadcast under either)."""
     pairs, doc_ids = _random_pair_graph(seed)
     want = _duckdb_components(pairs)
     size = want.groupby("component")["doc_id"].transform("size")
@@ -283,8 +323,8 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
             monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
             monkeypatch.setattr(
                 components,
-                "connected_components",
-                functools.partial(real_cc, driver_edge_limit=limit),
+                "_component_labels",
+                functools.partial(_COMPONENT_LABELS, driver_edge_limit=limit),
             )
             out = (
                 near_dedup_full(docs, ds_pairs, keep_all=True, n_partitions=7)
@@ -296,59 +336,6 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
                 obj=f"{route} route, driver_edge_limit={limit}",
             )
             assert (out["text"] == "t" + out["doc_id"].astype(str)).all()
-
-
-def test_near_dedup_full_over_label_propagation_components(ray_session, monkeypatch, caplog):
-    """``near_dedup_full`` takes the components' label-propagation
-    Dataset (not their driver-side table) through both delivery routes,
-    against the DuckDB component oracle."""
-    import functools
-    import logging
-
-    from fineweb2_ro_ray.stages import components
-
-    pairs, doc_ids = _random_pair_graph(3)
-    want = _duckdb_components(pairs)
-    size = want.groupby("component")["doc_id"].transform("size")
-    cluster = dict(zip(want["doc_id"], zip(want["component"], size)))
-    ids = np.sort(doc_ids)
-    want_docs = pd.DataFrame(
-        {
-            "doc_id": ids,
-            "cluster_size": [cluster.get(d, (d, 1))[1] for d in ids],
-            "kept": [cluster.get(d, (d, 1))[0] == d for d in ids],
-        }
-    )
-    docs = ray.data.from_arrow(pa.table({"doc_id": doc_ids, "text": [f"t{d}" for d in doc_ids]}))
-    monkeypatch.setattr(
-        components,
-        "_component_labels",
-        functools.partial(components._component_labels, driver_edge_limit=0),
-    )
-    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
-    for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
-        caplog.clear()
-        out = (
-            near_dedup_full(docs, ray.data.from_pandas(pairs).repartition(5), keep_all=True)
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-        )
-        pd.testing.assert_frame_equal(
-            out[["doc_id", "cluster_size", "kept"]], want_docs, check_dtype=False, obj=route
-        )
-        assert any(
-            r.getMessage().startswith("connected_components: label propagation route")
-            for r in caplog.records
-        ), route
-
-
-def _default_edge_limit() -> int:
-    import inspect
-
-    from fineweb2_ro_ray.stages.components import connected_components
-
-    return inspect.signature(connected_components).parameters["driver_edge_limit"].default
 
 
 def test_component_routes_are_logged(ray_session, caplog):
@@ -409,46 +396,60 @@ def test_connected_components_executes_pairs_once(ray_session, tmp_path):
         assert {(marks / f).read_text() for f in os.listdir(marks)} == {"x"}, limit
 
 
-def test_streaming_settings_stay_off_the_callers_context(ray_session, monkeypatch):
-    """The near-dedup corpus passes run on their own DataContext copy:
-    after both funnels ran, the caller's Dataset, its logical plan and
-    the process-global context hold their original streaming settings,
-    while the bucket exchange's input and the returned Datasets carry
-    the engine's."""
+def test_streaming_settings_stay_off_the_callers_context(ray_session, monkeypatch, tmp_path):
+    """The signature pass runs on its own DataContext copy whose
+    streaming buffer holds a split read task's whole output; a corpus
+    whose read does not split keeps Ray's buffer. After both funnels
+    ran, the caller's Dataset, its logical plan and the process-global
+    context hold their original streaming settings, and the returned
+    Datasets keep the caller's."""
+    import pyarrow.parquet as pq
+
     from ray.data import DataContext
 
-    keys = ("_max_num_blocks_in_streaming_gen_buffer", "target_max_block_size")
+    key = "_max_num_blocks_in_streaming_gen_buffer"
     base = "the quick brown fox jumps over the lazy dog again and again"
-    # a derived Dataset, which shares its parent's context object
-    docs = _docs([(i, base) for i in range(4)] + [(9, "a standalone document body")]).map_batches(
-        lambda t: t, batch_format="pyarrow"
+    t = pa.table(
+        {
+            "doc_id": pa.array([0, 1, 2, 3, 9], pa.int64()),
+            "text": [base] * 4 + ["a standalone document body"],
+        }
     )
+    pq.write_table(t, tmp_path / "one.parquet")
+    (tmp_path / "five").mkdir()
+    for i in range(5):
+        pq.write_table(t.slice(i, 1), tmp_path / "five" / f"part-{i}.parquet")
     pairs = ray.data.from_arrow(
         pa.table({"doc_a": pa.array([0, 1], pa.int64()), "doc_b": pa.array([1, 2], pa.int64())})
     )
-    callers = (docs.context, docs._logical_plan.context, DataContext.get_current())
-    before = [{k: getattr(c, k) for k in keys} for c in callers]
     seen = []
     real = dedup.hash_exchange_map_groups
 
     def spy(ds, *args, **kwargs):
-        seen.append({k: getattr(ds.context, k) for k in keys})
+        seen.append(getattr(ds.context, key))
         return real(ds, *args, **kwargs)
 
     monkeypatch.setattr(dedup, "hash_exchange_map_groups", spy)
-    outs = [minhash_dedup_full(docs, keep_all=True), near_dedup_full(docs, pairs, keep_all=True)]
-    for out in outs:
-        out.materialize()
-    engine = {
-        "_max_num_blocks_in_streaming_gen_buffer": dedup._STREAM_AHEAD_BLOCKS,
-        "target_max_block_size": dedup._STREAM_BLOCK_BYTES,
+    default = getattr(DataContext.get_current(), key)
+    corpora = {
+        # one file read as 8 blocks: one read task, its output split 8 ways
+        8: ray.data.read_parquet(str(tmp_path / "one.parquet"), override_num_blocks=8),
+        # five files read as 5 blocks: one unsplit block per task
+        default: ray.data.read_parquet(str(tmp_path / "five"), override_num_blocks=5),
     }
-    assert seen[0] == engine  # the signature pass feeding the bucket exchange
-    assert [{k: getattr(c, k) for k in keys} for c in callers] == before
-    assert before[0] != engine
-    for out in outs:
-        assert out.context is not docs.context
-        assert {k: getattr(out.context, k) for k in keys} == engine
+    for want, read in corpora.items():
+        # a derived Dataset, which shares its parent's context object
+        docs = read.map_batches(lambda b: b, batch_format="pyarrow")
+        callers = (docs.context, docs._logical_plan.context, DataContext.get_current())
+        before = [getattr(c, key) for c in callers]
+        seen.clear()
+        outs = [minhash_dedup_full(docs, keep_all=True), near_dedup_full(docs, pairs, keep_all=True)]
+        for out in outs:
+            assert len(out.materialize().to_pandas()) == 5
+        assert seen[0] == want  # the signature pass feeding the bucket exchange
+        assert [getattr(c, key) for c in callers] == before == [default] * 3
+        for out in outs:
+            assert getattr(out.context, key) == default
 
 
 def test_minhash_dedup_full_end_to_end(ray_session):
