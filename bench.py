@@ -218,10 +218,7 @@ def run_bench() -> dict:
             return pa.table({"doc_id": u, "text": t["text"]})
 
         out = remove_duplicate_spans(
-            ds.map_batches(uid, batch_format="pyarrow"),
-            k=8,
-            min_count=2,
-            max_broadcast=4_000_000,
+            ds.map_batches(uid, batch_format="pyarrow"), k=8, min_count=2
         )
         return out.count()
 

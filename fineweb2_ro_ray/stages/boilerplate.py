@@ -17,9 +17,10 @@ Shapes (both exact; selected by ``strategy``):
   ``(unit, n_docs_in_batch)`` partial per distinct unit (a document
   never spans batches, so per-batch distinct-doc counts sum exactly);
   the reduce keeps units with total >= min_docs. That heavy set is by
-  construction <= total_units / min_docs distinct values; when it fits
-  ``max_broadcast`` it ships once via ``ray.put`` and every batch
-  rebuilds its documents map-side with zero further shuffle.
+  construction <= total_units / min_docs distinct values; while its
+  pull stays under the broadcast bound (``joins._pull_bounded``) it
+  ships once via ``ray.put`` and every batch rebuilds its documents
+  map-side with zero further shuffle.
 - ``exchange`` — when the heavy set is too large to broadcast: ANTI
   hash-join the exploded units against the heavy set (one keyed
   exchange), then reassemble documents with a second exchange keyed on
@@ -41,6 +42,7 @@ import ray
 import ray.data
 
 from .exchange import hash_exchange_map_groups
+from .joins import _pull_bounded
 
 
 def _split_col(t: pa.Table, text_col: str, sep: str) -> pa.Array:
@@ -160,7 +162,6 @@ def remove_frequent_units(
     sep: str = "\n",
     min_docs: int = 2,
     strategy: str = "auto",
-    max_broadcast: int = 2_000_000,
     n_reducers: int | None = None,
     out_col: str = "text_clean",
 ) -> ray.data.Dataset:
@@ -175,22 +176,16 @@ def remove_frequent_units(
     heavy = heavy_units(
         ds, text_col=text_col, sep=sep, min_docs=min_docs, n_reducers=n_reducers
     )
-    # count() is cheap here: the DF exchange is a barrier, so `heavy` is
-    # backed by materialized reduce outputs — this never re-scans the corpus
-    n_heavy = heavy.count()
-    if strategy == "broadcast" and n_heavy > max_broadcast:
-        raise ValueError(
-            f"heavy set ({n_heavy}) exceeds max_broadcast ({max_broadcast})"
-        )
-    use_broadcast = strategy == "broadcast" or (
-        strategy == "auto" and n_heavy <= max_broadcast
-    )
+    # the DF exchange is a barrier, so `heavy` is backed by materialized
+    # reduce outputs: the pull never re-scans the corpus
+    pulled = None if strategy == "exchange" else _pull_bounded(heavy, "remove_frequent_units")
+    if strategy == "broadcast" and pulled is None:
+        raise ValueError("heavy set exceeds the broadcast bound; use strategy='exchange'")
 
-    if use_broadcast:
-        hdf = heavy.to_pandas()  # bounded by max_broadcast (checked above)
+    if pulled is not None:
         heavy_arr = (
-            pa.array(hdf["unit"].to_numpy(), pa.string())
-            if "unit" in hdf.columns
+            pa.concat_tables(pulled)["unit"].combine_chunks().cast(pa.string())
+            if pulled
             else pa.array([], pa.string())  # empty heavy set
         )
         ref = ray.put(heavy_arr)
@@ -214,7 +209,9 @@ def remove_frequent_units(
     from .joins import hash_join
 
     units = explode_units(ds, text_col=text_col, id_col=id_col, sep=sep)
-    if n_heavy == 0:
+    # past the bound the heavy set is non-empty; only a forced exchange
+    # can meet an empty one, which has no schema to join on
+    if strategy == "exchange" and heavy.count() == 0:
         survivors = units  # nothing to scrub; still reassemble (drops NULL text)
     else:
         heavy_r = heavy.map_batches(

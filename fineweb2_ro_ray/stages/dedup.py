@@ -20,7 +20,6 @@ Scale notes (100 TB):
 from __future__ import annotations
 
 import hashlib
-import logging
 from collections.abc import Callable
 
 import numpy as np
@@ -37,8 +36,7 @@ from .exchange import (
     run_rank,
     sorted_runs,
 )
-
-_log = logging.getLogger("fineweb2_ro_ray")
+from .joins import _pull_bounded
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -560,33 +558,6 @@ def attach_payload_exchange(
 # involved ids (8 B each) for an exact semi-join filter; past it the
 # corpus is filtered through the fixed 16 MB Bloom bitmap instead
 _INVOLVED_IDS_LIMIT = 1_000_000
-# score_pairs (the filtered payload) and near_dedup_full (the per-doc
-# cluster table) broadcast with one ray.put while the pull stays under
-# this many bytes; past it, keyed exchanges
-_BROADCAST_PAYLOAD_BYTES = 256 << 20
-
-
-def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
-    """Pull ``ds``'s blocks to the driver while their bytes stay under
-    ``_BROADCAST_PAYLOAD_BYTES`` — the one delivery rule of the
-    operators that broadcast a small side. Returns the blocks (possibly
-    none), or ``None`` once the bound is passed: the caller then takes
-    its exchange route. Logs the route taken on the package logger."""
-    pulled, nrows, nbytes = [], 0, 0
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        pulled.append(b)
-        nrows += b.num_rows
-        nbytes += b.nbytes
-        if nbytes > _BROADCAST_PAYLOAD_BYTES:
-            route, pulled = "exchange", None
-            break
-    else:
-        route = "broadcast"
-    _log.info(
-        "%s: %s route, %d rows / %d bytes pulled, bound %d bytes",
-        op, route, nrows, nbytes, _BROADCAST_PAYLOAD_BYTES,
-    )
-    return pulled
 
 
 def _stream_ahead(d: ray.data.Dataset) -> ray.data.Dataset:
@@ -662,8 +633,8 @@ def score_pairs(
       ``_INVOLVED_IDS_LIMIT``, else the Bloom semi-join (:mod:`.bloom`;
       its false positives only pad the payload);
     - delivery: the filtered payload is pulled ONCE (the filter runs
-      inside that pull) by :func:`_pull_bounded` and broadcast with
-      ``ray.put`` while it stays under ``_BROADCAST_PAYLOAD_BYTES``,
+      inside that pull) by :func:`.joins._pull_bounded` and broadcast
+      with ``ray.put`` while it stays under the broadcast bound,
       then scored in one map over the pairs; past the bound the pull
       is abandoned and the payload reaches the pairs through two
       :func:`attach_payload_exchange` rounds, which never concentrate
@@ -1410,7 +1381,7 @@ def near_dedup_full(
     only docs that are in a pair. The components' driver route leaves
     that table on the driver, where it is used as it is; their
     label-propagation route leaves a Dataset, pulled once while it
-    stays under ``_BROADCAST_PAYLOAD_BYTES`` (:func:`_pull_bounded`, the
+    stays under the broadcast bound (:func:`.joins._pull_bounded`, the
     delivery rule :func:`score_pairs` uses). Either way, cluster sizes
     are then counted on the driver and the sorted (id, component, size)
     arrays are broadcast with ``ray.put``: ONE streaming map then
@@ -1456,7 +1427,7 @@ def near_dedup_full(
     )
 
     # the driver route's table holds at most 2 x driver_edge_limit ids
-    # (64 MB at the 2M default), always under _BROADCAST_PAYLOAD_BYTES:
+    # (64 MB at the 2M default), always under the broadcast bound:
     # it is broadcast with no bound check and no delivery log line
     if isinstance(comp, pa.Table):
         pulled = [comp]

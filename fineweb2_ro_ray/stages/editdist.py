@@ -380,7 +380,6 @@ def editdistance_pairs_distributed(
     text_col: str = "text",
     group_col: str | None = None,
     q: int = 3,
-    df_broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """All pairs (``doc_a`` < ``doc_b``, same ``group_col`` when given)
     with byte-level Levenshtein distance <= ``max_dist``; emits
@@ -391,19 +390,18 @@ def editdistance_pairs_distributed(
     Document-frequency attach is broadcast-vs-shuffle selected
     (round-5): the (group, gram) count table is combiner-thin (one
     ``grouped_counts`` pass — bounded by the q-byte gram alphabet, not
-    the corpus), so when it fits ``df_broadcast_limit`` it ships ONCE
-    via ``ray.put`` and Ed-Join prefix selection folds into the
-    explode map — a doc's gram rows are batch-local by construction
-    and never enter an exchange at all (the previous shape paid TWO
+    the corpus), so it is pulled once by :func:`.joins._pull_bounded`
+    and, under the broadcast bound, ships ONCE via ``ray.put`` and
+    merges inside the one prefix exchange (the previous shape paid TWO
     full-gram-stream exchanges, df-attach on gram then prefix on doc;
-    measured 1.9 s of a 5.9 s sf0.1 run). Past the limit the original
-    two-exchange path runs unchanged. Both paths produce the SAME
-    candidate set: prefix order is (df, gram) under identical counts,
-    and the exact verify is downstream either way."""
+    measured 1.9 s of a 5.9 s sf0.1 run). Past the bound the
+    two-exchange path runs. Both paths produce the SAME candidate set:
+    prefix order is (df, gram) under identical counts, and the exact
+    verify is downstream either way."""
     from .analysis import grouped_counts
     from .dedup import _PAIR_SCHEMA, _distinct_pairs, score_pairs
     from .exchange import hash_exchange_map_groups, run_rank, sorted_runs
-    from .joins import _broadcast_cached_get
+    from .joins import _broadcast_cached_get, _pull_bounded
 
     k, qq = int(max_dist), int(q)
     grp = group_col
@@ -440,14 +438,18 @@ def editdistance_pairs_distributed(
     # text bytes) and consumed twice on the broadcast path (thin count
     # + prefix exchange) — materialize once, let the store spill
     gram_rows = gram_rows.materialize()
-    counts = grouped_counts(gram_rows.select_columns(gkey), gkey)
-    n_gram_keys = counts.count()
-    if n_gram_keys <= df_broadcast_limit:
+    counts = _pull_bounded(
+        grouped_counts(gram_rows.select_columns(gkey), gkey),
+        "editdistance_pairs_distributed",
+    )
+    if counts is not None:
         # broadcast path: the combiner-thin (group, gram) count table
         # ships ONCE via ray.put and merges inside the one prefix
         # exchange — the full-gram-stream df-attach exchange the
         # original shape paid is gone entirely
-        lut_ref = ray.put(pa.concat_tables(ray.get(counts.to_arrow_refs())))
+        lut_ref = ray.put(
+            pa.concat_tables(counts) if counts else pa.table({"n": pa.array([], pa.int64())})
+        )
 
         def take_prefix_bcast(g: pa.Table) -> pa.Table:
             lut = _broadcast_cached_get(lut_ref)
@@ -483,7 +485,7 @@ def editdistance_pairs_distributed(
 
     prefixes = hash_exchange_map_groups(
         gram_rows,
-        take_prefix_bcast if n_gram_keys <= df_broadcast_limit else take_prefix,
+        take_prefix if counts is None else take_prefix_bcast,
         key=dkey,
     )
 

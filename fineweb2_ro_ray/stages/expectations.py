@@ -21,8 +21,10 @@ Checks:
   violate; pair with not_null to bound them).
 - ``foreign_key(col, ref_ds, ref_col)`` — orphan count == 0 via a
   broadcast distinct set when the reference is small (dimension
-  tables), documented to swap for the Bloom semi-join
-  (``stages.bloom``) past the broadcast bound.
+  tables): the reference's distinct values come from one keyed
+  exchange and are pulled under the broadcast bound
+  (``joins._pull_bounded``); past it the pull stops mid-stream and the
+  check refuses, naming the Bloom semi-join (``stages.bloom``).
 
 The report is SQL-oracle-checkable: every metric is a count or a fixed
 float expression a SQL engine reproduces bit-for-bit.
@@ -41,7 +43,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .exchange import aggregate_table, hash_exchange_map_groups
+from . import joins
+from .exchange import aggregate_table, exchange_distinct, hash_exchange_map_groups
 
 
 @dataclass(frozen=True)
@@ -70,29 +73,30 @@ def foreign_key(col: str, ref_ds: ray.data.Dataset, ref_col: str) -> Check:
     return Check("foreign_key", col, ref=(ref_ds, ref_col))
 
 
-def validate(
-    ds: ray.data.Dataset,
-    checks: list[Check],
-    *,
-    fk_broadcast_limit: int = 5_000_000,
-) -> pd.DataFrame:
+def validate(ds: ray.data.Dataset, checks: list[Check]) -> pd.DataFrame:
     """Run every check; returns the report frame
     ``(check, column, metric, passed)`` ordered as given. Scans the
     input once per *scan group*: all not_null/in_range/foreign_key
-    checks share ONE map pass; each unique() adds one thin exchange."""
+    checks share ONE map pass; each unique() adds one thin exchange.
+    Each foreign_key reference adds one distinct exchange whose output
+    is pulled under the broadcast bound (``joins._pull_bounded``); past
+    it the check raises ``ValueError`` before the scan."""
     simple = [c for c in checks if c.kind in ("not_null", "in_range", "foreign_key")]
     fk_sets: dict[int, Any] = {}
     for i, c in enumerate(checks):
         if c.kind == "foreign_key":
             ref_ds, ref_col = c.ref
-            vals = ref_ds.select_columns([ref_col]).unique(ref_col)
-            if len(vals) > fk_broadcast_limit:
+            vals = joins._pull_bounded(exchange_distinct(ref_ds, ref_col), "validate")
+            if vals is None:
                 raise ValueError(
-                    f"foreign_key({c.col}): reference has {len(vals)} distinct "
-                    f"values > broadcast limit {fk_broadcast_limit}; route this "
-                    "check through stages.bloom (membership semi-join) instead"
+                    f"foreign_key({c.col}): reference distinct values exceed the "
+                    f"broadcast limit of {joins._BROADCAST_PAYLOAD_BYTES} bytes; "
+                    "route this check through stages.bloom (membership "
+                    "semi-join) instead"
                 )
-            fk_sets[i] = ray.put(pa.array(sorted(vals, key=lambda v: (v is None, v))))
+            fk_sets[i] = ray.put(
+                pa.concat_tables(vals)[ref_col].combine_chunks() if vals else pa.array([])
+            )
 
     # one shared pass for all row-local checks: per batch emit one thin
     # row of counters per check
@@ -117,9 +121,7 @@ def validate(
                 rows.append((i, b.num_rows, int(bad)))
             elif c.kind == "foreign_key":
                 col = b[c.col]
-                ref = fk_sets[i]
-                ref_arr = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-                present = pc.is_in(col, ref_arr)
+                present = pc.is_in(col, ray.get(fk_sets[i]))
                 orphan = pc.sum(
                     pc.cast(
                         pc.and_(pc.is_valid(col), pc.invert(present)), pa.int64()

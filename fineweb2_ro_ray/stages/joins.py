@@ -19,6 +19,7 @@ one ``take`` per column instead of a frame conversion each way."""
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Callable
 
 import numpy as np
@@ -30,24 +31,25 @@ import ray.data
 from ..schema import hash_key_u64
 from .exchange import key_codes
 
+_log = logging.getLogger("fineweb2_ro_ray")
+
+
+def _null_as_string(s: pa.Schema) -> pa.Schema:
+    """``s`` with every ``null``-typed field typed string. Arrow infers
+    ``null`` for a pandas object column whose values are all None (a
+    1-row peek, or a block of such rows); that column is string-typed
+    in every non-degenerate block, and a genuinely all-null column
+    casts to string losslessly — pinned so padded or joined blocks
+    share one schema."""
+    return pa.schema(
+        [pa.field(f.name, pa.string()) if pa.types.is_null(f.type) else f for f in s]
+    )
+
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
     """The dataset's schema as a real Arrow schema — from_pandas
     datasets report a PandasBlockSchema, so fall back to peeking one
     batch."""
-    def resolve_null_fields(s: pa.Schema) -> pa.Schema:
-        # a 1-row peek of a pandas-block dataset infers `null` for an
-        # object column whose sampled values are all None; such a
-        # column is string-typed in every non-degenerate block, and a
-        # genuinely all-null column casts to string losslessly — pin
-        # it so the exchange's padded blocks share one schema
-        return pa.schema(
-            [
-                pa.field(f.name, pa.string()) if pa.types.is_null(f.type) else f
-                for f in s
-            ]
-        )
-
     sch_obj = ds.schema()
     if sch_obj is None:
         # only reachable on a ZERO-ROW dataset downstream of a lazy
@@ -61,9 +63,9 @@ def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
         )
     sch = sch_obj.base_schema
     if isinstance(sch, pa.Schema):
-        return resolve_null_fields(sch)
+        return _null_as_string(sch)
     for b in ds.limit(1).iter_batches(batch_format="pyarrow"):
-        return resolve_null_fields(b.schema)
+        return _null_as_string(b.schema)
     # 0-row pandas-block dataset yields no batches: derive from the
     # pandas block schema (object dtype ~ string — the only ambiguity,
     # and only reachable on an EMPTY input)
@@ -532,7 +534,6 @@ def broadcast_join(
     key: str | list[str],
     right_key: str | list[str],
     how: str = "inner",
-    max_build_rows: int = 5_000_000,
 ) -> ray.data.Dataset:
     """Map-side equality join against a SMALL build side: ``right`` is
     collected once, ``ray.put`` into the object store, and every left
@@ -544,46 +545,41 @@ def broadcast_join(
     right side's unmatched rows can't be tracked across independent
     left batches without a shuffle).
 
-    ``max_build_rows`` guards the driver: collection aborts as soon as
-    the build side exceeds it (stream is abandoned mid-pull, same
-    pattern as the id pull of ``dedup.score_pairs``)."""
+    The build side is pulled by :func:`_pull_bounded`: past
+    ``_BROADCAST_PAYLOAD_BYTES`` the pull stops mid-stream and the join
+    refuses with a ``ValueError`` naming ``hash_join``. The left side
+    is never probed for its schema: each output table's schema is the
+    left batch's own plus the build side's."""
     assert how in ("inner", "left"), how
     kl = [key] if isinstance(key, str) else list(key)
     rkl = [right_key] if isinstance(right_key, str) else list(right_key)
     assert len(kl) == len(rkl), (kl, rkl)
-    l_schema = _arrow_schema(left)
-    l_cols = l_schema.names
 
-    # collect the build side with a hard row cap (bail mid-stream)
-    parts: list[pa.Table] = []
-    n = 0
-    for b in right.iter_batches(batch_format="pyarrow", batch_size=None):
-        for kc in rkl:  # SQL: null keys never match — drop at build
-            b = b.filter(pc.is_valid(b[kc]))
-        parts.append(b)
-        n += b.num_rows
-        if n > max_build_rows:
-            raise ValueError(
-                f"broadcast_join build side exceeds max_build_rows="
-                f"{max_build_rows}; use hash_join"
-            )
+    parts = _pull_bounded(right, "broadcast_join")
+    if parts is None:
+        raise ValueError(
+            f"broadcast_join build side exceeds the broadcast bound of "
+            f"{_BROADCAST_PAYLOAD_BYTES} bytes; use hash_join"
+        )
     if parts:
         # permissive promotion: per-batch Arrow inference may type an
         # all-null object column as `null` in some batches
         rt = pa.concat_tables(parts, promote_options="permissive").combine_chunks()
+        for kc in rkl:  # SQL: null keys never match — drop at build
+            rt = rt.filter(pc.is_valid(rt[kc]))
     else:
         # only the empty-build case needs the schema peek (which may
         # re-execute a pandas-block right pipeline)
         rt = _arrow_schema(right).empty_table()
     r_cols = rt.schema.names
-    overlap = set(l_cols) & set(r_cols)
-    assert not overlap, f"rename overlapping columns first: {overlap}"
-    out_fields = [l_schema.field(c) for c in l_cols] + [rt.schema.field(c) for c in r_cols]
-    out_schema = pa.schema(out_fields)
     rref = ray.put(rt)
 
     def per_batch(b: pa.Table) -> pa.Table:
         rt = _broadcast_cached_get(rref)
+        l_cols = b.column_names
+        overlap = set(l_cols) & set(r_cols)
+        assert not overlap, f"rename overlapping columns first: {overlap}"
+        out_schema = pa.schema(list(_null_as_string(b.schema)) + list(rt.schema))
         anynull = pc.is_null(b[kl[0]])
         for kc in kl[1:]:
             anynull = pc.or_(anynull, pc.is_null(b[kc]))
@@ -617,6 +613,37 @@ def _broadcast_cached_get(ref):
             _BROADCAST_CACHE.clear()
         _BROADCAST_CACHE[k] = v
     return v
+
+
+# every operator that ships a small side to its workers pulls it to the
+# driver while the pulled blocks stay under this many bytes; past it,
+# each takes its exchange route or refuses with an error naming one
+_BROADCAST_PAYLOAD_BYTES = 256 << 20
+
+
+def _pull_bounded(ds: ray.data.Dataset, op: str) -> list[pa.Table] | None:
+    """Pull ``ds``'s blocks to the driver while their bytes stay under
+    ``_BROADCAST_PAYLOAD_BYTES`` — the one delivery rule of the
+    operators that broadcast a small side. Returns the blocks (possibly
+    none), or ``None`` once the bound is passed: the pull stops
+    mid-stream and the caller takes its exchange route, or, where it
+    has none of its own, refuses with an error that names one. Logs
+    the route on the package logger."""
+    pulled, nrows, nbytes = [], 0, 0
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        pulled.append(b)
+        nrows += b.num_rows
+        nbytes += b.nbytes
+        if nbytes > _BROADCAST_PAYLOAD_BYTES:
+            route, pulled = "exchange", None
+            break
+    else:
+        route = "broadcast"
+    _log.info(
+        "%s: %s route, %d rows / %d bytes pulled, bound %d bytes",
+        op, route, nrows, nbytes, _BROADCAST_PAYLOAD_BYTES,
+    )
+    return pulled
 
 
 def cogroup(

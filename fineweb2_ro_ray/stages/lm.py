@@ -11,25 +11,25 @@ and filter a target corpus by perplexity.
 
 Shape:
 
-- **fit** — ONE ``map_batches`` pass emits per-batch Arrow ``group_by``
-  count partials for unigrams AND in-document adjacent bigrams as one
-  union table (``w2`` null ⇒ unigram row); ONE thin keyed exchange
-  sums them exactly (integer counts, order-free). Only (gram, count)
-  rows ever shuffle — never the corpus. ``total_tokens`` and the
-  ``min_count`` prune are computed DISTRIBUTED on the summed counts;
-  the driver pulls only the pruned tables, which are then a
+- **fit** — ONE ``map_batches`` pass emits the raw unigram AND
+  in-document adjacent bigram rows of each batch as one (w1, w2) table
+  (``w2`` null ⇒ unigram row); :func:`.exchange.exchange_aggregate`
+  combines each batch map-side once and ONE thin keyed exchange sums
+  the partials exactly (integer counts, order-free). Only (gram,
+  count) rows ever shuffle — never the corpus. ``total_tokens`` and
+  the ``min_count`` prune are computed DISTRIBUTED on the summed
+  counts; the driver pulls only the pruned tables, which are then a
   broadcast-sized artifact like any other frozen scorer state.
 - **artifact** — :func:`save_lm_artifact` persists the pruned counts
   as hash-partitioned Parquet (``part=K/counts.parquet`` + meta.json,
   the ``stages.incremental`` layout) WITHOUT the counts ever visiting
   the driver — the 100-TB fit path, where even the pruned bigram table
-  can reach tens of GB. :func:`score_word_bigram_artifact` routes by
-  artifact size: under ``max_broadcast_bytes`` it loads once and
-  broadcasts (``ray.put``); above, a ``WordBigramScorer`` actor pool
-  loads the artifact once per actor in ``__init__`` (bounded by
-  ``max_actor_bytes`` — past that, score via a keyed exchange join of
-  packed pair keys against the partitioned counts; not yet needed at
-  any min_count-pruned size we can produce).
+  can reach tens of GB. :func:`score_word_bigram_artifact` loads an
+  artifact under the broadcast bound (``joins._BROADCAST_PAYLOAD_BYTES``,
+  compared with its on-disk bytes) once and broadcasts it
+  (``ray.put``); past the bound it refuses, naming
+  :func:`score_word_bigram_exchange`, a keyed exchange join of packed
+  pair keys against the partitioned counts that holds at any size.
 - **score** — the model is ``ray.put`` once; each batch maps words to
   vocab ids via ONE ``index_in`` against the model vocabulary (exact,
   no hashing — OOV becomes the UNK id), packs adjacent in-document id
@@ -54,13 +54,13 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import joins
 from .boilerplate import _split_col
 from .exchange import exchange_aggregate, hash_exchange_map_groups
 
-_COUNT1_SCHEMA = pa.schema([("w", pa.string()), ("n", pa.int64())])
-_COUNT2_SCHEMA = pa.schema(
+_GRAM_SCHEMA = pa.schema(
     [("w1", pa.string()), ("w2", pa.string()), ("n", pa.int64())]
-)
+)  # w2 null ⇒ unigram row (gram_counts)
 
 
 def _batch_words(t: pa.Table, text_col: str) -> tuple[pa.Array, np.ndarray]:
@@ -73,63 +73,22 @@ def _batch_words(t: pa.Table, text_col: str) -> tuple[pa.Array, np.ndarray]:
     return flat.filter(keep), parents[keep_np]
 
 
-def unigram_counts(
-    ds: ray.data.Dataset, *, text_col: str = "text", min_count: int = 1
-) -> ray.data.Dataset:
-    """(w, n) — exact corpus-wide word counts ≥ min_count; per-batch
-    Arrow group_by partials, thin keyed exchange sum."""
-
-    def uni_partials(t: pa.Table) -> pa.Table:
-        flat, _ = _batch_words(t, text_col)
-        if len(flat) == 0:
-            return _COUNT1_SCHEMA.empty_table()
-        g = pa.table({"w": flat}).group_by("w").aggregate([("w", "count")])
-        return pa.table({"w": g["w"], "n": g["w_count"].cast(pa.int64())})
-
-    out = exchange_aggregate(
-        ds.map_batches(uni_partials, batch_format="pyarrow"),
-        "w",
-        [("n", "sum", "n")],
-        out_schema=_COUNT1_SCHEMA,
-    )
-    if min_count > 1:
-        out = out.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["n"], min_count)),
-            batch_format="pyarrow",
-        )
-    return out
-
-
 def bigram_counts(
     ds: ray.data.Dataset, *, text_col: str = "text", min_count: int = 1
 ) -> ray.data.Dataset:
     """(w1, w2, n) — exact corpus-wide counts of in-document ADJACENT
     word pairs (empty words dropped before adjacency) ≥ min_count."""
 
-    def bi_partials(t: pa.Table) -> pa.Table:
+    def bigrams(t: pa.Table) -> pa.Table:
         flat, parents = _batch_words(t, text_col)
-        if len(flat) < 2:
-            return _COUNT2_SCHEMA.empty_table()
-        same = parents[:-1] == parents[1:]
-        idx = np.flatnonzero(same)
-        if len(idx) == 0:
-            return _COUNT2_SCHEMA.empty_table()
-        w1 = flat.take(pa.array(idx, pa.int64()))
-        w2 = flat.take(pa.array(idx + 1, pa.int64()))
-        g = (
-            pa.table({"w1": w1, "w2": w2})
-            .group_by(["w1", "w2"])
-            .aggregate([("w1", "count")])
-        )
-        return pa.table(
-            {"w1": g["w1"], "w2": g["w2"], "n": g["w1_count"].cast(pa.int64())}
-        )
+        idx = pa.array(np.flatnonzero(parents[:-1] == parents[1:]), pa.int64())
+        return pa.table({"w1": flat.take(idx), "w2": flat.take(pc.add(idx, 1))})
 
     out = exchange_aggregate(
-        ds.map_batches(bi_partials, batch_format="pyarrow"),
+        ds.map_batches(bigrams, batch_format="pyarrow"),
         ["w1", "w2"],
-        [("n", "sum", "n")],
-        out_schema=_COUNT2_SCHEMA,
+        [(None, "size", "n")],
+        out_schema=_GRAM_SCHEMA,
     )
     if min_count > 1:
         out = out.map_batches(
@@ -137,11 +96,6 @@ def bigram_counts(
             batch_format="pyarrow",
         )
     return out
-
-
-_GRAM_SCHEMA = pa.schema(
-    [("w1", pa.string()), ("w2", pa.string()), ("n", pa.int64())]
-)  # w2 null ⇒ unigram row
 
 
 def gram_counts(
@@ -153,41 +107,22 @@ def gram_counts(
     corpus, one thin keyed exchange (null keys hash to a fixed
     sentinel, so unigram rows co-locate per word like any other key)."""
 
-    def partials(t: pa.Table) -> pa.Table:
+    def grams(t: pa.Table) -> pa.Table:
         flat, parents = _batch_words(t, text_col)
-        if len(flat) == 0:
-            return _GRAM_SCHEMA.empty_table()
-        gu = pa.table({"w1": flat}).group_by("w1").aggregate([("w1", "count")])
-        uni = pa.table(
+        idx = pa.array(np.flatnonzero(parents[:-1] == parents[1:]), pa.int64())
+        return pa.table(
             {
-                "w1": gu["w1"],
-                "w2": pa.nulls(gu.num_rows, pa.string()),
-                "n": gu["w1_count"].cast(pa.int64()),
+                "w1": pa.concat_arrays([flat, flat.take(idx)]),
+                "w2": pa.concat_arrays(
+                    [pa.nulls(len(flat), flat.type), flat.take(pc.add(idx, 1))]
+                ),
             }
         )
-        same = parents[:-1] == parents[1:]
-        idx = np.flatnonzero(same)
-        if len(idx) == 0:
-            return uni
-        g = (
-            pa.table(
-                {
-                    "w1": flat.take(pa.array(idx, pa.int64())),
-                    "w2": flat.take(pa.array(idx + 1, pa.int64())),
-                }
-            )
-            .group_by(["w1", "w2"])
-            .aggregate([("w1", "count")])
-        )
-        bi = pa.table(
-            {"w1": g["w1"], "w2": g["w2"], "n": g["w1_count"].cast(pa.int64())}
-        )
-        return pa.concat_tables([uni, bi])
 
     return exchange_aggregate(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(grams, batch_format="pyarrow"),
         ["w1", "w2"],
-        [("n", "sum", "n")],
+        [(None, "size", "n")],
         out_schema=_GRAM_SCHEMA,
     )
 
@@ -487,57 +422,36 @@ def load_lm_model(path: str) -> dict:
     return _build_model(uni_t, bi_t, meta["total_tokens"], meta["alpha"])
 
 
-class WordBigramScorer:
-    """Actor-pool ppl scorer: loads the on-disk artifact ONCE per actor
-    in ``__init__`` (not per batch), then scores batches with the shared
-    kernel. Use when the model exceeds broadcast size but fits a worker
-    heap; ``map_batches(WordBigramScorer, fn_constructor_kwargs=...,
-    concurrency=N)``."""
-
-    def __init__(self, path: str, *, text_col: str = "text", out_col: str = "lm_ppl"):
-        self.model = load_lm_model(path)
-        self.text_col = text_col
-        self.out_col = out_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _score_batch(t, self.model, self.text_col, self.out_col)
-
-
 def score_word_bigram_artifact(
     ds: ray.data.Dataset,
     path: str,
     *,
     text_col: str = "text",
     out_col: str = "lm_ppl",
-    max_broadcast_bytes: int = 1 << 30,
-    max_actor_bytes: int = 16 << 30,
-    concurrency: int | tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
-    """Score against a saved artifact, routing by its on-disk size:
-    under ``max_broadcast_bytes`` load once + ``ray.put`` (zero-copy
-    per task — today's path); up to ``max_actor_bytes`` a
-    :class:`WordBigramScorer` actor pool loads per-actor; beyond that
-    the model no longer fits a worker heap and scoring must become a
-    keyed exchange join of packed pair keys against the partitioned
-    counts — unreachable at any min_count-pruned size we can generate,
-    so left unimplemented rather than untested."""
+    """Score against a saved artifact in place: while its on-disk bytes
+    stay under the broadcast bound (``joins._BROADCAST_PAYLOAD_BYTES``,
+    the bound every small-side broadcast pulls under) the model is
+    loaded once and ``ray.put`` (zero-copy per task). Past the bound it
+    logs the exchange route and refuses, naming it: appending a column
+    in place needs the model resident, and
+    :func:`score_word_bigram_exchange` scores at any size."""
     nbytes = lm_artifact_nbytes(path)
-    if nbytes <= max_broadcast_bytes:
-        ref = ray.put(load_lm_model(path))
-        return score_word_bigram(ds, ref, text_col=text_col, out_col=out_col)
-    if nbytes <= max_actor_bytes:
-        return ds.map_batches(
-            WordBigramScorer,
-            fn_constructor_kwargs={"path": path, "text_col": text_col, "out_col": out_col},
-            concurrency=concurrency,
-            batch_format="pyarrow",
-        )
-    raise NotImplementedError(
-        f"LM artifact is {nbytes} bytes > max_actor_bytes={max_actor_bytes}: "
-        "this scorer appends a column in place, which needs the model "
-        "resident; use score_word_bigram_exchange (keyed exchange join "
-        "against the partitioned counts, returns (id, ppl)) at that scale"
+    bound = joins._BROADCAST_PAYLOAD_BYTES
+    route = "broadcast" if nbytes <= bound else "exchange"
+    joins._log.info(
+        "score_word_bigram_artifact: %s route, %d bytes on disk, bound %d bytes",
+        route, nbytes, bound,
     )
+    if route == "exchange":
+        raise NotImplementedError(
+            f"LM artifact is {nbytes} bytes > the broadcast bound of {bound} "
+            "bytes: this scorer appends a column in place, which needs the "
+            "model resident; use score_word_bigram_exchange (keyed exchange "
+            "join against the partitioned counts, returns (id, ppl)) at that scale"
+        )
+    ref = ray.put(load_lm_model(path))
+    return score_word_bigram(ds, ref, text_col=text_col, out_col=out_col)
 
 
 def score_word_bigram_exchange(

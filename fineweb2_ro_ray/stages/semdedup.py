@@ -271,19 +271,21 @@ def semdedup_filter(
     mode: str = "min_id",
     max_pairs_per_cluster: int = 5_000_000,
     n_reducers: int | None = None,
-    max_broadcast_ids: int = 2_000_000,
 ) -> ray.data.Dataset:
     """The consuming form: the original rows with dropped ids removed.
     The dropped-id set is bounded by the corpus DUP RATE, not its
-    size; it is pulled to the driver and broadcast sorted only under
-    ``max_broadcast_ids``. Past the bound the driver pull is abandoned
-    and the corpus is anti-joined against the distributed dropped-flag
-    table through the keyed exchange instead
-    (``joins.hash_join(how="anti")``) — driver memory stays O(bound)
-    at any dup rate. The thin (id-only) dropped table is MATERIALIZED
-    once before the probe so the expensive flags pipeline (assignment
-    + exchange + O(m²) cluster scans) never re-executes on the
-    anti-join path; holding it in the object store costs 8 B/dup."""
+    size; it is pulled to the driver and broadcast sorted while the
+    pull stays under the broadcast bound (``joins._pull_bounded``).
+    Past the bound the driver pull is abandoned and the corpus is
+    anti-joined against the distributed dropped-flag table through the
+    keyed exchange instead (``joins.hash_join(how="anti")``) — driver
+    memory stays O(bound) at any dup rate. The thin (id-only) dropped
+    table is MATERIALIZED once before the pull so the expensive flags
+    pipeline (assignment + exchange + O(m²) cluster scans) never
+    re-executes on the anti-join path; holding it in the object store
+    costs 8 B/dup."""
+    from .joins import _pull_bounded, hash_join
+
     flags = semdedup_flags(
         ds,
         centroids,
@@ -301,26 +303,15 @@ def semdedup_filter(
         ).select([id_col]),
         batch_format="pyarrow",
     ).materialize()
-    chunks: list[np.ndarray] = []
-    total = 0
-    overflow = False
-    for b in dropped_ds.iter_batches(batch_format="pyarrow"):
-        chunks.append(b[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
-        total += len(chunks[-1])
-        if total > max_broadcast_ids:
-            overflow = True
-            break
-    if overflow:
-        from .joins import hash_join
-
+    pulled = _pull_bounded(dropped_ds, "semdedup_filter")
+    if pulled is None:
         dropped_r = dropped_ds.map_batches(
             lambda t: t.rename_columns(["__drop_id"]), batch_format="pyarrow"
         )
         return hash_join(ds, dropped_r, key=id_col, right_key="__drop_id", how="anti")
 
-    dropped = (
-        np.sort(np.concatenate(chunks)) if chunks else np.array([], np.int64)
-    )
+    ids = [b[id_col].to_numpy(zero_copy_only=False).astype(np.int64) for b in pulled]
+    dropped = np.sort(np.concatenate(ids)) if ids else np.array([], np.int64)
     ref = ray.put(dropped)
 
     def keep(t: pa.Table) -> pa.Table:

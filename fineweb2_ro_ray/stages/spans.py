@@ -29,7 +29,8 @@ Scale shape — three stages, none driver-resident:
    ``exchange`` SEMI-joins the per-occurrence rows against the dup set
    on a keyed exchange, then reassembles each document on a second
    exchange keyed by the document id (the boilerplate-scrub shape).
-   ``auto`` picks broadcast while the dup set fits ``max_broadcast``.
+   ``auto`` picks broadcast while the pulled dup set stays under the
+   broadcast bound (``joins._pull_bounded``), else exchange.
 
 Output: ``(id_col, text_clean)``. Documents with NO surviving words —
 including NULL-text documents, which have no words — emit no row (the
@@ -50,6 +51,7 @@ import ray.data
 from ..schema import from_pandas_clean
 from .boilerplate import _rebuild, _split_col
 from .exchange import hash_exchange_map_groups, sorted_runs
+from .joins import _pull_bounded
 
 # 16-char hash keys -> two INDEPENDENT 64-bit word-hash families
 _H1_KEY = "fineweb2_spans_1"
@@ -285,7 +287,6 @@ def remove_duplicate_spans(
     sep: str = " ",
     min_count: int = 2,
     strategy: str = "auto",
-    max_broadcast: int = 2_000_000,
     n_reducers: int | None = None,
     out_col: str = "text_clean",
     keep_first: bool = False,
@@ -310,17 +311,18 @@ def remove_duplicate_spans(
         n_reducers=n_reducers,
         with_canonical=keep_first,
     )
-    # the DF exchange is a barrier, so count() reads materialized
-    # reduce outputs — no corpus re-scan
-    n_dup = dup.count()
-    if strategy == "broadcast" and n_dup > max_broadcast:
-        raise ValueError(f"dup-gram set ({n_dup}) exceeds max_broadcast ({max_broadcast})")
-    use_broadcast = strategy == "broadcast" or (
-        strategy == "auto" and n_dup <= max_broadcast
-    )
+    # the DF exchange is a barrier: the pull reads materialized reduce
+    # outputs, no corpus re-scan
+    pulled = None if strategy == "exchange" else _pull_bounded(dup, "remove_duplicate_spans")
+    if strategy == "broadcast" and pulled is None:
+        raise ValueError("dup-gram set exceeds the broadcast bound; use strategy='exchange'")
 
-    if use_broadcast:
-        ddf = dup.to_pandas()  # bounded by max_broadcast (checked above)
+    if pulled is not None:
+        ddf = (
+            pa.concat_tables(pulled).to_pandas()
+            if pulled
+            else pd.DataFrame(columns=["g1", "g2", "cid", "cstart"])
+        )
         raw = np.empty(len(ddf), dtype=_PAIR_DT)
         raw["g1"] = ddf["g1"].to_numpy(dtype=np.uint64)
         raw["g2"] = ddf["g2"].to_numpy(dtype=np.uint64)

@@ -87,7 +87,9 @@ def _mutate(rng, t: str, n_ed: int) -> str:
     return "".join(s)
 
 
-def test_editdist_pairs_end_to_end_vs_brute(ray_session):
+def _mutated_corpus() -> tuple[list, list, list]:
+    """(ids, texts, langs): 60 mutated copies of three base texts, then
+    empty / sub-q-gram / null texts (the sentinel bucket)."""
     rng = np.random.default_rng(42)
     base = [
         "the quick brown fox jumps over the lazy dog " * 3,
@@ -96,19 +98,25 @@ def test_editdist_pairs_end_to_end_vs_brute(ray_session):
     ]
     texts = [_mutate(rng, base[i % 3], int(rng.integers(0, 26))) for i in range(60)]
     langs = ["ab"[i % 2] for i in range(60)]
-    # edge cases: empty / sub-q-gram / null texts (sentinel bucket)
     texts += ["", "a", "ab", "", "xy", None]
     langs += ["a", "a", "a", "b", "b", "a"]
-    ids = list(range(len(texts)))
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "text": pa.array(texts, pa.string()),
-                "lang": pa.array(langs),
-            }
-        )
-    ).repartition(7)
+    return list(range(len(texts))), texts, langs
+
+
+def _corpus_ds(ids, texts, langs=None):
+    cols = {"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())}
+    if langs is not None:
+        cols["lang"] = pa.array(langs)
+    return rd.from_arrow(pa.table(cols))
+
+
+def _pair_rows(out) -> list[tuple]:
+    return sorted(map(tuple, out.to_pandas()[["doc_a", "doc_b", "dist"]].to_numpy().tolist()))
+
+
+def test_editdist_pairs_end_to_end_vs_brute(ray_session):
+    ids, texts, langs = _mutated_corpus()
+    ds = _corpus_ds(ids, texts, langs).repartition(7)
 
     K = 12
 
@@ -169,6 +177,41 @@ def test_editdist_low_gram_disjoint_sets_regression(ray_session):
     )
     got2 = editdistance_pairs_distributed(ds2, max_dist=16, q=3).to_pandas()
     assert sorted(map(tuple, got2.to_numpy().tolist())) == [(7, 8, ed)]
+
+
+def test_editdist_df_exchange_route_equals_broadcast(ray_session, monkeypatch, caplog):
+    """The gram-df attach's exchange route (df attached on the gram key,
+    then prefix selection on the doc key), forced by a broadcast bound
+    of 0, gives the broadcast route's (doc_a, doc_b, dist) on the
+    mutated corpus (null and empty texts included, with and without
+    ``group_col``) and on the low-gram regression pairs."""
+    import logging
+
+    from fineweb2_ro_ray.stages import joins
+
+    ids, texts, langs = _mutated_corpus()
+    runs = [
+        (_corpus_ds(ids, texts, langs).repartition(7), 12, grp) for grp in (None, "lang")
+    ] + [
+        (_corpus_ds([1, 2], ["a" * 19, "aabaabaabaabaabaaba"]), 16, None),
+        (_corpus_ds([7, 8], ["ab" * 200, "ab" * 199 + "ba"]), 16, None),
+    ]
+    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
+    for ds, k, grp in runs:
+        want = _pair_rows(editdistance_pairs_distributed(ds, max_dist=k, group_col=grp, q=3))
+        with monkeypatch.context() as m:
+            m.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
+            caplog.clear()
+            got = _pair_rows(
+                editdistance_pairs_distributed(ds, max_dist=k, group_col=grp, q=3)
+            )
+        assert any(
+            r.getMessage().startswith("editdistance_pairs_distributed: exchange route")
+            for r in caplog.records
+        )
+        assert got == want and want, (k, grp)
+        if grp == "lang":  # the empty (60) and null (65) texts pair at 0
+            assert (60, 65, 0) in got
 
 
 def test_banded_lev_flat_equals_scalar_core():

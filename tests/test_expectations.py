@@ -9,6 +9,7 @@ import pytest
 
 import ray.data
 
+from fineweb2_ro_ray.stages import joins
 from fineweb2_ro_ray.stages.expectations import (
     foreign_key,
     in_range,
@@ -62,13 +63,10 @@ def test_clean_table_passes():
     assert rep.passed.all() and rep.metric.tolist() == [0.0, 0.0]
 
 
-def test_fk_broadcast_limit_refusal():
+def test_fk_broadcast_limit_refusal(monkeypatch):
     big = ray.data.range(100).map_batches(
         lambda b: pa.table({"k": b["id"]}), batch_format="pyarrow"
     )
-    with pytest.raises(ValueError, match="broadcast limit"):
-        validate(
-            ray.data.from_arrow(DIRTY),
-            [foreign_key("fk", big, "k")],
-            fk_broadcast_limit=10,
-        )
+    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
+    with pytest.raises(ValueError, match="broadcast limit.*stages.bloom"):
+        validate(ray.data.from_arrow(DIRTY), [foreign_key("fk", big, "k")])

@@ -15,7 +15,7 @@ import pytest
 import ray
 import ray.data
 
-from fineweb2_ro_ray.stages import components, dedup
+from fineweb2_ro_ray.stages import components, dedup, joins
 from fineweb2_ro_ray.stages.dedup import (
     minhash_cluster_edges,
     minhash_dedup_full,
@@ -37,10 +37,10 @@ def _docs(rows):
 
 
 # near_dedup_full's two delivery routes: the per-doc cluster table is
-# broadcast while it stays under dedup._BROADCAST_PAYLOAD_BYTES, and
+# broadcast while it stays under joins._BROADCAST_PAYLOAD_BYTES, and
 # reaches the corpus through a hash-join exchange past it (forced by a
 # bound of 0)
-ROUTES = {"broadcast": dedup._BROADCAST_PAYLOAD_BYTES, "exchange": 0}
+ROUTES = {"broadcast": joins._BROADCAST_PAYLOAD_BYTES, "exchange": 0}
 _COMPONENT_LABELS = components._component_labels
 
 
@@ -51,7 +51,7 @@ def _on_route(monkeypatch, route: str) -> None:
     broadcast. An empty pair graph takes the driver route at any limit,
     so it is broadcast on both."""
     limit = _default_edge_limit() if route == "broadcast" else 0
-    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", ROUTES[route])
+    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", ROUTES[route])
     monkeypatch.setattr(
         components,
         "_component_labels",
@@ -180,7 +180,7 @@ def test_delivery_routes_are_logged(ray_session, monkeypatch, caplog):
     # a components Dataset (their label-propagation route) is pulled
     # under the bound on both routes
     for route, bound in ROUTES.items():
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+        monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", bound)
         monkeypatch.setattr(
             components,
             "_component_labels",
@@ -194,7 +194,7 @@ def test_delivery_routes_are_logged(ray_session, monkeypatch, caplog):
     # the components' driver-side table is broadcast as it is: no pull,
     # no delivery line, even under a bound of 0
     monkeypatch.setattr(components, "_component_labels", _COMPONENT_LABELS)
-    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", 0)
+    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
     caplog.clear()
     lines = logged()
     assert lines["connected_components"].startswith("connected_components: driver route"), lines
@@ -320,7 +320,7 @@ def test_funnel_matches_duckdb_component_oracle(ray_session, monkeypatch, seed):
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
         for route, bound in ROUTES.items():  # both delivery routes
-            monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", bound)
+            monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", bound)
             monkeypatch.setattr(
                 components,
                 "_component_labels",

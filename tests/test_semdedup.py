@@ -166,7 +166,8 @@ def test_semdedup_pair_bound_fallback(ray_session):
     assert list(out["kept"]) == [True] + [False] * 11
 
 
-def test_semdedup_filter_exchange_path_equals_broadcast(ray_session):
+def test_semdedup_filter_exchange_path_equals_broadcast(ray_session, monkeypatch):
+    from fineweb2_ro_ray.stages import joins
     from fineweb2_ro_ray.stages.semdedup import semdedup_filter
 
     rng = np.random.default_rng(9)
@@ -175,6 +176,7 @@ def test_semdedup_filter_exchange_path_equals_broadcast(ray_session):
     ds = _mk_ds(x)
     cent = x[:2].astype(np.float64)
     a = semdedup_filter(ds, cent, tau=0.95).to_pandas()
-    b = semdedup_filter(ds, cent, tau=0.95, max_broadcast_ids=1).to_pandas()
+    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)  # anti-join route
+    b = semdedup_filter(ds, cent, tau=0.95).to_pandas()
     assert sorted(a["vec_id"]) == sorted(b["vec_id"])
     assert sorted(a.columns) == sorted(b.columns)

@@ -989,10 +989,10 @@ def test_joins_string_keys_and_vectorized_range():
 def _force_bloom_attach(monkeypatch):
     """Force score_pairs' scale routes: Bloom semi-join filter and
     keyed attach delivery (both bounds read on the driver per call)."""
-    from fineweb2_ro_ray.stages import dedup
+    from fineweb2_ro_ray.stages import dedup, joins
 
     monkeypatch.setattr(dedup, "_INVOLVED_IDS_LIMIT", 0)
-    monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", 0)
+    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
 
 
 def _lsh_corpora():
@@ -1089,7 +1089,7 @@ def test_score_pairs_routes_agree(op, monkeypatch):
     filter × broadcast or attach delivery), forced through the module
     bounds, gives the same output, and the forced route is the one
     taken."""
-    from fineweb2_ro_ray.stages import bloom, dedup
+    from fineweb2_ro_ray.stages import bloom, dedup, joins
 
     run = _pair_operators()[op]
     ds, vds = _lsh_corpora()
@@ -1104,12 +1104,12 @@ def test_score_pairs_routes_agree(op, monkeypatch):
     ref = _sorted(run(ds, vds), ["doc_a", "doc_b"])
     assert len(ref) > 0 and taken == []
     for ids_limit, pay_bytes, route in (
-        (0, dedup._BROADCAST_PAYLOAD_BYTES, ["bloom"]),
+        (0, joins._BROADCAST_PAYLOAD_BYTES, ["bloom"]),
         (dedup._INVOLVED_IDS_LIMIT, 0, ["attach", "attach"]),
         (0, 0, ["bloom", "attach", "attach"]),
     ):
         monkeypatch.setattr(dedup, "_INVOLVED_IDS_LIMIT", ids_limit)
-        monkeypatch.setattr(dedup, "_BROADCAST_PAYLOAD_BYTES", pay_bytes)
+        monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", pay_bytes)
         taken.clear()
         got = _sorted(run(ds, vds), ["doc_a", "doc_b"])
         assert taken == route
@@ -2092,19 +2092,60 @@ def test_broadcast_join_matches_hash_join():
         assert got["rv"].fillna(-1).tolist() == want["rv"].fillna(-1).tolist(), how
 
 
-def test_broadcast_join_build_cap_and_empty():
+def test_broadcast_join_build_cap_and_empty(monkeypatch):
+    from fineweb2_ro_ray.stages import joins
     from fineweb2_ro_ray.stages.joins import broadcast_join
 
     left = rd.from_pandas(pd.DataFrame({"k": [1, 2], "lv": [10, 20]}))
     big = rd.from_pandas(pd.DataFrame({"rk": np.arange(100), "rv": np.arange(100)}))
-    with pytest.raises(ValueError, match="max_build_rows"):
-        broadcast_join(left, big, key="k", right_key="rk", max_build_rows=10)
+    with monkeypatch.context() as m:
+        m.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
+        with pytest.raises(ValueError, match="broadcast bound .* use hash_join"):
+            broadcast_join(left, big, key="k", right_key="rk")
     empty = rd.from_pandas(pd.DataFrame({"rk": pd.array([], dtype="int64"),
                                          "rv": pd.array([], dtype="int64")}))
     out = broadcast_join(left, empty, key="k", right_key="rk", how="left").to_pandas()
     assert out["lv"].tolist() == [10, 20] and out["rv"].isna().all()
     out_i = broadcast_join(left, empty, key="k", right_key="rk", how="inner").to_pandas()
     assert len(out_i) == 0
+
+
+def test_broadcast_join_never_probes_a_lazy_left_side(monkeypatch, tmp_path):
+    """On a lazy ``read_parquet(...).map_batches(...)`` left side no
+    schema lookup needs to execute anything: each output table's schema
+    is built inside the task from the batch's own schema plus the build
+    side's."""
+    import pyarrow.parquet as pq
+
+    from ray.data import Dataset
+
+    from fineweb2_ro_ray.stages.joins import broadcast_join
+
+    for i in range(3):
+        pq.write_table(
+            pa.table({"k": pa.array([i, i + 10], pa.int64()), "lv": [f"a{i}", f"b{i}"]}),
+            tmp_path / f"part-{i}.parquet",
+        )
+    left = rd.read_parquet(str(tmp_path)).map_batches(
+        lambda b: b.select(["k", "lv"]), batch_format="pyarrow"
+    )
+    right = rd.from_arrow(pa.table({"rk": pa.array([0, 2, 11], pa.int64()), "rv": [5, 6, 7]}))
+
+    real = Dataset.schema
+    probed: list = []
+
+    def checked(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            probed.append(real(self, fetch_if_missing=False))
+        return real(self, fetch_if_missing)
+
+    monkeypatch.setattr(Dataset, "schema", checked)
+    out = broadcast_join(left, right, key="k", right_key="rk", how="left").to_pandas()
+    monkeypatch.undo()
+    assert all(s is not None for s in probed), probed
+    got = sorted(zip(out["k"], out["lv"], out["rv"].fillna(-1).astype(int)))
+    assert got == [(0, "a0", 5), (1, "a1", -1), (2, "a2", 6),
+                   (10, "b0", -1), (11, "b1", 7), (12, "b2", -1)]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -3017,10 +3058,11 @@ def test_exact_percentiles_routes_high_cardinality_to_sketch(
         assert abs(rank - q / 100.0 * len(srt)) < 0.05 * len(srt)
 
 
-def test_lm_artifact_roundtrip_and_scorer_paths(ray_session, tmp_path):
+def test_lm_artifact_roundtrip_and_scorer_paths(ray_session, tmp_path, monkeypatch):
     """save_lm_artifact → load_lm_model must equal the in-memory fit
-    exactly (vocab, counts, packed keys, total_tokens), and the
-    broadcast / per-actor scorer paths must produce identical ppl."""
+    exactly (vocab, counts, packed keys, total_tokens), the artifact's
+    broadcast scorer must produce the in-memory model's ppl, and past
+    the broadcast bound the in-place scorer refuses."""
     from fineweb2_ro_ray.stages.lm import (
         fit_word_bigram_counts,
         lm_artifact_nbytes,
@@ -3059,25 +3101,21 @@ def test_lm_artifact_roundtrip_and_scorer_paths(ray_session, tmp_path):
         .sort_values("doc_id")["lm_ppl"]
         .to_numpy()
     )
-    for kwargs in (
-        {},  # broadcast route (artifact is tiny)
-        {"max_broadcast_bytes": 0, "concurrency": 2},  # force actor route
-    ):
-        got = (
-            score_word_bigram_artifact(ds, str(tmp_path / "lm"), **kwargs)
-            .to_pandas()
-            .sort_values("doc_id")["lm_ppl"]
-            .to_numpy()
-        )
-        assert (got == base).all()
-    # past the actor bound: the in-place scorer refuses (appending a
-    # column needs a resident model)...
-    import pytest as _pytest
+    got = (
+        score_word_bigram_artifact(ds, str(tmp_path / "lm"))  # tiny: broadcast
+        .to_pandas()
+        .sort_values("doc_id")["lm_ppl"]
+        .to_numpy()
+    )
+    assert (got == base).all()
+    # past the broadcast bound: the in-place scorer refuses (appending
+    # a column needs a resident model)...
+    from fineweb2_ro_ray.stages import joins
 
-    with _pytest.raises(NotImplementedError):
-        score_word_bigram_artifact(
-            ds, str(tmp_path / "lm"), max_broadcast_bytes=0, max_actor_bytes=0
-        )
+    with monkeypatch.context() as m:
+        m.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
+        with pytest.raises(NotImplementedError, match="score_word_bigram_exchange"):
+            score_word_bigram_artifact(ds, str(tmp_path / "lm"))
     # re-fitting INTO THE SAME PATH with fewer partitions must clear
     # the prior artifact: stale part=K files from the 5-part fit would
     # otherwise be silently mixed into the 2-part model (review item)
