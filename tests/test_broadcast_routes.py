@@ -134,20 +134,6 @@ def test_broadcast_routes_are_logged(ray_session, op, monkeypatch, caplog, tmp_p
     ), lines
 
 
-def test_fk_refusal_stops_the_pull_mid_stream(ray_session, monkeypatch, caplog):
-    """Past the bound the foreign-key reference's distinct values stop
-    being pulled at the first block that passes it: fewer rows reach
-    the driver than the reference has distinct values."""
-    run, _ = OPERATORS["validate"]
-    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
-    monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
-    with pytest.raises(ValueError, match="broadcast limit.*stages.bloom"):
-        run(None)
-    (line,) = _route_lines(caplog, "validate")
-    pulled = int(line.split(", ")[1].split(" rows")[0])
-    assert 0 < pulled < 100, line
-
-
 def test_the_bound_lives_in_joins_only(monkeypatch):
     """Forcing a route means patching ``joins``: a stale patch of the
     bound on ``dedup`` fails instead of silently forcing nothing."""

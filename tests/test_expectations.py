@@ -63,10 +63,19 @@ def test_clean_table_passes():
     assert rep.passed.all() and rep.metric.tolist() == [0.0, 0.0]
 
 
-def test_fk_broadcast_limit_refusal(monkeypatch):
+def test_fk_broadcast_limit_refusal(monkeypatch, caplog):
+    """Past the broadcast bound the check refuses, and the reference's
+    distinct values stop being pulled at the first block past it:
+    fewer rows reach the driver than the reference's 100 values."""
+    import logging
+
     big = ray.data.range(100).map_batches(
         lambda b: pa.table({"k": b["id"]}), batch_format="pyarrow"
     )
     monkeypatch.setattr(joins, "_BROADCAST_PAYLOAD_BYTES", 0)
+    caplog.set_level(logging.INFO, logger="fineweb2_ro_ray")
     with pytest.raises(ValueError, match="broadcast limit.*stages.bloom"):
         validate(ray.data.from_arrow(DIRTY), [foreign_key("fk", big, "k")])
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("validate: ")]
+    pulled = int(line.split(", ")[1].split(" rows")[0])
+    assert 0 < pulled < 100, line
